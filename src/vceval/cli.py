@@ -10,7 +10,6 @@ import json
 import logging
 import sys
 from collections.abc import Sequence
-from pathlib import Path
 
 import click
 
@@ -103,7 +102,7 @@ def lifecycle(versions_root, out_path) -> None:
             for record in sorted(records, key=lambda r: (r.api, r.start_index))
         ],
     }
-    _write_text(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    harness.write_text(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     click.echo(f"tagged {len(records)} lifecycle record(s) -> {out_path}", err=True)
 
 
@@ -186,13 +185,6 @@ def report(aggregates_path, fmt, out_path) -> None:
     """Re-emit a scoring aggregates file in the chosen format."""
     emit_report(load_aggregates(aggregates_path), fmt, out_path)
     click.echo(f"report -> {out_path}", err=True)
-
-
-def _write_text(path, data: str) -> None:
-    try:
-        Path(path).write_text(data, encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -7,11 +7,15 @@ never changes any output byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import logging
+import os
+import stat
 import textwrap
+import uuid
 from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -131,7 +135,9 @@ def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"unreadable file {path}: {exc}") from exc
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # split on "\n" only: str.splitlines() also breaks at U+2028, U+0085 and
+    # other separators that may sit unescaped inside a JSON string
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -144,14 +150,49 @@ def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     return rows
 
 
-def write_jsonl(path: str | Path, rows: Sequence[Mapping]) -> Path:
+def write_text(path: str | Path, data: str, what: str = "") -> Path:
+    """Write data to path.  A new path or an existing regular file is
+    replaced atomically: the data goes to a temp file beside it, which takes
+    the old file's permission bits, is fsynced and then os.replace'd over
+    path, so a failed write leaves any previous file untouched.  That needs
+    a writable directory.  Anything else -- a symlink, or a device or pipe
+    such as /dev/stdout -- is opened and written through in place.
+
+    Raises IoFailure("cannot write <what><path>: ...") on any OSError; the
+    message names path, never the temp file.
+    """
     path = Path(path)
-    data = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        path.write_text(data, encoding="utf-8")
+        try:
+            mode = os.lstat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            path.write_text(data, encoding="utf-8")
+            return path
+        # O_EXCL never follows a planted file; mode 0o666 lets the umask
+        # decide for a new file, as for a plain open()
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        with open(fd, "w", encoding="utf-8") as handle:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            handle.write(data)
+            handle.flush()
+            os.fsync(fd)
+        os.replace(tmp, path)
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        reason = exc
+        if exc.errno is not None and exc.filename is not None:
+            reason = OSError(exc.errno, exc.strerror, str(path))
+        raise IoFailure(f"cannot write {what}{path}: {reason}") from exc
     return path
+
+
+def write_jsonl(path: str | Path, rows: Sequence[Mapping]) -> Path:
+    return write_text(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
 def _prefixed(exc: SchemaViolation, where: str) -> SchemaViolation:
@@ -502,6 +543,8 @@ def normalize_generation(raw: str, granularity: Granularity) -> str:
     Raises EmptyAfterNormalization when nothing remains.  A warning is logged
     whenever token reduction discards surrounding text: a prose answer like
     "The answer is x" reduces to "The", which is the documented hazard.
+    Scoring calls this once per distinct raw sample text of an instance, so
+    the warning appears once per such text, not once per sample.
     """
     text = strip_code_fences(raw).strip()
     if granularity is Granularity.TOKEN:
@@ -541,13 +584,8 @@ def _normalize_ks(ks) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _score_sample(
-    metric: MetricName, instance: TaskInstance, text: str | None, exec_passed: bool | None
-) -> float:
-    if metric is MetricName.PASS:
-        return 1.0 if exec_passed else 0.0
-    if text is None:
-        return 0.0
+def _score_text(metric: MetricName, instance: TaskInstance, text: str) -> float:
+    """One static metric (em, ism, pm or cdc) of one normalized generation."""
     reference = instance.reference
     granularity = instance.granularity
     if metric is MetricName.EM:
@@ -574,21 +612,33 @@ def _score_sample(
 def _score_item(
     item: EvaluationItem, metrics: Sequence[MetricName], ks: Sequence[int]
 ) -> dict[MetricName, tuple[ScoreVector, dict[int, float]]]:
+    """Score one instance.  Samples repeat heavily at large n, so each
+    distinct raw text is normalized once and each distinct normalized text
+    is scored once per static metric; pass stays per sample index because
+    it follows each sample's exec verdict.  A sample that normalizes to
+    nothing (None) scores 0."""
     instance = item.instance
-    texts: list[str | None] = []
+    normalized: dict[str, str | None] = {}
     for raw in item.sample_set.samples:
+        if raw in normalized:
+            continue
         try:
-            texts.append(normalize_generation(raw, instance.granularity))
+            normalized[raw] = normalize_generation(raw, instance.granularity)
         except EmptyAfterNormalization:
             log.warning("instance %s: a sample normalized to nothing, scoring it 0", instance.id)
-            texts.append(None)
+            normalized[raw] = None
+    texts = [normalized[raw] for raw in item.sample_set.samples]
+    distinct = [text for text in dict.fromkeys(texts) if text is not None]
 
     n = item.sample_set.n
     result = {}
     for metric in metrics:
-        per_sample = tuple(
-            _score_sample(metric, instance, texts[i], item.exec_passed[i]) for i in range(n)
-        )
+        if metric is MetricName.PASS:
+            per_sample = tuple(1.0 if passed else 0.0 for passed in item.exec_passed)
+        else:
+            scores = {text: _score_text(metric, instance, text) for text in distinct}
+            scores[None] = 0.0
+            per_sample = tuple(scores[text] for text in texts)
         vector = ScoreVector.from_scores(instance.id, metric, per_sample)
         at_k: dict[int, float] = {}
         for k in ks:
@@ -745,12 +795,7 @@ def emit_report(aggregates: Sequence[AggregateRow], fmt: str, out_path: str | Pa
         for row in rows:
             writer.writerow([row.group_key, row.metric, row.k, repr(row.value), row.instance_count])
         data = buffer.getvalue()
-    path = Path(out_path)
-    try:
-        path.write_text(data, encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write report {path}: {exc}") from exc
-    return path
+    return write_text(out_path, data, what="report ")
 
 
 def load_aggregates(path: str | Path) -> list[AggregateRow]:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -60,6 +63,41 @@ class TestScoreCommand:
         rows = json.loads(out.read_text())["rows"]
         assert sum(row["instance_count"] for row in rows) == 8
         assert len(vectors.read_text().splitlines()) == 8
+
+    def test_failed_write_keeps_previous_output(self, corpus, tmp_path, monkeypatch):
+        out = tmp_path / "report.json"
+        out.write_text("previous\n")
+        before = sorted(tmp_path.iterdir())
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code, _ = run_score(corpus, tmp_path)
+        assert code == 2
+        assert out.read_text() == "previous\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.skipif(not os.path.exists("/dev/fd/1"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("device", ["/dev/stdout", "/dev/fd/1"])
+    def test_out_to_redirected_stdout(self, corpus, tmp_path, device):
+        # /dev/stdout is a symlink to the redirected file; it must be written
+        # through, never replaced
+        inst, samp = corpus
+        argv = [
+            sys.executable,
+            "-c",
+            "import sys; from vceval.cli import main; sys.exit(main(sys.argv[1:]))",
+            "score", "--instances", str(inst), "--samples", str(samp),
+            "--metrics", "em", "--k", "1", "--out", device,
+        ]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        redirected = tmp_path / "stdout.json"
+        with redirected.open("w") as handle:
+            done = subprocess.run(argv, stdout=handle, stderr=subprocess.PIPE, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(redirected.read_text())["rows"]
+        assert os.path.islink(device)
 
     def test_missing_file_exits_2(self, corpus, tmp_path):
         _, samp = corpus

@@ -1,7 +1,15 @@
 import json
 import logging
+import os
+import stat
+import textwrap
+import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import vceval.harness
 
 from vceval import (
     EvaluationItem,
@@ -30,6 +38,14 @@ from vceval.harness import (
     encode_instance,
     load_aggregates,
     write_score_vectors,
+)
+from vceval.metrics import (
+    block_line_average,
+    cdc_check,
+    em_block,
+    em_token,
+    ism_line,
+    pm_line,
 )
 
 from helpers import build_fixture_corpus, write_jsonl
@@ -181,6 +197,28 @@ class TestIngest:
         with pytest.raises(IoFailure):
             ingest(tmp_path / "nope.jsonl", samp_path)
 
+    def test_line_separators_inside_json_strings(self, tmp_path):
+        # U+2028 and U+0085 are line boundaries for str.splitlines() but
+        # plain characters inside a JSON string
+        instances, samples = build_fixture_corpus(2)
+        samples[1]["samples"][0] = "result = df.explode('\u2028')\u0085"
+        inst = write_jsonl(tmp_path / "instances.jsonl", instances)
+        samp = tmp_path / "samples.jsonl"
+        samp.write_text(
+            "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in samples),
+            encoding="utf-8",
+        )
+        items = ingest(inst, samp)
+        assert items[1].sample_set.samples[0] == "result = df.explode('\u2028')\u0085"
+
+    def test_crlf_file_loads(self, tmp_path):
+        instances, samples = build_fixture_corpus(3)
+        inst, samp = tmp_path / "instances.jsonl", tmp_path / "samples.jsonl"
+        for path, rows in ((inst, instances), (samp, samples)):
+            path.write_bytes("".join(json.dumps(row) + "\r\n" for row in rows).encode())
+        items = ingest(inst, samp)
+        assert [item.instance.id for item in items] == [row["id"] for row in instances]
+
     def test_invalid_json_is_schema_violation(self, tmp_path):
         inst_path, samp_path = self.write_corpus(tmp_path, 1)
         broken = tmp_path / "broken.jsonl"
@@ -308,6 +346,99 @@ def _correct_sample(instance: TaskInstance) -> str:
     return instance.reference
 
 
+# one fixture instance per kind: token, line, block, migration block
+_KINDS = [decode_instance(row) for row in build_fixture_corpus(4)[0]]
+
+
+def _sample_pool(instance: TaskInstance) -> list[str]:
+    reference = instance.reference
+    return [
+        reference,
+        f"```python\n{reference}\n```",
+        f"The answer is {reference}",
+        f"`{reference}`",
+        "",
+        "  \n",
+        "```\n```",
+        reference.replace(instance.core_token, "renamed"),
+        reference + "\nextra = 1",
+        "something_else = 1",
+    ]
+
+
+def _independent_score(metric: MetricName, instance: TaskInstance, raw: str) -> float:
+    """Score one sample on its own, straight through the metric functions."""
+    try:
+        text = normalize_generation(raw, instance.granularity)
+    except EmptyAfterNormalization:
+        return 0.0
+    reference, granularity = instance.reference, instance.granularity
+    if metric is MetricName.EM:
+        if granularity is Granularity.TOKEN:
+            return float(em_token(text, reference))
+        return float(em_block(text, instance.core_token))
+    if metric is MetricName.CDC:
+        return cdc_check(
+            textwrap.dedent(text), textwrap.dedent(reference), instance.core_token
+        ).score
+    line_metric = ism_line if metric is MetricName.ISM else pm_line
+    if granularity is Granularity.BLOCK:
+        return block_line_average(text, reference, line_metric)
+    return line_metric(text, reference)
+
+
+class TestScoreDistinctTexts:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        kind=st.integers(0, len(_KINDS) - 1),
+        picks=st.lists(st.integers(0, len(_sample_pool(_KINDS[0])) - 1), min_size=1, max_size=15),
+    )
+    def test_equals_scoring_each_sample_alone(self, kind, picks):
+        instance = _KINDS[kind]
+        pool = _sample_pool(instance)
+        samples = tuple(pool[i] for i in picks)
+        item = EvaluationItem(instance, SampleSet(instance.id, samples), (None,) * len(samples))
+        result = run_scoring([item], ["em", "ism", "pm", "cdc"], [1])
+        for vector in result.score_vectors:
+            expected = tuple(_independent_score(vector.metric, instance, raw) for raw in samples)
+            assert vector.per_sample == expected
+
+    def test_each_distinct_text_is_parsed_once(self, monkeypatch):
+        instance = _KINDS[2]
+        calls = []
+
+        def counting_cdc(*args):
+            calls.append(args)
+            return cdc_check(*args)
+
+        monkeypatch.setattr(vceval.harness, "cdc_check", counting_cdc)
+        texts = (instance.reference, "result = unrelated(x)", "x = 1", "   ")
+        samples = tuple(texts[i % 4] for i in range(100))
+        item = EvaluationItem(instance, SampleSet(instance.id, samples), (None,) * 100)
+        (vector,) = run_scoring([item], ["cdc"], [1]).score_vectors
+        assert len(calls) == 3
+        assert vector.per_sample[:4] == (1.0, 0.0, 0.0, 0.0)
+        assert vector.correct_count == 25
+
+    def test_pass_follows_each_sample_verdict(self):
+        instance = _KINDS[1]
+        samples = (instance.reference, instance.reference)
+        item = EvaluationItem(instance, SampleSet(instance.id, samples), (True, False))
+        result = run_scoring([item], ["em", "pass"], [1])
+        per_sample = {vector.metric: vector.per_sample for vector in result.score_vectors}
+        assert per_sample[MetricName.EM] == (1.0, 1.0)
+        assert per_sample[MetricName.PASS] == (1.0, 0.0)
+
+    def test_warnings_once_per_distinct_text(self, caplog):
+        instance = _KINDS[0]
+        samples = ("The answer is to_numpy", "   ", "to_numpy") * 30
+        item = EvaluationItem(instance, SampleSet(instance.id, samples), (None,) * len(samples))
+        with caplog.at_level(logging.WARNING, logger="vceval.harness"):
+            run_scoring([item], ["em"], [1])
+        assert sum("token normalization" in m for m in caplog.messages) == 1
+        assert sum("normalized to nothing" in m for m in caplog.messages) == 1
+
+
 class TestEmitReport:
     def rows(self):
         return [
@@ -344,6 +475,45 @@ class TestEmitReport:
         emit_report(self.rows(), "json", out)
         assert load_aggregates(out) == sorted(
             self.rows(), key=lambda r: (r.group_key, r.metric, r.k)
+        )
+
+    def test_pipe_is_written_not_replaced(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        emit_report(self.rows(), "csv", fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received[0].startswith("group_key,metric,k,value,instance_count\n")
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(tmp_path.iterdir()) == [fifo]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        emit_report(self.rows(), "csv", link)
+        assert link.is_symlink()
+        assert target.read_text().startswith("group_key,metric,k,value,instance_count\n")
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_text("old\n")
+        out.chmod(0o600)
+        emit_report(self.rows(), "json", out)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert json.loads(out.read_text())["rows"]
+
+    def test_failure_names_the_target_not_the_temp_file(self, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        with pytest.raises(IoFailure) as info:
+            emit_report(self.rows(), "json", out)
+        assert str(info.value) == (
+            f"cannot write report {out}: [Errno 2] No such file or directory: '{out}'"
         )
 
     def test_write_score_vectors(self, tmp_path):
