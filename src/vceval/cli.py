@@ -57,18 +57,15 @@ def _parse_ks(raw: str) -> list[int]:
 @click.option("--metrics", default="em", show_default=True, help="Comma list: em,ism,pm,cdc,pass.")
 @click.option("--k", "k_spec", default="1", show_default=True, help="Comma list of k values.")
 @click.option("--group-by", type=click.Choice(harness.GROUP_DIMENSIONS), default=None)
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--per-instance", "per_instance_path", type=click.Path(), default=None,
               help="Also dump per-instance score vectors as JSONL.")
 def score(instances_path, samples_path, exec_reports_path, metrics, k_spec, group_by,
-          workers, fmt, out_path, per_instance_path) -> None:
+          fmt, out_path, per_instance_path) -> None:
     """Score generated samples against instances and write aggregate rows."""
     items = ingest(instances_path, samples_path, exec_reports_path)
-    result = run_scoring(
-        items, _parse_list(metrics), _parse_ks(k_spec), group_by=group_by, workers=workers
-    )
+    result = run_scoring(items, _parse_list(metrics), _parse_ks(k_spec), group_by=group_by)
     if per_instance_path:
         harness.write_score_vectors(result, per_instance_path)
     emit_report(result.aggregates, fmt, out_path)

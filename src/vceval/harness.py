@@ -1,8 +1,8 @@
 """Pipeline plumbing: JSONL ingestion, generation-text normalization, metric
-orchestration over a worker pool, grouped aggregation, and report emission.
+orchestration, grouped aggregation, and report emission.
 
-Items are scored independently and reduced in input order, so worker count
-never changes any output byte.
+Items are scored one after another and reduced in input order, so the same
+inputs always give the same output bytes.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import stat
 import textwrap
 import uuid
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import date
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .core_model import (
     IDENTIFIER_RE,
@@ -33,6 +33,7 @@ from .core_model import (
     ScoreVector,
     TaskInstance,
     TaskKind,
+    VersionId,
     parse_version,
 )
 from .core_model import validate_instance as _validate_instance
@@ -46,7 +47,6 @@ from .errors import (
     JoinFailure,
     KExceedsN,
     MissingExecReports,
-    NoNumericComponent,
     SchemaViolation,
 )
 from .metrics import (
@@ -125,15 +125,20 @@ class ScoringResult:
     ks: tuple[int, ...]
 
 
-def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
-    """All (lineno, object) records of a line-delimited JSON file."""
-    path = Path(path)
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of path; IoFailure if it is missing, unreadable or not UTF-8."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise IoFailure(f"missing file: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"unreadable file {path}: {exc}") from exc
+
+
+def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
+    """All (lineno, object) records of a line-delimited JSON file."""
+    path = Path(path)
+    text = _read_text(path)
     rows = []
     # split on "\n" only: str.splitlines() also breaks at U+2028, U+0085 and
     # other separators that may sit unescaped inside a JSON string
@@ -199,191 +204,119 @@ def _prefixed(exc: SchemaViolation, where: str) -> SchemaViolation:
     return type(exc)([f"{where}: {v}" for v in exc.violations])
 
 
-def _decode_enum(enum_cls, value, field: str, problems: list[str]):
-    if value is None:
-        return None
-    try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = [member.value for member in enum_cls]
-        problems.append(f"{field}: {value!r} not one of {allowed}")
-        return None
-
-
-def _decode_version(value, field: str, problems: list[str]):
-    if value is None:
-        return None
+def _decode_str(value) -> str:
     if not isinstance(value, str):
-        problems.append(f"{field}: expected a version string")
-        return None
-    try:
-        return parse_version(value)
-    except NoNumericComponent as exc:
-        problems.append(f"{field}: {exc}")
-        return None
-
-
-def _decode_date(value, field: str, problems: list[str]):
-    if value is None:
-        return None
-    try:
-        return date.fromisoformat(value)
-    except (TypeError, ValueError):
-        problems.append(f"{field}: expected an ISO 8601 date, got {value!r}")
-        return None
-
-
-def _decode_str(obj: dict, field: str, problems: list[str], required: bool = True):
-    value = obj.get(field)
-    if value is None:
-        if required:
-            problems.append(f"{field}: required")
-        return None
-    if not isinstance(value, str):
-        problems.append(f"{field}: expected a string")
-        return None
+        raise ValueError("expected a string")
     return value
 
 
-_INSTANCE_FIELDS = {
-    "id",
-    "task",
-    "granularity",
-    "library",
-    "source_version",
-    "target_version",
-    "description",
-    "masked_code",
-    "source_code",
-    "reference",
-    "core_token",
-    "data_source",
-    "lifecycle_tag",
-    "release_date",
+def _decode_version(value) -> VersionId:
+    if not isinstance(value, str):
+        raise ValueError("expected a version string")
+    return parse_version(value)  # NoNumericComponent is a ValueError
+
+
+def _decode_date(value) -> date:
+    try:
+        return date.fromisoformat(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected an ISO 8601 date, got {value!r}") from None
+
+
+def _enum_codec(enum_cls):
+    def decode(value):
+        try:
+            return enum_cls(value)
+        except ValueError:
+            allowed = [member.value for member in enum_cls]
+            raise ValueError(f"{value!r} not one of {allowed}") from None
+
+    return decode, lambda member: member.value
+
+
+# The JSON form of each record field type, as (decode, encode).  A decoder
+# raises ValueError carrying the violation text.
+_CODECS = {
+    str: (_decode_str, lambda text: text),
+    VersionId: (_decode_version, lambda version: version.raw),
+    date: (_decode_date, date.isoformat),
+    **{cls: _enum_codec(cls) for cls in (TaskKind, Granularity, DataSource, LifecycleTag)},
 }
+
+
+def _record_fields(cls) -> tuple[tuple[str, type, bool], ...]:
+    """(name, codec type, required) of each field of a record dataclass, in
+    field order.  A field with no default is required."""
+    hints = get_type_hints(cls)
+    out = []
+    for field in fields(cls):
+        hint = hints[field.name]
+        kind = next(t for t in get_args(hint) or (hint,) if t is not type(None))
+        out.append((field.name, kind, field.default is MISSING))
+    return tuple(out)
+
+
+_INSTANCE_RECORD = _record_fields(TaskInstance)
+# a meta record carries its caller-supplied id and core token beside the
+# MetaInstance fields
+_META_RECORD = (("id", str, True), ("core_token", str, True)) + _record_fields(MetaInstance)
+
+
+def _decode_field(obj: dict, name: str, kind: type, required: bool, problems: list[str]):
+    value = obj.get(name)
+    if value is None:
+        if required:
+            problems.append(f"{name}: required")
+        return None
+    try:
+        return _CODECS[kind][0](value)
+    except ValueError as exc:
+        problems.append(f"{name}: {exc}")
+        return None
+
+
+def _decode_record(obj: dict, record: tuple, problems: list[str]) -> dict:
+    """Every field of record decoded from obj (None where absent or
+    malformed); each unknown, missing or malformed field adds a problem."""
+    unknown = set(obj) - {name for name, _, _ in record}
+    if unknown:
+        problems.append(f"unknown fields: {sorted(unknown)}")
+    return {name: _decode_field(obj, name, kind, req, problems) for name, kind, req in record}
 
 
 def decode_instance(obj: dict, where: str = "instance") -> TaskInstance:
     """Decode and fully validate one instance record."""
     problems: list[str] = []
-    unknown = set(obj) - _INSTANCE_FIELDS
-    if unknown:
-        problems.append(f"unknown fields: {sorted(unknown)}")
-
-    for field in ("task", "granularity", "data_source", "source_version"):
-        if obj.get(field) is None:
-            problems.append(f"{field}: required")
-    iid = _decode_str(obj, "id", problems)
-    task = _decode_enum(TaskKind, obj.get("task"), "task", problems)
-    granularity = _decode_enum(Granularity, obj.get("granularity"), "granularity", problems)
-    library = _decode_str(obj, "library", problems)
-    source_version = _decode_version(obj.get("source_version"), "source_version", problems)
-    target_version = _decode_version(obj.get("target_version"), "target_version", problems)
-    description = _decode_str(obj, "description", problems)
-    masked_code = _decode_str(obj, "masked_code", problems, required=False)
-    source_code = _decode_str(obj, "source_code", problems, required=False)
-    reference = _decode_str(obj, "reference", problems)
-    core_token = _decode_str(obj, "core_token", problems)
-    data_source = _decode_enum(DataSource, obj.get("data_source"), "data_source", problems)
-    lifecycle_tag = _decode_enum(LifecycleTag, obj.get("lifecycle_tag"), "lifecycle_tag", problems)
-    release_date = _decode_date(obj.get("release_date"), "release_date", problems)
+    values = _decode_record(obj, _INSTANCE_RECORD, problems)
     if problems:
         raise SchemaViolation([f"{where}: {p}" for p in problems])
-
-    instance = TaskInstance(
-        id=iid,
-        task=task,
-        granularity=granularity,
-        library=library,
-        source_version=source_version,
-        target_version=target_version,
-        description=description,
-        masked_code=masked_code,
-        source_code=source_code,
-        reference=reference,
-        core_token=core_token,
-        data_source=data_source,
-        lifecycle_tag=lifecycle_tag,
-        release_date=release_date,
-    )
     try:
-        return _validate_instance(instance)
+        return _validate_instance(TaskInstance(**values))
     except SchemaViolation as exc:
         raise _prefixed(exc, where) from None
 
 
 def encode_instance(instance: TaskInstance) -> dict:
     """Inverse of decode_instance; None-valued optional fields are omitted."""
-    row = {
-        "id": instance.id,
-        "task": instance.task.value,
-        "granularity": instance.granularity.value,
-        "library": instance.library,
-        "source_version": instance.source_version.raw,
-        "description": instance.description,
-        "reference": instance.reference,
-        "core_token": instance.core_token,
-        "data_source": instance.data_source.value,
-    }
-    if instance.target_version is not None:
-        row["target_version"] = instance.target_version.raw
-    if instance.masked_code is not None:
-        row["masked_code"] = instance.masked_code
-    if instance.source_code is not None:
-        row["source_code"] = instance.source_code
-    if instance.lifecycle_tag is not None:
-        row["lifecycle_tag"] = instance.lifecycle_tag.value
-    if instance.release_date is not None:
-        row["release_date"] = instance.release_date.isoformat()
+    row = {}
+    for name, kind, _ in _INSTANCE_RECORD:
+        value = getattr(instance, name)
+        if value is not None:
+            row[name] = _CODECS[kind][1](value)
     return row
-
-
-_META_FIELDS = {
-    "id",
-    "core_token",
-    "library",
-    "version",
-    "description",
-    "code",
-    "data_source",
-    "lifecycle_tag",
-    "release_date",
-}
 
 
 def decode_meta_record(obj: dict, where: str = "meta") -> tuple[str, str, MetaInstance]:
     """Decode one meta record carrying its caller-supplied id and core token."""
     problems: list[str] = []
-    unknown = set(obj) - _META_FIELDS
-    if unknown:
-        problems.append(f"unknown fields: {sorted(unknown)}")
-    meta_id = _decode_str(obj, "id", problems)
-    core_token = _decode_str(obj, "core_token", problems)
+    values = _decode_record(obj, _META_RECORD, problems)
+    meta_id, core_token = values.pop("id"), values.pop("core_token")
     if core_token is not None and not IDENTIFIER_RE.fullmatch(core_token):
         problems.append("core_token: must be a single identifier")
-    library = _decode_str(obj, "library", problems)
-    version = _decode_version(obj.get("version"), "version", problems)
-    if obj.get("version") is None:
-        problems.append("version: required")
-    description = _decode_str(obj, "description", problems)
-    code = _decode_str(obj, "code", problems)
-    data_source = _decode_enum(DataSource, obj.get("data_source"), "data_source", problems)
-    if obj.get("data_source") is None:
-        problems.append("data_source: required")
-    lifecycle_tag = _decode_enum(LifecycleTag, obj.get("lifecycle_tag"), "lifecycle_tag", problems)
-    release_date = _decode_date(obj.get("release_date"), "release_date", problems)
     if problems:
         raise SchemaViolation([f"{where}: {p}" for p in problems])
     try:
-        meta = MetaInstance(
-            library=library,
-            version=version,
-            description=description,
-            code=code,
-            data_source=data_source,
-            lifecycle_tag=lifecycle_tag,
-            release_date=release_date,
-        )
+        meta = MetaInstance(**values)
     except SchemaViolation as exc:
         raise _prefixed(exc, where) from None
     return meta_id, core_token, meta
@@ -398,12 +331,13 @@ def decode_mask_record(
     "line_index", block reads "line_start"/"line_end" (inclusive).
     """
     target_fields = {"instance_id", "occurrence", "line_index", "line_start", "line_end"}
-    meta_obj = {k: v for k, v in obj.items() if k in _META_FIELDS - {"id"}}
+    meta_fields = {name for name, _, _ in _META_RECORD} - {"id"}
+    meta_obj = {k: v for k, v in obj.items() if k in meta_fields}
     extra = set(obj) - target_fields - set(meta_obj)
     problems: list[str] = []
     if extra:
         problems.append(f"unknown fields: {sorted(extra)}")
-    instance_id = _decode_str(obj, "instance_id", problems)
+    instance_id = _decode_field(obj, "instance_id", str, True, problems)
     if problems:
         raise SchemaViolation([f"{where}: {p}" for p in problems])
     _, core_token, meta = decode_meta_record({"id": instance_id, **meta_obj}, where)
@@ -428,15 +362,12 @@ def decode_mask_record(
     return meta, spec
 
 
-_EXEC_FIELDS = {"instance_id", "sample_index", "passed", "case_results"}
-
-
 def decode_exec_report(obj: dict, where: str = "exec") -> ExecReport:
     problems: list[str] = []
-    unknown = set(obj) - _EXEC_FIELDS
+    unknown = set(obj) - {field.name for field in fields(ExecReport)}
     if unknown:
         problems.append(f"unknown fields: {sorted(unknown)}")
-    iid = _decode_str(obj, "instance_id", problems)
+    iid = _decode_field(obj, "instance_id", str, True, problems)
     index = obj.get("sample_index")
     if not isinstance(index, int) or isinstance(index, bool):
         problems.append("sample_index: expected an integer")
@@ -674,7 +605,6 @@ def run_scoring(
     metrics: Sequence[MetricName | str],
     ks: Sequence[int],
     group_by: str | None = None,
-    workers: int = 1,
 ) -> ScoringResult:
     """Score every item, estimate @k per requested k, and aggregate unweighted
     per-group means.
@@ -689,8 +619,6 @@ def run_scoring(
     ks = _normalize_ks(ks)
     if group_by is not None and group_by not in GROUP_DIMENSIONS:
         raise InvalidArgs(f"unknown group-by {group_by!r}; choose from {list(GROUP_DIMENSIONS)}")
-    if workers < 1:
-        raise InvalidArgs("workers must be >= 1")
     items = list(items)
 
     for item in items:
@@ -712,11 +640,7 @@ def run_scoring(
                 f" first: {missing[: 3]}"
             )
 
-    if workers == 1 or len(items) <= 1:
-        scored = [_score_item(item, metric_sel, ks) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scored = list(pool.map(lambda item: _score_item(item, metric_sel, ks), items))
+    scored = [_score_item(item, metric_sel, ks) for item in items]
 
     vectors: list[ScoreVector] = []
     at_k: dict[tuple[str, MetricName, int], float] = {}
@@ -802,11 +726,7 @@ def load_aggregates(path: str | Path) -> list[AggregateRow]:
     """Read back a JSON report produced by emit_report."""
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise IoFailure(f"missing file: {path}") from exc
-    except OSError as exc:
-        raise IoFailure(f"unreadable file {path}: {exc}") from exc
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaViolation([f"{path}: invalid JSON: {exc.msg}"]) from None
     rows = payload.get("rows") if isinstance(payload, dict) else None

@@ -1,7 +1,7 @@
 """Scoring: @k estimation, exact/identifier/prefix matching, the five-rule
 critical-diff check, and correlation between metric series.
 
-Every operation is pure; instance scoring parallelizes freely.
+Every operation is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .core_model import Granularity
 from .errors import DegenerateSeries, InvalidArgs, InvalidReference, KExceedsN
 from .syntax import contains_core_token, extract_facts, identifier_tokens
 
@@ -177,9 +176,7 @@ class CdcVerdict:
         return 1.0 if self.overall else 0.0
 
 
-def cdc_check(
-    generated: str, reference: str, core_token: str, *, scoped_with: bool = False
-) -> CdcVerdict:
+def cdc_check(generated: str, reference: str, core_token: str) -> CdcVerdict:
     """Apply the five critical-diff rules to generated code against a reference.
 
     Rule 1: the core token occurs in the generated code.
@@ -188,8 +185,7 @@ def cdc_check(
             call's argument count (judged only when the reference calls the
             core token).
     Rule 4: a with-statement appears in the generated code when one appears in
-            the reference.  With scoped_with=True the rule instead compares
-            with-enclosure of the core-token calls themselves.
+            the reference.
     Rule 5: some generated core-token call uses at least the keyword argument
             names the reference core-token calls use (judged only when they
             use any).
@@ -208,11 +204,8 @@ def cdc_check(
     )
 
     applicable3 = bool(ref_sites)
+    applicable4 = ref_facts.has_with
     applicable5 = bool(ref_keywords)
-    if scoped_with:
-        applicable4 = any(s.inside_with for s in ref_sites)
-    else:
-        applicable4 = ref_facts.has_with
 
     rule1 = RuleResult.PASS if contains_core_token(generated, core_token) else RuleResult.FAIL
     gen_facts = extract_facts(generated)
@@ -232,10 +225,10 @@ def cdc_check(
             rule3 = RuleResult.FAIL
         if not applicable4:
             rule4 = RuleResult.NOT_APPLICABLE
-        elif scoped_with:
-            rule4 = RuleResult.PASS if any(s.inside_with for s in gen_sites) else RuleResult.FAIL
+        elif gen_facts.has_with:
+            rule4 = RuleResult.PASS
         else:
-            rule4 = RuleResult.PASS if gen_facts.has_with else RuleResult.FAIL
+            rule4 = RuleResult.FAIL
         if not applicable5:
             rule5 = RuleResult.NOT_APPLICABLE
         elif any(s.keyword_names >= ref_keywords for s in gen_sites):
@@ -258,26 +251,3 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     except statistics.StatisticsError as exc:
         raise DegenerateSeries(str(exc)) from None
 
-
-@dataclass(frozen=True)
-class MetricConfig:
-    """Default sampling and aggregation settings: token runs draw many samples,
-    line/block and migration runs draw few."""
-
-    n_token: int = 100
-    n_line: int = 6
-    n_block: int = 6
-    k_values: tuple[int, ...] = (1, 3, 10)
-    tolerance: float = 1e-9
-
-    def n_default(self, granularity: Granularity) -> int:
-        if granularity is Granularity.TOKEN:
-            return self.n_token
-        if granularity is Granularity.LINE:
-            return self.n_line
-        return self.n_block
-
-    def k_for(self, granularity: Granularity) -> tuple[int, ...]:
-        """The configured k values applicable at this granularity (k <= n)."""
-        limit = self.n_default(granularity)
-        return tuple(k for k in self.k_values if k <= limit)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import keyword
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,9 +57,16 @@ def _parse_module(code: str) -> ast.Module | None:
     # ast.parse alone accepts contextually invalid statements (e.g. a
     # module-level return); compiling the tree applies the remaining checks,
     # matching the behavior of the builtin compile() on source text.
+    # Compiler warnings about the subject code (SyntaxWarning; before 3.12,
+    # DeprecationWarning for invalid escapes) are silenced so that a
+    # "-W error" filter cannot turn them into failures and none reach
+    # stderr.  catch_warnings swaps the process-wide filter list, which is
+    # safe only because nothing parses on another thread.
     try:
-        tree = ast.parse(code)
-        compile(tree, "<subject>", "exec")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tree = ast.parse(code)
+            compile(tree, "<subject>", "exec")
     except (SyntaxError, ValueError, RecursionError):
         return None
     return tree
@@ -87,10 +95,8 @@ class CallSiteInfo:
 @dataclass(frozen=True)
 class CodeFacts:
     is_valid: bool
-    identifiers: tuple[str, ...]
     call_sites: tuple[CallSiteInfo, ...]
     has_with: bool
-    definitions: frozenset[str]
 
 
 def _callee_name(func: ast.expr) -> str | None:
@@ -116,15 +122,14 @@ def _definition_names(tree: ast.Module) -> set[str]:
 
 
 def extract_facts(code: str) -> CodeFacts:
-    """Full structural facts when the text parses; lexical identifiers either way.
+    """Structural facts when the text parses; is_valid False and no facts otherwise.
 
     A call counts as inside_with when it is the context expression of a
     with-statement or lexically nested in one.
     """
-    idents = tuple(identifier_tokens(code))
     tree = _parse_module(code)
     if tree is None:
-        return CodeFacts(False, idents, (), False, frozenset())
+        return CodeFacts(False, (), False)
 
     sites: list[CallSiteInfo] = []
     saw_with = False
@@ -152,7 +157,7 @@ def extract_facts(code: str) -> CodeFacts:
             visit(child, inside_with)
 
     visit(tree, False)
-    return CodeFacts(True, idents, tuple(sites), saw_with, frozenset(_definition_names(tree)))
+    return CodeFacts(True, tuple(sites), saw_with)
 
 
 def contains_core_token(code: str, token: str) -> bool:
@@ -212,8 +217,3 @@ def _module_name(relative: Path) -> str:
     if parts and parts[-1] == "__init__":
         parts.pop()
     return ".".join(parts)
-
-
-def extract_api_definitions(tree_root: str | Path) -> frozenset[str]:
-    """Qualified public definition names under tree_root (unparseable files skipped)."""
-    return scan_api_definitions(tree_root).names

@@ -208,6 +208,13 @@ class TestReportCommand:
         assert main(["report", "--aggregates", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "o.csv")]) == 2
 
+    def test_non_utf8_aggregates_exits_2(self, tmp_path, capsys):
+        aggregates = tmp_path / "aggregates.json"
+        aggregates.write_bytes(b"\xff\xfe{}")
+        assert main(["report", "--aggregates", str(aggregates),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"unreadable file {aggregates}" in capsys.readouterr().err
+
 
 class TestMaskCommand:
     def test_masks_instances(self, tmp_path):
@@ -321,6 +328,25 @@ class TestFilterCommand:
     def test_missing_root_exits_2(self, tmp_path):
         assert main(["filter", "--root", str(tmp_path / "none"),
                      "--out", str(tmp_path / "o.jsonl")]) == 2
+
+    @pytest.mark.parametrize("warning_filter", ["default", "error"])
+    def test_subject_syntax_warnings_stay_quiet(self, tmp_path, warning_filter):
+        # `is` with a literal compiles with a SyntaxWarning: the verdict must
+        # not depend on -W, and the warning must not reach stderr
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "warns.py").write_text("value = 1\nif value is 1:\n    pass\n")
+        out = tmp_path / "verdicts.jsonl"
+        argv = [
+            sys.executable, "-W", warning_filter,
+            "-c", "import sys; from vceval.cli import main; sys.exit(main(sys.argv[1:]))",
+            "filter", "--root", str(root), "--out", str(out),
+        ]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "Warning" not in done.stderr
+        assert json.loads(out.read_text())["keep"] is True
 
 
 class TestLifecycleCommand:

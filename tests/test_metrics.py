@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from vceval import (
     CdcVerdict,
-    MetricConfig,
     RuleResult,
     block_line_average,
     cdc_check,
@@ -19,7 +18,6 @@ from vceval import (
     score_at_k,
     strip_code_fences,
 )
-from vceval.core_model import Granularity
 from vceval.errors import DegenerateSeries, InvalidArgs, InvalidReference, KExceedsN
 
 from helpers import brute_force_at_k, brute_force_subset_max, make_reference_snippet, perturb_generation
@@ -274,15 +272,6 @@ class TestCdcCheck:
         assert full.rule5_keywords is PASS
         assert full.rule3_arg_count is FAIL  # 4 arguments, reference calls use 3
 
-    def test_scoped_with_variant(self):
-        reference = "with open(p) as f:\n    f.read()\n"
-        inside = "with lock:\n    f = open(p)\n"
-        outside = "f = open(p)\nwith lock:\n    pass\n"
-        assert cdc_check(inside, reference, "open", scoped_with=True).rule4_with is PASS
-        assert cdc_check(outside, reference, "open", scoped_with=True).rule4_with is FAIL
-        # the default whole-snippet reading passes either way
-        assert cdc_check(outside, reference, "open").rule4_with is PASS
-
     def test_invalid_reference_raises(self):
         with pytest.raises(InvalidReference):
             cdc_check("x = 1", "def f(:", "f")
@@ -329,16 +318,3 @@ class TestPearson:
         with pytest.raises(InvalidArgs):
             pearson([1.0, 2.0], [1.0])
 
-
-class TestMetricConfig:
-    def test_paper_defaults(self):
-        config = MetricConfig()
-        assert config.n_default(Granularity.TOKEN) == 100
-        assert config.n_default(Granularity.LINE) == 6
-        assert config.n_default(Granularity.BLOCK) == 6
-        assert config.k_values == (1, 3, 10)
-
-    def test_k_for_respects_sample_counts(self):
-        config = MetricConfig()
-        assert config.k_for(Granularity.TOKEN) == (1, 3, 10)
-        assert config.k_for(Granularity.LINE) == (1, 3)

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 from vceval import (
     check_syntax,
     contains_core_token,
-    extract_api_definitions,
     extract_facts,
     identifier_tokens,
     scan_api_definitions,
@@ -43,6 +44,17 @@ class TestCheckSyntax:
         ]
         for code in snippets:
             assert check_syntax(code) == extract_facts(code).is_valid
+
+    @pytest.mark.parametrize("code", ["if x is 1:\n    pass\n", 's = "\\d"\n'])
+    def test_subject_warnings_do_not_depend_on_the_warning_filter(self, code):
+        # both compile with a warning; "-W error" must not make them invalid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_syntax(code) is True
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert check_syntax(code) is True
+        assert caught == []
 
     @settings(max_examples=150, deadline=None)
     @given(st.text(max_size=120))
@@ -84,16 +96,15 @@ class TestExtractFacts:
     def test_empty_module(self):
         facts = extract_facts("")
         assert facts.is_valid
-        assert facts.identifiers == ()
+        assert identifier_tokens("") == []
         assert facts.call_sites == ()
         assert facts.has_with is False
-        assert facts.definitions == frozenset()
 
     def test_invalid_code_falls_back_to_lexical_identifiers(self):
         facts = extract_facts("df.explode('A'\n")
         assert not facts.is_valid
         assert facts.call_sites == ()
-        assert facts.identifiers == ("df", "explode")
+        assert identifier_tokens("df.explode('A'\n") == ["df", "explode"]
 
     def test_star_args_count_one_each(self):
         (site,) = extract_facts("f(a, *rest, key=1, **extra)").call_sites
@@ -116,11 +127,7 @@ class TestExtractFacts:
         ]:
             facts = extract_facts(code)
             for site in facts.call_sites:
-                assert site.keyword_names <= set(facts.identifiers)
-
-    def test_module_definitions(self):
-        code = "def f(): ...\n\nclass C:\n    def m(self): ...\n"
-        assert extract_facts(code).definitions == frozenset({"f", "C", "C.m"})
+                assert site.keyword_names <= set(identifier_tokens(code))
 
 
 class TestIdentifierStream:
@@ -165,7 +172,7 @@ class TestContainsCoreToken:
     def test_agrees_with_identifier_stream(self):
         snippets = ["df.explode('A')", "exploded = f(x)", "a.b(c)", "def f(:"]
         for code in snippets:
-            stream = set(extract_facts(code).identifiers)
+            stream = set(identifier_tokens(code))
             for token in ["explode", "df", "f", "a", "zzz"]:
                 assert contains_core_token(code, token) == (token in stream)
 
@@ -179,27 +186,28 @@ class TestExtractApiDefinitions:
         target = tmp_path / "pkg" / "a.py"
         target.parent.mkdir()
         target.write_text("def f(): ...\n")
-        assert extract_api_definitions(tmp_path) == frozenset({"pkg.a.f"})
+        assert scan_api_definitions(tmp_path).names == frozenset({"pkg.a.f"})
 
     def test_class_and_method(self, tmp_path):
         target = tmp_path / "pkg" / "a.py"
         target.parent.mkdir()
         target.write_text("def f(): ...\n\nclass C:\n    def m(self): ...\n")
-        assert extract_api_definitions(tmp_path) == frozenset({"pkg.a.f", "pkg.a.C", "pkg.a.C.m"})
+        expected = frozenset({"pkg.a.f", "pkg.a.C", "pkg.a.C.m"})
+        assert scan_api_definitions(tmp_path).names == expected
 
     def test_underscore_terminal_excluded(self, tmp_path):
         (tmp_path / "mod.py").write_text("def _helper(): ...\n")
-        assert extract_api_definitions(tmp_path) == frozenset()
+        assert scan_api_definitions(tmp_path).names == frozenset()
 
     def test_dunder_methods_excluded(self, tmp_path):
         (tmp_path / "mod.py").write_text("class C:\n    def __init__(self): ...\n")
-        assert extract_api_definitions(tmp_path) == frozenset({"mod.C"})
+        assert scan_api_definitions(tmp_path).names == frozenset({"mod.C"})
 
     def test_init_file_maps_to_package(self, tmp_path):
         target = tmp_path / "pkg" / "__init__.py"
         target.parent.mkdir()
         target.write_text("def top(): ...\n")
-        assert extract_api_definitions(tmp_path) == frozenset({"pkg.top"})
+        assert scan_api_definitions(tmp_path).names == frozenset({"pkg.top"})
 
     def test_unparseable_files_skipped_and_counted(self, tmp_path):
         (tmp_path / "good.py").write_text("def g(): ...\n")
@@ -212,8 +220,8 @@ class TestExtractApiDefinitions:
     def test_deterministic(self, tmp_path):
         (tmp_path / "a.py").write_text("def one(): ...\nclass Two: ...\n")
         (tmp_path / "b.py").write_text("def three(): ...\n")
-        assert extract_api_definitions(tmp_path) == extract_api_definitions(tmp_path)
+        assert scan_api_definitions(tmp_path).names == scan_api_definitions(tmp_path).names
 
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(IoFailure):
-            extract_api_definitions(tmp_path / "nope")
+            scan_api_definitions(tmp_path / "nope")
