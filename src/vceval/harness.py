@@ -204,6 +204,10 @@ def _prefixed(exc: SchemaViolation, where: str) -> SchemaViolation:
     return type(exc)([f"{where}: {v}" for v in exc.violations])
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _decode_str(value) -> str:
     if not isinstance(value, str):
         raise ValueError("expected a string")
@@ -260,6 +264,10 @@ _INSTANCE_RECORD = _record_fields(TaskInstance)
 # a meta record carries its caller-supplied id and core token beside the
 # MetaInstance fields
 _META_RECORD = (("id", str, True), ("core_token", str, True)) + _record_fields(MetaInstance)
+# a mask record names its instance_id where a meta record has its id, and
+# adds the fields that place the masked span
+_MASK_RECORD = (("instance_id", str, True),) + _META_RECORD[1:]
+_MASK_TARGET_FIELDS = frozenset({"occurrence", "line_index", "line_start", "line_end"})
 
 
 def _decode_field(obj: dict, name: str, kind: type, required: bool, problems: list[str]):
@@ -306,11 +314,16 @@ def encode_instance(instance: TaskInstance) -> dict:
     return row
 
 
-def decode_meta_record(obj: dict, where: str = "meta") -> tuple[str, str, MetaInstance]:
-    """Decode one meta record carrying its caller-supplied id and core token."""
-    problems: list[str] = []
-    values = _decode_record(obj, _META_RECORD, problems)
-    meta_id, core_token = values.pop("id"), values.pop("core_token")
+def _decode_meta(
+    obj: dict, record: tuple, where: str, problems: list[str]
+) -> tuple[str, str, MetaInstance]:
+    """Decode obj as record, whose first field is the caller-supplied id.
+
+    Its problems join those already in problems, and all of them are raised
+    together as one SchemaViolation.
+    """
+    values = _decode_record(obj, record, problems)
+    meta_id, core_token = values.pop(record[0][0]), values.pop("core_token")
     if core_token is not None and not IDENTIFIER_RE.fullmatch(core_token):
         problems.append("core_token: must be a single identifier")
     if problems:
@@ -322,44 +335,37 @@ def decode_meta_record(obj: dict, where: str = "meta") -> tuple[str, str, MetaIn
     return meta_id, core_token, meta
 
 
+def decode_meta_record(obj: dict, where: str = "meta") -> tuple[str, str, MetaInstance]:
+    """Decode one meta record carrying its caller-supplied id and core token."""
+    return _decode_meta(obj, _META_RECORD, where, [])
+
+
 def decode_mask_record(
     obj: dict, granularity: Granularity, where: str = "mask"
 ) -> tuple[MetaInstance, MaskSpec]:
     """Decode one masking request: a meta record plus target fields.
 
     token granularity reads "occurrence" (default 0), line reads
-    "line_index", block reads "line_start"/"line_end" (inclusive).
+    "line_index", block reads "line_start"/"line_end" (inclusive).  The
+    problems with the target, the instance_id and the meta fields are
+    reported together in one SchemaViolation.
     """
-    target_fields = {"instance_id", "occurrence", "line_index", "line_start", "line_end"}
-    meta_fields = {name for name, _, _ in _META_RECORD} - {"id"}
-    meta_obj = {k: v for k, v in obj.items() if k in meta_fields}
-    extra = set(obj) - target_fields - set(meta_obj)
     problems: list[str] = []
-    if extra:
-        problems.append(f"unknown fields: {sorted(extra)}")
-    instance_id = _decode_field(obj, "instance_id", str, True, problems)
-    if problems:
-        raise SchemaViolation([f"{where}: {p}" for p in problems])
-    _, core_token, meta = decode_meta_record({"id": instance_id, **meta_obj}, where)
-
-    occurrence = obj.get("occurrence", 0)
-    line_index = obj.get("line_index")
-    line_start, line_end = obj.get("line_start"), obj.get("line_end")
     if granularity is Granularity.TOKEN:
-        if not isinstance(occurrence, int) or isinstance(occurrence, bool):
-            raise SchemaViolation([f"{where}: occurrence: expected an integer"])
-        spec = MaskSpec(granularity, instance_id, core_token, occurrence=occurrence)
+        target = {"occurrence": obj.get("occurrence", 0)}
+        if not _is_int(target["occurrence"]):
+            problems.append("occurrence: expected an integer")
     elif granularity is Granularity.LINE:
-        if not isinstance(line_index, int) or isinstance(line_index, bool):
-            raise SchemaViolation([f"{where}: line_index: required integer for line masking"])
-        spec = MaskSpec(granularity, instance_id, core_token, line_index=line_index)
+        target = {"line_index": obj.get("line_index")}
+        if not _is_int(target["line_index"]):
+            problems.append("line_index: required integer for line masking")
     else:
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (line_start, line_end)):
-            raise SchemaViolation(
-                [f"{where}: line_start/line_end: required integers for block masking"]
-            )
-        spec = MaskSpec(granularity, instance_id, core_token, line_span=(line_start, line_end))
-    return meta, spec
+        target = {"line_span": (obj.get("line_start"), obj.get("line_end"))}
+        if not all(map(_is_int, target["line_span"])):
+            problems.append("line_start/line_end: required integers for block masking")
+    meta_obj = {k: v for k, v in obj.items() if k not in _MASK_TARGET_FIELDS}
+    instance_id, core_token, meta = _decode_meta(meta_obj, _MASK_RECORD, where, problems)
+    return meta, MaskSpec(granularity, instance_id, core_token, **target)
 
 
 def decode_exec_report(obj: dict, where: str = "exec") -> ExecReport:
@@ -369,7 +375,7 @@ def decode_exec_report(obj: dict, where: str = "exec") -> ExecReport:
         problems.append(f"unknown fields: {sorted(unknown)}")
     iid = _decode_field(obj, "instance_id", str, True, problems)
     index = obj.get("sample_index")
-    if not isinstance(index, int) or isinstance(index, bool):
+    if not _is_int(index):
         problems.append("sample_index: expected an integer")
     passed = obj.get("passed")
     if not isinstance(passed, bool):
@@ -507,7 +513,7 @@ def _normalize_metric_selection(metrics) -> tuple[MetricName, ...]:
 def _normalize_ks(ks) -> tuple[int, ...]:
     out = set()
     for k in ks:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        if not _is_int(k) or k < 1:
             raise InvalidArgs(f"k values must be positive integers, got {k!r}")
         out.add(k)
     if not out:

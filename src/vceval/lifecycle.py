@@ -62,9 +62,18 @@ class LifecycleRecord:
     per_version_tag: Mapping[str, LifecycleTag]
 
 
-def extract_surface(version: VersionId, tree_root: str | Path) -> VersionSurface:
-    """Scan one version tree for its public API names."""
-    scan = scan_api_definitions(tree_root)
+def extract_surface(
+    version: VersionId,
+    tree_root: str | Path,
+    *,
+    memo: dict[bytes, frozenset[str] | None] | None = None,
+) -> VersionSurface:
+    """Scan one version tree for its public API names.
+
+    memo is passed on to scan_api_definitions; share one across the versions
+    of a run so that files repeated between versions are parsed once.
+    """
+    scan = scan_api_definitions(tree_root, memo=memo)
     return VersionSurface(version, scan.names, scan.parsed_files, scan.skipped_files)
 
 
@@ -133,7 +142,8 @@ def collect_surfaces(versions_root: str | Path) -> list[VersionSurface]:
 
     Subdirectories whose names do not parse as versions are skipped with a
     warning, as are versions contributing zero parseable files (dropping them
-    beats reporting a mass deprecation for a broken source drop).
+    beats reporting a mass deprecation for a broken source drop).  Each
+    distinct file content is parsed once across all versions.
     """
     root = Path(versions_root)
     if not root.is_dir():
@@ -151,8 +161,9 @@ def collect_surfaces(versions_root: str | Path) -> list[VersionSurface]:
     entries.sort(key=lambda pair: version_sort_key(pair[0]))
 
     surfaces = []
+    memo: dict[bytes, frozenset[str] | None] = {}
     for version, child in entries:
-        surface = extract_surface(version, child)
+        surface = extract_surface(version, child, memo=memo)
         if surface.parsed_files == 0:
             log.warning("dropping version %s: no parseable source files", version.raw)
             continue

@@ -88,7 +88,6 @@ class CallSiteInfo:
     callee_name: str
     total_arg_count: int
     keyword_names: frozenset[str]
-    inside_with: bool
     line_index: int
 
 
@@ -122,11 +121,7 @@ def _definition_names(tree: ast.Module) -> set[str]:
 
 
 def extract_facts(code: str) -> CodeFacts:
-    """Structural facts when the text parses; is_valid False and no facts otherwise.
-
-    A call counts as inside_with when it is the context expression of a
-    with-statement or lexically nested in one.
-    """
+    """Structural facts when the text parses; is_valid False and no facts otherwise."""
     tree = _parse_module(code)
     if tree is None:
         return CodeFacts(False, (), False)
@@ -134,11 +129,10 @@ def extract_facts(code: str) -> CodeFacts:
     sites: list[CallSiteInfo] = []
     saw_with = False
 
-    def visit(node: ast.AST, inside_with: bool) -> None:
+    def visit(node: ast.AST) -> None:
         nonlocal saw_with
         if isinstance(node, (ast.With, ast.AsyncWith)):
             saw_with = True
-            inside_with = True
         if isinstance(node, ast.Call):
             callee = _callee_name(node.func)
             if callee is not None:
@@ -149,14 +143,13 @@ def extract_facts(code: str) -> CodeFacts:
                         keyword_names=frozenset(
                             kw.arg for kw in node.keywords if kw.arg is not None
                         ),
-                        inside_with=inside_with,
                         line_index=node.lineno - 1,
                     )
                 )
         for child in ast.iter_child_nodes(node):
-            visit(child, inside_with)
+            visit(child)
 
-    visit(tree, False)
+    visit(tree)
     return CodeFacts(True, tuple(sites), saw_with)
 
 
@@ -178,38 +171,68 @@ class DefinitionScan:
     skipped_files: int
 
 
-def scan_api_definitions(tree_root: str | Path) -> DefinitionScan:
+def scan_api_definitions(
+    tree_root: str | Path, *, memo: dict[bytes, frozenset[str] | None] | None = None
+) -> DefinitionScan:
     """Collect public qualified definition names from every .py file under tree_root.
 
     Files that cannot be decoded or parsed are skipped and counted.  Names
     whose terminal segment starts with an underscore are excluded; a file
     pkg/a.py defining f contributes "pkg.a.f", and __init__.py maps to its
     package.
+
+    memo maps a digest of a file's bytes to that file's local definition
+    names (None for a skipped file), and a file whose bytes are already in
+    it is not parsed again.  Scans of several versions that share one memo
+    parse each distinct file content once; without one, the memo lasts for
+    this call.
     """
+    # hashlib.blake2b is _blake2.blake2b on CPython 3.10-3.13, but importing
+    # it through hashlib also loads OpenSSL's _hashlib: ~3 ms and ~4 MB of
+    # resident memory.  Imported here, so that no other command loads it.
+    from _blake2 import blake2b
+
     root = Path(tree_root)
     if not root.is_dir():
         raise IoFailure(f"not a readable directory: {root}")
+    if memo is None:
+        memo = {}
     names: set[str] = set()
     parsed = skipped = 0
     for path in sorted(root.rglob("*.py")):
         if not path.is_file():
             continue
         try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
+            data = path.read_bytes()
+        except OSError:
             skipped += 1
             continue
-        tree = _parse_module(source)
-        if tree is None:
+        key = blake2b(data).digest()
+        if key not in memo:
+            memo[key] = _file_definitions(data)
+        local = memo[key]
+        if local is None:
             skipped += 1
             continue
         parsed += 1
         module = _module_name(path.relative_to(root))
-        for local in _definition_names(tree):
-            qualified = f"{module}.{local}" if module else local
+        for name in local:
+            qualified = f"{module}.{name}" if module else name
             if not qualified.rsplit(".", 1)[-1].startswith("_"):
                 names.add(qualified)
     return DefinitionScan(frozenset(names), parsed, skipped)
+
+
+def _file_definitions(data: bytes) -> frozenset[str] | None:
+    """Local definition names of one file's bytes; None when they are not
+    UTF-8 or do not parse and compile."""
+    try:
+        source = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    # the universal-newline translation of a text-mode read
+    tree = _parse_module(source.replace("\r\n", "\n").replace("\r", "\n"))
+    return None if tree is None else frozenset(_definition_names(tree))
 
 
 def _module_name(relative: Path) -> str:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vceval.syntax
 from vceval import (
     LifecycleTag,
     VersionSurface,
@@ -9,6 +10,7 @@ from vceval import (
     diff_consecutive,
     extract_surface,
     parse_version,
+    scan_api_definitions,
     tag_lifecycle,
 )
 from vceval.errors import InvalidArgs, IoFailure, UnsortedVersions, VersionOrderError
@@ -205,3 +207,90 @@ class TestCollectSurfaces:
     def test_missing_root(self, tmp_path):
         with pytest.raises(IoFailure):
             collect_surfaces(tmp_path / "nope")
+
+
+def write_versions(root, versions: dict[str, dict[str, bytes]]):
+    """Lay out <root>/<version>/<relative path> files with the given bytes."""
+    for version, files in versions.items():
+        for relative, data in files.items():
+            path = root / version / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+
+
+class TestParseOncePerContent:
+    CODE = b"def f(): ...\n\nclass C:\n    def m(self): ...\n    def _p(self): ...\n"
+
+    def test_same_bytes_at_two_paths_named_per_module(self, tmp_path):
+        write_versions(tmp_path, {"1.0": {"a/x.py": self.CODE}, "2.0": {"b/y.py": self.CODE}})
+        first, second = collect_surfaces(tmp_path)
+        assert first.apis == frozenset({"a.x.f", "a.x.C", "a.x.C.m"})
+        assert second.apis == frozenset({"b.y.f", "b.y.C", "b.y.C.m"})
+
+    def test_skipped_files_count_in_every_version(self, tmp_path):
+        files = {
+            "ok.py": b"def g(): ...\n",
+            "latin.py": "def caf\u00e9(): ...\n".encode("latin-1"),
+            "broken.py": b"def broken(:\n",
+        }
+        write_versions(tmp_path, {v: files for v in ("1.0", "2.0", "3.0")})
+        surfaces = collect_surfaces(tmp_path)
+        assert [s.version.raw for s in surfaces] == ["1.0", "2.0", "3.0"]
+        for surface in surfaces:
+            assert surface.apis == frozenset({"ok.g"})
+            assert (surface.parsed_files, surface.skipped_files) == (1, 2)
+
+    def test_crlf_parses_and_bom_is_skipped(self, tmp_path):
+        # CRLF line ends are translated as a text-mode read does; a UTF-8
+        # byte-order mark stays in the decoded text, which then does not parse
+        files = {
+            "crlf.py": b"def f():\r\n    return 1\r\n\r\nclass K:\r\n    def m(self): ...\r\n",
+            "bom.py": b"\xef\xbb\xbfdef g(): ...\n",
+        }
+        write_versions(tmp_path, {"1.0": files, "2.0": files})
+        for surface in collect_surfaces(tmp_path):
+            assert surface.apis == frozenset({"crlf.f", "crlf.K", "crlf.K.m"})
+            assert (surface.parsed_files, surface.skipped_files) == (1, 1)
+
+    def test_parses_each_distinct_content_once(self, tmp_path, monkeypatch):
+        shared, changed = b"def s(): ...\n", b"def c(): ...\n"
+        write_versions(
+            tmp_path,
+            {
+                "1.0": {"pkg/s.py": shared, "pkg/c.py": changed, "pkg/bad.py": b"def (:\n"},
+                "2.0": {"pkg/s.py": shared, "pkg/c.py": changed + b"def d(): ...\n"},
+                "3.0": {"pkg/s.py": shared, "pkg/t.py": shared, "pkg/bad.py": b"def (:\n"},
+            },
+        )
+        calls = []
+        original = vceval.syntax._parse_module
+
+        def counting(code):
+            calls.append(code)
+            return original(code)
+
+        monkeypatch.setattr(vceval.syntax, "_parse_module", counting)
+        surfaces = collect_surfaces(tmp_path)
+        assert len(calls) == 4  # shared, changed, bad and changed + d
+        assert [s.apis for s in surfaces] == [
+            frozenset({"pkg.s.s", "pkg.c.c"}),
+            frozenset({"pkg.s.s", "pkg.c.c", "pkg.c.d"}),
+            frozenset({"pkg.s.s", "pkg.t.s"}),
+        ]
+        assert [(s.parsed_files, s.skipped_files) for s in surfaces] == [(2, 1), (2, 0), (2, 1)]
+
+    def test_scan_without_memo_matches_memoized_scans(self, tmp_path):
+        write_versions(
+            tmp_path,
+            {"1.0": {"pkg/a.py": self.CODE, "pkg/b.py": self.CODE, "pkg/bad.py": b"def (:\n"}},
+        )
+        root = tmp_path / "1.0"
+        plain = scan_api_definitions(root)
+        memo = {}
+        assert scan_api_definitions(root, memo=memo) == plain
+        assert len(memo) == 2
+        assert scan_api_definitions(root, memo=memo) == plain
+        assert plain.names == frozenset(
+            {"pkg.a.f", "pkg.a.C", "pkg.a.C.m", "pkg.b.f", "pkg.b.C", "pkg.b.C.m"}
+        )
+        assert (plain.parsed_files, plain.skipped_files) == (2, 1)

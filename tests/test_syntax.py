@@ -71,7 +71,6 @@ class TestExtractFacts:
         assert site.callee_name == "dump"
         assert site.total_arg_count == 3
         assert site.keyword_names == frozenset({"indent"})
-        assert site.inside_with is False
         assert site.line_index == 0
 
     def test_with_context_expression_counts_as_inside(self):
@@ -79,18 +78,20 @@ class TestExtractFacts:
         assert facts.has_with
         (site,) = facts.call_sites
         assert site.callee_name == "open"
-        assert site.inside_with is True
+        assert site.total_arg_count == 1
+        assert site.line_index == 0
 
     def test_call_in_with_body_counts_as_inside(self):
         facts = extract_facts("with lock:\n    data = load(p)\n")
         (site,) = facts.call_sites
         assert site.callee_name == "load"
-        assert site.inside_with is True
+        assert site.line_index == 1
 
     def test_call_outside_with_not_inside(self):
         facts = extract_facts("f = open(p)\nwith lock:\n    pass\n")
         (site,) = facts.call_sites
-        assert site.inside_with is False
+        assert site.callee_name == "open"
+        assert site.line_index == 0
         assert facts.has_with
 
     def test_empty_module(self):
