@@ -4,6 +4,7 @@ filtering."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -197,6 +198,18 @@ class FilterVerdict:
     reasons: tuple[str, ...]
 
 
+_ASCII_NON_LETTERS = bytes(c for c in range(128) if not chr(c).isalpha())
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
+
+
+def _letter_count(text: str) -> int:
+    """The number of characters of text for which str.isalpha() is true."""
+    # ASCII letters are counted by deleting every other ASCII byte in C;
+    # isalpha runs in Python only on the non-ASCII characters.
+    ascii_letters = text.encode("ascii", "ignore").translate(None, _ASCII_NON_LETTERS)
+    return len(ascii_letters) + sum(ch.isalpha() for ch in _NON_ASCII_RE.findall(text))
+
+
 def filter_corpus_file(content: str) -> FilterVerdict:
     """Judge one source file against the corpus quality rules.
 
@@ -218,11 +231,9 @@ def filter_corpus_file(content: str) -> FilterVerdict:
             reasons.append(FILTER_AVG_LINE_LENGTH)
         if max(lengths) > 1000:
             reasons.append(FILTER_MAX_LINE_LENGTH)
-    body = [ch for ch in content if ch not in "\r\n"]
-    if body:
-        letters = sum(1 for ch in body if ch.isalpha())
-        if letters / len(body) < 0.25:
-            reasons.append(FILTER_ALPHABETIC_RATIO)
+    body_length = len(content) - content.count("\n") - content.count("\r")
+    if body_length and _letter_count(content) / body_length < 0.25:
+        reasons.append(FILTER_ALPHABETIC_RATIO)
     if not check_syntax(content):
         reasons.append(FILTER_SYNTAX_ERROR)
     return FilterVerdict(keep=not reasons, reasons=tuple(reasons))

@@ -14,11 +14,15 @@ import ast
 import keyword
 import re
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TypeVar
 
 from .core_model import IDENTIFIER_RE
 from .errors import InvalidArgs, IoFailure
+
+_T = TypeVar("_T")
 
 _STRING_PREFIX = r"[rRbBuUfF]{0,3}"
 
@@ -53,28 +57,43 @@ def identifier_tokens(code: str) -> list[str]:
     return [name for name, _, _ in identifier_spans(code)]
 
 
-def _parse_module(code: str) -> ast.Module | None:
-    # ast.parse alone accepts contextually invalid statements (e.g. a
-    # module-level return); compiling the tree applies the remaining checks,
-    # matching the behavior of the builtin compile() on source text.
-    # Compiler warnings about the subject code (SyntaxWarning; before 3.12,
-    # DeprecationWarning for invalid escapes) are silenced so that a
-    # "-W error" filter cannot turn them into failures and none reach
-    # stderr.  catch_warnings swaps the process-wide filter list, which is
-    # safe only because nothing parses on another thread.
+def _compiled(build: Callable[[], _T]) -> _T | None:
+    """build()'s result, or None when the subject code that build compiles is invalid.
+
+    Compiler warnings about the subject code (SyntaxWarning; before 3.12,
+    DeprecationWarning for invalid escapes) are silenced so that a "-W
+    error" filter cannot turn them into failures and none reach stderr.
+    catch_warnings swaps the process-wide filter list, which is safe only
+    because nothing parses on another thread.  Both callers compile with
+    dont_inherit=True, so that this module's own __future__ imports do not
+    change what the subject code may contain.
+    """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            tree = ast.parse(code)
-            compile(tree, "<subject>", "exec")
-    except (SyntaxError, ValueError, RecursionError):
+            return build()
+    # The 3.10+ parser raises a bare MemoryError ("too complex to parse") on
+    # deeply nested input such as "-" * 10000 + "1", and the ast module a
+    # RecursionError on a tree too deep to build or compile.
+    except (SyntaxError, ValueError, RecursionError, MemoryError):
         return None
-    return tree
+
+
+def _parse_module(code: str) -> ast.Module | None:
+    # ast.parse alone accepts contextually invalid statements (e.g. a
+    # module-level return); compiling the tree applies the remaining checks.
+    def parse() -> ast.Module:
+        tree = ast.parse(code)
+        compile(tree, "<subject>", "exec", dont_inherit=True)
+        return tree
+
+    return _compiled(parse)
 
 
 def check_syntax(code: str) -> bool:
     """True iff the text compiles as a complete module under the full grammar."""
-    return _parse_module(code) is not None
+    # compiled from the text, so no syntax tree is built
+    return _compiled(lambda: compile(code, "<subject>", "exec", dont_inherit=True)) is not None
 
 
 @dataclass(frozen=True)

@@ -325,6 +325,17 @@ class TestFilterCommand:
         assert rows["drop.py"]["keep"] is False
         assert rows["drop.py"]["reasons"] == ["syntax_error"]
 
+    def test_too_deeply_nested_file_rejected_not_fatal(self, tmp_path):
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "deep.py").write_text("value = (\n" + "-\n" * 10000 + "1)\n")
+        (root / "keep.py").write_text("import os\n")
+        out = tmp_path / "verdicts.jsonl"
+        assert main(["filter", "--root", str(root), "--out", str(out)]) == 0
+        rows = {row["path"]: row for row in map(json.loads, out.read_text().splitlines())}
+        assert rows["deep.py"]["reasons"] == ["alphabetic_ratio", "syntax_error"]
+        assert rows["keep.py"]["keep"] is True
+
     def test_missing_root_exits_2(self, tmp_path):
         assert main(["filter", "--root", str(tmp_path / "none"),
                      "--out", str(tmp_path / "o.jsonl")]) == 2

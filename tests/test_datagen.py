@@ -2,6 +2,8 @@ import random
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vceval import (
     DataSource,
@@ -249,6 +251,30 @@ class TestFilterCorpusFile:
 
     def test_empty_file_keeps(self):
         assert filter_corpus_file("").keep
+
+    @pytest.mark.parametrize("code", ["def f():\n    x: (y := 1)\n", "def f():\n    x: (yield)\n"])
+    def test_judged_without_the_toolkits_future_flags(self, code):
+        assert filter_corpus_file(code) == FilterVerdict(True, ())
+
+    def test_too_deeply_nested_file_is_a_syntax_error(self):
+        # the parser raises MemoryError here; it must not escape the filter
+        content = "value = (\n" + "-\n" * 10000 + "1)\n"
+        assert filter_corpus_file(content).reasons == (FILTER_ALPHABETIC_RATIO, FILTER_SYNTAX_ERROR)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.sampled_from("aZ_ 0=\t\r\n(\u00e9\u4e2d\u6587\u00b2\u00bd\u0660\u02b0"),
+                st.characters(),
+            ),
+            max_size=60,
+        )
+    )
+    def test_alphabetic_ratio_matches_per_character_formula(self, content):
+        body = [ch for ch in content if ch not in "\r\n"]
+        expected = bool(body) and sum(ch.isalpha() for ch in body) / len(body) < 0.25
+        assert (FILTER_ALPHABETIC_RATIO in filter_corpus_file(content).reasons) is expected
 
     def test_deterministic_and_idempotent(self):
         rng = random.Random(5)

@@ -208,6 +208,15 @@ class TestCollectSurfaces:
         with pytest.raises(IoFailure):
             collect_surfaces(tmp_path / "nope")
 
+    def test_too_deeply_nested_file_is_skipped(self, tmp_path):
+        # the parser raises MemoryError on this file; it is skipped, not fatal
+        deep = "def h(): ...\n" + "-" * 10000 + "1\n"
+        for version in ("1.0", "2.0"):
+            self._make_version(tmp_path, version, {"a.py": "def f(): ...\n", "deep.py": deep})
+        for surface in collect_surfaces(tmp_path):
+            assert surface.apis == frozenset({"pkg.a.f"})
+            assert (surface.parsed_files, surface.skipped_files) == (1, 1)
+
 
 def write_versions(root, versions: dict[str, dict[str, bytes]]):
     """Lay out <root>/<version>/<relative path> files with the given bytes."""

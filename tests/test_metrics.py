@@ -272,6 +272,13 @@ class TestCdcCheck:
         assert full.rule5_keywords is PASS
         assert full.rule3_arg_count is FAIL  # 4 arguments, reference calls use 3
 
+    def test_too_deeply_nested_generated_fails_rule2(self):
+        # the parser raises MemoryError on the sample; only rule 2 and the
+        # structural rules fail, and the run goes on
+        verdict = cdc_check("f(" + "-" * 10000 + "1)", "f(1)", "f")
+        assert verdict_tuple(verdict) == (PASS, FAIL, FAIL, NA, NA)
+        assert not verdict.overall
+
     def test_invalid_reference_raises(self):
         with pytest.raises(InvalidReference):
             cdc_check("x = 1", "def f(:", "f")

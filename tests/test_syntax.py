@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import pytest
@@ -60,6 +61,59 @@ class TestCheckSyntax:
     @given(st.text(max_size=120))
     def test_agreement_property(self, code):
         assert check_syntax(code) == extract_facts(code).is_valid
+
+    @pytest.mark.parametrize("code", ["def f():\n    x: (y := 1)\n", "def f():\n    x: (yield)\n"])
+    def test_judged_without_the_toolkits_future_flags(self, code):
+        # Python compiles both; under "from __future__ import annotations"
+        # (which vceval's own modules use) the annotation would be rejected
+        assert check_syntax(code) is True
+        assert extract_facts(code).is_valid is True
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "break\n",
+            "continue\n",
+            "for x in y:\n    pass\nelse:\n    break\n",
+            "def f():\n    await g()\n",
+            "await g()\n",
+            "nonlocal x\n",
+            "def f(a, a):\n    pass\n",
+            "from __future__ import braces\n",
+            "x = 1\0\n",
+            "(" * 250 + ")" * 250 + "\n",
+        ],
+        ids=[
+            "break-outside-loop",
+            "continue-outside-loop",
+            "break-in-for-else",
+            "await-in-plain-def",
+            "await-at-module-level",
+            "module-level-nonlocal",
+            "duplicate-argument",
+            "future-braces",
+            "nul-byte",
+            "250-nested-parentheses",
+        ],
+    )
+    def test_compiler_stage_errors_rejected(self, code):
+        # the parser alone accepts most of these; the compiler rejects them
+        assert check_syntax(code) is False
+        assert extract_facts(code).is_valid is False
+
+    def test_too_deeply_nested_to_parse_is_invalid_not_fatal(self):
+        # the 3.10+ parser raises a bare MemoryError ("too complex to parse")
+        code = "-" * 10000 + "1\n"
+        assert check_syntax(code) is False
+        assert extract_facts(code).is_valid is False
+
+    def test_deep_expression_compiles_without_a_tree(self):
+        # The one known split between the two routes: Python compiles this
+        # text, but before 3.12 building its syntax tree hits the recursion
+        # limit, so extract_facts has no facts for it.
+        code = "-" * 1000 + "1\n"
+        assert check_syntax(code) is True
+        assert extract_facts(code).is_valid is (sys.version_info >= (3, 12))
 
 
 class TestExtractFacts:
