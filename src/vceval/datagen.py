@@ -243,6 +243,7 @@ def filter_tree(root: str | Path) -> list[tuple[str, FilterVerdict]]:
     """Judge every .py file under root; paths are root-relative POSIX strings.
 
     Files that cannot be decoded are rejected with the decode_error reason.
+    A leading UTF-8 byte-order mark is not part of the judged text.
     """
     base = Path(root)
     if not base.is_dir():
@@ -253,7 +254,7 @@ def filter_tree(root: str | Path) -> list[tuple[str, FilterVerdict]]:
             continue
         rel = path.relative_to(base).as_posix()
         try:
-            content = path.read_text(encoding="utf-8")
+            content = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError):
             results.append((rel, FilterVerdict(False, (FILTER_DECODE_ERROR,))))
             continue

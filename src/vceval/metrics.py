@@ -12,6 +12,7 @@ import statistics
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .errors import DegenerateSeries, InvalidArgs, InvalidReference, KExceedsN
 from .syntax import contains_core_token, extract_facts, identifier_tokens
@@ -51,8 +52,14 @@ def score_at_k(per_sample: Sequence[float], k: int) -> float:
     if any(not 0.0 <= s <= 1.0 for s in per_sample):
         raise InvalidArgs("scores must lie in [0, 1]")
     ordered = sorted(per_sample)
-    weighted = sum(s * math.comb(i, k - 1) for i, s in enumerate(ordered))
-    return weighted / math.comb(n, k)
+    try:
+        weighted = sum(s * math.comb(i, k - 1) for i, s in enumerate(ordered))
+        return weighted / math.comb(n, k)
+    except OverflowError:
+        # A binomial past the float range (first at n=1050, k=n/2): the same
+        # sum in exact arithmetic, rounded once.
+        exact = sum(Fraction(s) * math.comb(i, k - 1) for i, s in enumerate(ordered))
+        return float(exact / math.comb(n, k))
 
 
 _LANG_TAG_RE = re.compile(r"[A-Za-z0-9_+-]*")
@@ -84,35 +91,30 @@ def em_block(generated: str, core_token: str) -> int:
     return int(contains_core_token(generated, core_token))
 
 
+def _prefix_share(generated: Sequence[object], reference: Sequence[object]) -> float:
+    """Length of the common prefix over the reference length; an empty
+    reference scores 1 only against an empty generated sequence."""
+    if not reference:
+        return 1.0 if not generated else 0.0
+    prefix = 0
+    for g, r in zip(generated, reference):
+        if g != r:
+            break
+        prefix += 1
+    return prefix / len(reference)
+
+
 def ism_line(generated_line: str, reference_line: str) -> float:
     """Longest common prefix of the two identifier sequences over the reference
     identifier count.  String literals contribute no identifiers; an empty
     reference sequence scores 1 only against an empty generated sequence."""
-    gen = identifier_tokens(generated_line)
-    ref = identifier_tokens(reference_line)
-    if not ref:
-        return 1.0 if not gen else 0.0
-    prefix = 0
-    for g, r in zip(gen, ref):
-        if g != r:
-            break
-        prefix += 1
-    return prefix / len(ref)
+    return _prefix_share(identifier_tokens(generated_line), identifier_tokens(reference_line))
 
 
 def pm_line(generated_line: str, reference_line: str) -> float:
     """Common character prefix over the reference length, both sides stripped
     of leading indentation; empty reference handled as in ism_line."""
-    gen = generated_line.lstrip()
-    ref = reference_line.lstrip()
-    if not ref:
-        return 1.0 if not gen else 0.0
-    prefix = 0
-    for g, r in zip(gen, ref):
-        if g != r:
-            break
-        prefix += 1
-    return prefix / len(ref)
+    return _prefix_share(generated_line.lstrip(), reference_line.lstrip())
 
 
 def significant_lines(text: str) -> list[str]:
@@ -189,9 +191,6 @@ def cdc_check(generated: str, reference: str, core_token: str) -> CdcVerdict:
     Rule 5: some generated core-token call uses at least the keyword argument
             names the reference core-token calls use (judged only when they
             use any).
-
-    When the generated code does not parse, rules 3-5 fail wherever
-    applicable since the structural check is impossible.
     """
     ref_facts = extract_facts(reference)
     if not ref_facts.is_valid:
@@ -199,45 +198,26 @@ def cdc_check(generated: str, reference: str, core_token: str) -> CdcVerdict:
 
     ref_sites = [s for s in ref_facts.call_sites if s.callee_name == core_token]
     ref_counts = {s.total_arg_count for s in ref_sites}
-    ref_keywords: frozenset[str] = (
-        frozenset().union(*(s.keyword_names for s in ref_sites)) if ref_sites else frozenset()
-    )
-
-    applicable3 = bool(ref_sites)
-    applicable4 = ref_facts.has_with
-    applicable5 = bool(ref_keywords)
+    ref_keywords: frozenset[str] = frozenset().union(*(s.keyword_names for s in ref_sites))
 
     rule1 = RuleResult.PASS if contains_core_token(generated, core_token) else RuleResult.FAIL
+    # Code that does not parse has no call sites and no with-statement, so
+    # rules 3-5 fail wherever they apply.
     gen_facts = extract_facts(generated)
     rule2 = RuleResult.PASS if gen_facts.is_valid else RuleResult.FAIL
-
-    if not gen_facts.is_valid:
-        rule3 = RuleResult.FAIL if applicable3 else RuleResult.NOT_APPLICABLE
-        rule4 = RuleResult.FAIL if applicable4 else RuleResult.NOT_APPLICABLE
-        rule5 = RuleResult.FAIL if applicable5 else RuleResult.NOT_APPLICABLE
-    else:
-        gen_sites = [s for s in gen_facts.call_sites if s.callee_name == core_token]
-        if not applicable3:
-            rule3 = RuleResult.NOT_APPLICABLE
-        elif any(s.total_arg_count in ref_counts for s in gen_sites):
-            rule3 = RuleResult.PASS
-        else:
-            rule3 = RuleResult.FAIL
-        if not applicable4:
-            rule4 = RuleResult.NOT_APPLICABLE
-        elif gen_facts.has_with:
-            rule4 = RuleResult.PASS
-        else:
-            rule4 = RuleResult.FAIL
-        if not applicable5:
-            rule5 = RuleResult.NOT_APPLICABLE
-        elif any(s.keyword_names >= ref_keywords for s in gen_sites):
-            rule5 = RuleResult.PASS
-        else:
-            rule5 = RuleResult.FAIL
+    gen_sites = [s for s in gen_facts.call_sites if s.callee_name == core_token]
+    rule3 = _judge(bool(ref_sites), any(s.total_arg_count in ref_counts for s in gen_sites))
+    rule4 = _judge(ref_facts.has_with, gen_facts.has_with)
+    rule5 = _judge(bool(ref_keywords), any(s.keyword_names >= ref_keywords for s in gen_sites))
 
     results = (rule1, rule2, rule3, rule4, rule5)
     return CdcVerdict(*results, overall=not any(r is RuleResult.FAIL for r in results))
+
+
+def _judge(applicable: bool, holds: bool) -> RuleResult:
+    if not applicable:
+        return RuleResult.NOT_APPLICABLE
+    return RuleResult.PASS if holds else RuleResult.FAIL
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -147,12 +147,12 @@ def extract_facts(code: str) -> CodeFacts:
 
     sites: list[CallSiteInfo] = []
     saw_with = False
-
-    def visit(node: ast.AST) -> None:
-        nonlocal saw_with
+    # ast.walk is iterative, so no tree that parsed is too deep to visit;
+    # call sites come in breadth-first order
+    for node in ast.walk(tree):
         if isinstance(node, (ast.With, ast.AsyncWith)):
             saw_with = True
-        if isinstance(node, ast.Call):
+        elif isinstance(node, ast.Call):
             callee = _callee_name(node.func)
             if callee is not None:
                 sites.append(
@@ -165,10 +165,6 @@ def extract_facts(code: str) -> CodeFacts:
                         line_index=node.lineno - 1,
                     )
                 )
-        for child in ast.iter_child_nodes(node):
-            visit(child)
-
-    visit(tree)
     return CodeFacts(True, tuple(sites), saw_with)
 
 
@@ -244,9 +240,10 @@ def scan_api_definitions(
 
 def _file_definitions(data: bytes) -> frozenset[str] | None:
     """Local definition names of one file's bytes; None when they are not
-    UTF-8 or do not parse and compile."""
+    UTF-8 or do not parse and compile.  A leading byte-order mark is dropped,
+    as Python's own import does."""
     try:
-        source = data.decode("utf-8")
+        source = data.decode("utf-8-sig")
     except UnicodeDecodeError:
         return None
     # the universal-newline translation of a text-mode read

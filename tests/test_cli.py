@@ -417,6 +417,40 @@ class TestMaskThenScore:
         assert rows[("em", 3)] == 1.0
 
 
+class TestDeepSample:
+    def test_deep_expression_sample_scores(self, tmp_path):
+        # Python compiles this sample; before 3.12 its tree is too deep to
+        # build (cdc rule 2 fails), from 3.12 it has facts.  Either way the
+        # run completes, and rule 1 fails it.
+        reference = "result = df.explode('A')"
+        instances = write_jsonl(
+            tmp_path / "instances.jsonl",
+            [
+                {
+                    "id": "deep",
+                    "task": "vscc",
+                    "granularity": "line",
+                    "library": "pandas",
+                    "source_version": "1.3.5",
+                    "description": "demo",
+                    "masked_code": "import pandas as pd\n[line-mask]\nprint(result)\n",
+                    "reference": reference,
+                    "core_token": "explode",
+                    "data_source": "library_source",
+                }
+            ],
+        )
+        samples = write_jsonl(
+            tmp_path / "samples.jsonl",
+            [{"instance_id": "deep", "samples": ["-" * 1000 + "1", reference]}],
+        )
+        out = tmp_path / "report.json"
+        assert main(["score", "--instances", str(instances), "--samples", str(samples),
+                     "--metrics", "em,cdc", "--k", "1", "--out", str(out)]) == 0
+        rows = {r["metric"]: r["value"] for r in json.loads(out.read_text())["rows"]}
+        assert rows == {"em": 0.5, "cdc": 0.5}
+
+
 class TestHelp:
     def test_help_exits_0(self):
         assert main(["--help"]) == 0

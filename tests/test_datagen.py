@@ -301,6 +301,13 @@ class TestFilterTree:
         assert verdicts["bad.py"].reasons == (FILTER_SYNTAX_ERROR,)
         assert FILTER_MAX_LINE_LENGTH in verdicts["sub/long.py"].reasons
 
+    def test_byte_order_mark_is_not_part_of_the_text(self, tmp_path):
+        # "x= 1" has 1 letter in 4 non-newline characters, the 0.25 ratio
+        # that keeps; with the mark counted it would be 1 in 5 and not compile
+        (tmp_path / "bom.py").write_bytes(b"\xef\xbb\xbfx= 1\n")
+        ((rel, verdict),) = filter_tree(tmp_path)
+        assert verdict == FilterVerdict(True, ())
+
     def test_undecodable_file_rejected(self, tmp_path):
         (tmp_path / "binary.py").write_bytes(b"\xff\xfe\x00bad")
         ((rel, verdict),) = filter_tree(tmp_path)

@@ -249,17 +249,17 @@ class TestParseOncePerContent:
             assert surface.apis == frozenset({"ok.g"})
             assert (surface.parsed_files, surface.skipped_files) == (1, 2)
 
-    def test_crlf_parses_and_bom_is_skipped(self, tmp_path):
-        # CRLF line ends are translated as a text-mode read does; a UTF-8
-        # byte-order mark stays in the decoded text, which then does not parse
+    def test_crlf_and_bom_parse(self, tmp_path):
+        # CRLF line ends are translated as a text-mode read does, and a UTF-8
+        # byte-order mark is dropped, as Python's own import does
         files = {
             "crlf.py": b"def f():\r\n    return 1\r\n\r\nclass K:\r\n    def m(self): ...\r\n",
             "bom.py": b"\xef\xbb\xbfdef g(): ...\n",
         }
         write_versions(tmp_path, {"1.0": files, "2.0": files})
         for surface in collect_surfaces(tmp_path):
-            assert surface.apis == frozenset({"crlf.f", "crlf.K", "crlf.K.m"})
-            assert (surface.parsed_files, surface.skipped_files) == (1, 1)
+            assert surface.apis == frozenset({"bom.g", "crlf.f", "crlf.K", "crlf.K.m"})
+            assert (surface.parsed_files, surface.skipped_files) == (2, 0)
 
     def test_parses_each_distinct_content_once(self, tmp_path, monkeypatch):
         shared, changed = b"def s(): ...\n", b"def c(): ...\n"

@@ -97,6 +97,12 @@ class TestScoreAtK:
             values = [score_at_k(scores, k) for k in range(1, 7)]
             assert values == sorted(values)
 
+    def test_past_the_float_range_is_exact(self):
+        # C(1199, 599) exceeds the float range, so the float sum overflows
+        scores = [1.0] * 3 + [0.0] * 1197
+        assert score_at_k(scores, 600) == estimate_at_k(1200, 3, 600)
+        assert score_at_k([0.5] * 1200, 600) == 0.5
+
     def test_invalid_args(self):
         with pytest.raises(KExceedsN):
             score_at_k([1.0], 2)
