@@ -62,7 +62,8 @@ MASK_SENTINELS = {
     Granularity.BLOCK: "[block-mask]",
 }
 
-IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Python identifiers may be non-ASCII: a letter or underscore, then word characters
+IDENTIFIER_RE = re.compile(r"[^\W\d]\w*")
 
 _INT_SEGMENT_RE = re.compile(r"[0-9]+")
 
@@ -71,17 +72,12 @@ _INT_SEGMENT_RE = re.compile(r"[0-9]+")
 class VersionId:
     """A leniently parsed version: numeric components plus a residual suffix.
 
-    The raw string is preserved verbatim; canonical() re-renders the parsed
-    parts.
+    The raw string is preserved verbatim.
     """
 
     raw: str
     components: tuple[int, ...]
     suffix: str
-
-    def canonical(self) -> str:
-        rendered = ".".join(str(c) for c in self.components)
-        return f"{rendered}.{self.suffix}" if self.suffix else rendered
 
 
 def parse_version(raw: str) -> VersionId:
@@ -199,21 +195,15 @@ class ScoreVector:
     instance_id: str
     metric: MetricName
     per_sample: tuple[float, ...]
-    correct_count: int
 
     def __post_init__(self) -> None:
-        problems = []
         if any(not 0.0 <= s <= 1.0 for s in self.per_sample):
-            problems.append("per_sample: scores must lie in [0, 1]")
-        if not 0 <= self.correct_count <= len(self.per_sample):
-            problems.append("correct_count: must lie in [0, n]")
-        if problems:
-            raise SchemaViolation(problems)
+            raise SchemaViolation(["per_sample: scores must lie in [0, 1]"])
 
-    @classmethod
-    def from_scores(cls, instance_id: str, metric: MetricName, per_sample) -> "ScoreVector":
-        scores = tuple(float(s) for s in per_sample)
-        return cls(instance_id, metric, scores, sum(1 for s in scores if s == 1.0))
+    @property
+    def correct_count(self) -> int:
+        """The number of samples that scored exactly 1."""
+        return self.per_sample.count(1.0)
 
 
 def validate_instance(record: TaskInstance) -> TaskInstance:

@@ -194,8 +194,11 @@ FILTER_DECODE_ERROR = "decode_error"
 
 @dataclass(frozen=True)
 class FilterVerdict:
-    keep: bool
     reasons: tuple[str, ...]
+
+    @property
+    def keep(self) -> bool:
+        return not self.reasons
 
 
 _ASCII_NON_LETTERS = bytes(c for c in range(128) if not chr(c).isalpha())
@@ -236,7 +239,7 @@ def filter_corpus_file(content: str) -> FilterVerdict:
         reasons.append(FILTER_ALPHABETIC_RATIO)
     if not check_syntax(content):
         reasons.append(FILTER_SYNTAX_ERROR)
-    return FilterVerdict(keep=not reasons, reasons=tuple(reasons))
+    return FilterVerdict(tuple(reasons))
 
 
 def filter_tree(root: str | Path) -> list[tuple[str, FilterVerdict]]:
@@ -256,7 +259,7 @@ def filter_tree(root: str | Path) -> list[tuple[str, FilterVerdict]]:
         try:
             content = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError):
-            results.append((rel, FilterVerdict(False, (FILTER_DECODE_ERROR,))))
+            results.append((rel, FilterVerdict((FILTER_DECODE_ERROR,))))
             continue
         results.append((rel, filter_corpus_file(content)))
     return results

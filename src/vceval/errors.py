@@ -63,10 +63,6 @@ class NoNumericComponent(EvalError, ValueError):
     """A version string has no leading integer segment."""
 
 
-class VersionOrderError(EvalError):
-    """Two surfaces were diffed against the required version order."""
-
-
 class UnsortedVersions(EvalError):
     """A surface sequence is not strictly ascending by version."""
 

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import stat
 import textwrap
@@ -576,7 +577,7 @@ def _score_item(
             scores = {text: _score_text(metric, instance, text) for text in distinct}
             scores[None] = 0.0
             per_sample = tuple(scores[text] for text in texts)
-        vector = ScoreVector.from_scores(instance.id, metric, per_sample)
+        vector = ScoreVector(instance.id, metric, per_sample)
         at_k: dict[int, float] = {}
         for k in ks:
             if metric in (MetricName.EM, MetricName.CDC, MetricName.PASS):
@@ -664,7 +665,7 @@ def run_scoring(
         indexes = groups[key]
         for metric in metric_sel:
             for k in ks:
-                mean = sum(scored[i][metric][1][k] for i in indexes) / len(indexes)
+                mean = math.fsum(scored[i][metric][1][k] for i in indexes) / len(indexes)
                 rows.append(AggregateRow(key, metric.value, k, mean, len(indexes)))
 
     if MetricName.PASS in metric_sel and len(items) >= 2:

@@ -1,5 +1,5 @@
-"""API lifecycle analysis: per-version public API surfaces, consecutive-version
-diffs, and addition/deprecation/general tagging over presence runs."""
+"""API lifecycle analysis: per-version public API surfaces scanned from source
+trees, and addition/deprecation/general tagging over presence runs."""
 
 from __future__ import annotations
 
@@ -16,14 +16,8 @@ from .core_model import (
     parse_version,
     version_sort_key,
 )
-from .errors import (
-    InvalidArgs,
-    IoFailure,
-    NoNumericComponent,
-    UnsortedVersions,
-    VersionOrderError,
-)
-from .syntax import scan_api_definitions
+from .errors import InvalidArgs, IoFailure, NoNumericComponent, UnsortedVersions
+from .syntax import definition_names
 
 log = logging.getLogger(__name__)
 
@@ -36,15 +30,6 @@ class VersionSurface:
     apis: frozenset[str]
     parsed_files: int = 0
     skipped_files: int = 0
-
-
-@dataclass(frozen=True)
-class SurfaceDiff:
-    """added/removed/retained partition prev union curr."""
-
-    added: frozenset[str]
-    removed: frozenset[str]
-    retained: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -62,6 +47,74 @@ class LifecycleRecord:
     per_version_tag: Mapping[str, LifecycleTag]
 
 
+def scan_api_definitions(
+    tree_root: str | Path, *, memo: dict[bytes, frozenset[str] | None] | None = None
+) -> tuple[frozenset[str], int, int]:
+    """Collect public qualified definition names from every .py file under
+    tree_root; returns (names, parsed_files, skipped_files).
+
+    Files that cannot be decoded or parsed are skipped and counted.  Names
+    whose terminal segment starts with an underscore are excluded; a file
+    pkg/a.py defining f contributes "pkg.a.f", and __init__.py maps to its
+    package.
+
+    memo maps a digest of a file's bytes to that file's local definition
+    names (None for a skipped file), and a file whose bytes are already in
+    it is not parsed again.  Scans of several versions that share one memo
+    parse each distinct file content once; without one, the memo lasts for
+    this call.
+    """
+    # hashlib.blake2b is _blake2.blake2b on CPython 3.10-3.13, but importing
+    # it through hashlib also loads OpenSSL's _hashlib: ~3 ms and ~4 MB of
+    # resident memory.  Imported here, so that no other command loads it.
+    from _blake2 import blake2b
+
+    root = Path(tree_root)
+    if not root.is_dir():
+        raise IoFailure(f"not a readable directory: {root}")
+    if memo is None:
+        memo = {}
+    names: set[str] = set()
+    parsed = skipped = 0
+    for path in sorted(root.rglob("*.py")):
+        if not path.is_file():
+            continue
+        try:
+            data = path.read_bytes()
+        except OSError:
+            skipped += 1
+            continue
+        key = blake2b(data).digest()
+        if key not in memo:
+            memo[key] = _file_definitions(data)
+        local = memo[key]
+        if local is None:
+            skipped += 1
+            continue
+        parsed += 1
+        parts = list(path.relative_to(root).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+        module = ".".join(parts)
+        for name in local:
+            qualified = f"{module}.{name}" if module else name
+            if not qualified.rsplit(".", 1)[-1].startswith("_"):
+                names.add(qualified)
+    return frozenset(names), parsed, skipped
+
+
+def _file_definitions(data: bytes) -> frozenset[str] | None:
+    """Local definition names of one file's bytes; None when they are not
+    UTF-8 or do not parse and compile.  A leading byte-order mark is dropped,
+    as Python's own import does."""
+    try:
+        source = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    # the universal-newline translation of a text-mode read
+    return definition_names(source.replace("\r\n", "\n").replace("\r", "\n"))
+
+
 def extract_surface(
     version: VersionId,
     tree_root: str | Path,
@@ -73,21 +126,7 @@ def extract_surface(
     memo is passed on to scan_api_definitions; share one across the versions
     of a run so that files repeated between versions are parsed once.
     """
-    scan = scan_api_definitions(tree_root, memo=memo)
-    return VersionSurface(version, scan.names, scan.parsed_files, scan.skipped_files)
-
-
-def diff_consecutive(prev: VersionSurface, curr: VersionSurface) -> SurfaceDiff:
-    """Set-diff two consecutive surfaces; prev must order strictly before curr."""
-    if compare_versions(prev.version, curr.version) is not Ordering.LESS:
-        raise VersionOrderError(
-            f"{prev.version.raw!r} must order strictly before {curr.version.raw!r}"
-        )
-    return SurfaceDiff(
-        added=frozenset(curr.apis - prev.apis),
-        removed=frozenset(prev.apis - curr.apis),
-        retained=frozenset(prev.apis & curr.apis),
-    )
+    return VersionSurface(version, *scan_api_definitions(tree_root, memo=memo))
 
 
 def tag_lifecycle(surfaces: Sequence[VersionSurface]) -> list[LifecycleRecord]:

@@ -53,7 +53,7 @@ def score_at_k(per_sample: Sequence[float], k: int) -> float:
         raise InvalidArgs("scores must lie in [0, 1]")
     ordered = sorted(per_sample)
     try:
-        weighted = sum(s * math.comb(i, k - 1) for i, s in enumerate(ordered))
+        weighted = math.fsum(s * math.comb(i, k - 1) for i, s in enumerate(ordered))
         return weighted / math.comb(n, k)
     except OverflowError:
         # A binomial past the float range (first at n=1050, k=n/2): the same
@@ -139,7 +139,7 @@ def block_line_average(
         line_metric(gen_lines[i], ref_lines[i]) if i < len(gen_lines) else 0.0
         for i in range(len(ref_lines))
     ]
-    return sum(scores) / len(ref_lines)
+    return math.fsum(scores) / len(ref_lines)
 
 
 class RuleResult(str, Enum):
@@ -150,28 +150,24 @@ class RuleResult(str, Enum):
 
 @dataclass(frozen=True)
 class CdcVerdict:
-    """Per-rule outcomes of the critical-diff check plus their conjunction.
-
-    overall is true iff no rule failed; not_applicable counts as satisfied.
-    """
+    """Per-rule outcomes of the critical-diff check."""
 
     rule1_core_token: RuleResult
     rule2_valid: RuleResult
     rule3_arg_count: RuleResult
     rule4_with: RuleResult
     rule5_keywords: RuleResult
-    overall: bool
 
-    def __post_init__(self) -> None:
-        rules = (
+    @property
+    def overall(self) -> bool:
+        """True iff no rule failed; not_applicable counts as satisfied."""
+        return RuleResult.FAIL not in (
             self.rule1_core_token,
             self.rule2_valid,
             self.rule3_arg_count,
             self.rule4_with,
             self.rule5_keywords,
         )
-        if self.overall != (RuleResult.FAIL not in rules):
-            raise InvalidArgs("overall must be the conjunction of the non-failing rules")
 
     @property
     def score(self) -> float:
@@ -209,9 +205,7 @@ def cdc_check(generated: str, reference: str, core_token: str) -> CdcVerdict:
     rule3 = _judge(bool(ref_sites), any(s.total_arg_count in ref_counts for s in gen_sites))
     rule4 = _judge(ref_facts.has_with, gen_facts.has_with)
     rule5 = _judge(bool(ref_keywords), any(s.keyword_names >= ref_keywords for s in gen_sites))
-
-    results = (rule1, rule2, rule3, rule4, rule5)
-    return CdcVerdict(*results, overall=not any(r is RuleResult.FAIL for r in results))
+    return CdcVerdict(rule1, rule2, rule3, rule4, rule5)
 
 
 def _judge(applicable: bool, holds: bool) -> RuleResult:

@@ -4,8 +4,8 @@ Structural facts (call sites, with-statements, definitions) come from the
 stdlib ast parser, which is the full grammar of the subject language.  The
 identifier stream comes from a lexical scanner that skips string literals
 and comments, so it works on unparseable text too; f-string interiors count
-as string content.  Identifiers are ASCII ([A-Za-z_][A-Za-z0-9_]*) and hard
-keywords are dropped from the stream.
+as string content.  Identifiers are Unicode (a letter or underscore, then
+word characters) and hard keywords are dropped from the stream.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import re
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TypeVar
 
 from .core_model import IDENTIFIER_RE
-from .errors import InvalidArgs, IoFailure
+from .errors import InvalidArgs
 
 _T = TypeVar("_T")
 
@@ -125,8 +124,12 @@ def _callee_name(func: ast.expr) -> str | None:
     return None
 
 
-def _definition_names(tree: ast.Module) -> set[str]:
-    # module-level functions and classes; methods one level down as Class.method
+def definition_names(code: str) -> frozenset[str] | None:
+    """Module-level function and class names plus methods one level down as
+    Class.method; None when the text does not parse and compile."""
+    tree = _parse_module(code)
+    if tree is None:
+        return None
     names: set[str] = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -136,7 +139,7 @@ def _definition_names(tree: ast.Module) -> set[str]:
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     names.add(f"{node.name}.{item.name}")
-    return names
+    return frozenset(names)
 
 
 def extract_facts(code: str) -> CodeFacts:
@@ -177,82 +180,3 @@ def contains_core_token(code: str, token: str) -> bool:
     if not IDENTIFIER_RE.fullmatch(token):
         raise InvalidArgs(f"core token {token!r} is not a single identifier")
     return token in identifier_tokens(code)
-
-
-@dataclass(frozen=True)
-class DefinitionScan:
-    names: frozenset[str]
-    parsed_files: int
-    skipped_files: int
-
-
-def scan_api_definitions(
-    tree_root: str | Path, *, memo: dict[bytes, frozenset[str] | None] | None = None
-) -> DefinitionScan:
-    """Collect public qualified definition names from every .py file under tree_root.
-
-    Files that cannot be decoded or parsed are skipped and counted.  Names
-    whose terminal segment starts with an underscore are excluded; a file
-    pkg/a.py defining f contributes "pkg.a.f", and __init__.py maps to its
-    package.
-
-    memo maps a digest of a file's bytes to that file's local definition
-    names (None for a skipped file), and a file whose bytes are already in
-    it is not parsed again.  Scans of several versions that share one memo
-    parse each distinct file content once; without one, the memo lasts for
-    this call.
-    """
-    # hashlib.blake2b is _blake2.blake2b on CPython 3.10-3.13, but importing
-    # it through hashlib also loads OpenSSL's _hashlib: ~3 ms and ~4 MB of
-    # resident memory.  Imported here, so that no other command loads it.
-    from _blake2 import blake2b
-
-    root = Path(tree_root)
-    if not root.is_dir():
-        raise IoFailure(f"not a readable directory: {root}")
-    if memo is None:
-        memo = {}
-    names: set[str] = set()
-    parsed = skipped = 0
-    for path in sorted(root.rglob("*.py")):
-        if not path.is_file():
-            continue
-        try:
-            data = path.read_bytes()
-        except OSError:
-            skipped += 1
-            continue
-        key = blake2b(data).digest()
-        if key not in memo:
-            memo[key] = _file_definitions(data)
-        local = memo[key]
-        if local is None:
-            skipped += 1
-            continue
-        parsed += 1
-        module = _module_name(path.relative_to(root))
-        for name in local:
-            qualified = f"{module}.{name}" if module else name
-            if not qualified.rsplit(".", 1)[-1].startswith("_"):
-                names.add(qualified)
-    return DefinitionScan(frozenset(names), parsed, skipped)
-
-
-def _file_definitions(data: bytes) -> frozenset[str] | None:
-    """Local definition names of one file's bytes; None when they are not
-    UTF-8 or do not parse and compile.  A leading byte-order mark is dropped,
-    as Python's own import does."""
-    try:
-        source = data.decode("utf-8-sig")
-    except UnicodeDecodeError:
-        return None
-    # the universal-newline translation of a text-mode read
-    tree = _parse_module(source.replace("\r\n", "\n").replace("\r", "\n"))
-    return None if tree is None else frozenset(_definition_names(tree))
-
-
-def _module_name(relative: Path) -> str:
-    parts = list(relative.with_suffix("").parts)
-    if parts and parts[-1] == "__init__":
-        parts.pop()
-    return ".".join(parts)

@@ -52,11 +52,13 @@ class TestParseVersion:
             parse_version("")
 
     def test_canonical_round_trip(self):
-        assert parse_version("2.1.0rc1").canonical() == "2.1.0rc1"
-        assert parse_version("2.0.0").canonical() == "2.0.0"
-        # canonicalization normalizes, raw survives verbatim
-        assert parse_version("02.1").canonical() == "2.1"
-        assert parse_version("02.1").raw == "02.1"
+        rc = parse_version("2.1.0rc1")
+        assert (rc.components, rc.suffix, rc.raw) == ((2, 1), "0rc1", "2.1.0rc1")
+        release = parse_version("2.0.0")
+        assert (release.components, release.suffix, release.raw) == ((2, 0, 0), "", "2.0.0")
+        # components are normalized integers, raw survives verbatim
+        padded = parse_version("02.1")
+        assert (padded.components, padded.suffix, padded.raw) == ((2, 1), "", "02.1")
 
     def test_underscored_segment_is_suffix_not_number(self):
         assert parse_version("1.1_0").components == (1,)
@@ -229,6 +231,10 @@ class TestValidateInstance:
         with pytest.raises(SchemaViolation):
             validate_instance(make_vscc(core_token="1abc"))
 
+    def test_unicode_core_token_accepted(self):
+        instance = make_vscc(reference="café", core_token="café")
+        assert validate_instance(instance) is instance
+
 
 class TestRecordInvariants:
     def test_meta_instance_rejects_whitespace_library(self):
@@ -256,9 +262,9 @@ class TestRecordInvariants:
             SampleSet("x", ())
 
     def test_score_vector_counts_exact_ones(self):
-        vector = ScoreVector.from_scores("x", MetricName.ISM, [1.0, 0.5, 1.0, 0.0])
+        vector = ScoreVector("x", MetricName.ISM, (1.0, 0.5, 1.0, 0.0))
         assert vector.correct_count == 2
 
     def test_score_vector_rejects_out_of_range(self):
         with pytest.raises(SchemaViolation):
-            ScoreVector("x", MetricName.EM, (1.5,), 1)
+            ScoreVector("x", MetricName.EM, (1.5,))

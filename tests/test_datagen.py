@@ -61,6 +61,14 @@ class TestMaskInstance:
         assert instance.core_token == "to_numpy"
         assert instance.task is TaskKind.VSCC
 
+    def test_unicode_token_mask(self):
+        instance = mask_instance(
+            meta("données = café(x)\n"),
+            MaskSpec(Granularity.TOKEN, "i1", "café"),
+        )
+        assert instance.masked_code == "données = [token-mask](x)\n"
+        assert instance.reference == "café"
+
     def test_token_mask_occurrence_index(self):
         code = "explode(explode(x))"
         first = mask_instance(meta(code), MaskSpec(Granularity.TOKEN, "i1", "explode"))
@@ -215,7 +223,7 @@ class TestCategorizeMigration:
 
 class TestFilterCorpusFile:
     def test_plain_file_keeps(self):
-        assert filter_corpus_file("import os\n\nprint(os.name)\n") == FilterVerdict(True, ())
+        assert filter_corpus_file("import os\n\nprint(os.name)\n") == FilterVerdict(())
 
     def test_avg_line_length_boundary(self):
         keep = "a" * 98 + "=1"      # exactly 100 characters
@@ -254,7 +262,7 @@ class TestFilterCorpusFile:
 
     @pytest.mark.parametrize("code", ["def f():\n    x: (y := 1)\n", "def f():\n    x: (yield)\n"])
     def test_judged_without_the_toolkits_future_flags(self, code):
-        assert filter_corpus_file(code) == FilterVerdict(True, ())
+        assert filter_corpus_file(code) == FilterVerdict(())
 
     def test_too_deeply_nested_file_is_a_syntax_error(self):
         # the parser raises MemoryError here; it must not escape the filter
@@ -306,7 +314,7 @@ class TestFilterTree:
         # that keeps; with the mark counted it would be 1 in 5 and not compile
         (tmp_path / "bom.py").write_bytes(b"\xef\xbb\xbfx= 1\n")
         ((rel, verdict),) = filter_tree(tmp_path)
-        assert verdict == FilterVerdict(True, ())
+        assert verdict == FilterVerdict(())
 
     def test_undecodable_file_rejected(self, tmp_path):
         (tmp_path / "binary.py").write_bytes(b"\xff\xfe\x00bad")

@@ -71,6 +71,9 @@ class TestNormalizeGeneration:
         raw = "Here you go:\n```python\nx = 1\n```\nenjoy"
         assert normalize_generation(raw, Granularity.BLOCK) == "x = 1"
 
+    def test_unicode_token_kept_whole(self):
+        assert normalize_generation("données.café(x)", Granularity.TOKEN) == "données"
+
     def test_empty_raises(self):
         with pytest.raises(EmptyAfterNormalization):
             normalize_generation("   \n", Granularity.BLOCK)
@@ -309,6 +312,22 @@ class TestRunScoring:
         result = run_scoring(perfect, ["em"], [1, 3])
         for row in result.aggregates:
             assert row.value == 1.0
+
+    def test_group_mean_is_exactly_rounded(self):
+        # ten instances with em@1 = 1/10 each: a plain left-to-right sum of
+        # the ten means is 0.9999999999999999 before Python 3.12
+        instance = _KINDS[0]
+        samples = (instance.reference,) + ("something_else",) * 9
+        items = [
+            EvaluationItem(
+                dataclasses.replace(instance, id=f"i{i}"),
+                SampleSet(f"i{i}", samples),
+                (None,) * 10,
+            )
+            for i in range(10)
+        ]
+        (row,) = run_scoring(items, ["em"], [1]).aggregates
+        assert (row.value, row.instance_count) == (0.1, 10)
 
     def test_group_partition(self, tmp_path):
         items = items_from_corpus(tmp_path, 12)

@@ -2,18 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import vceval.syntax
+import vceval.lifecycle
 from vceval import (
     LifecycleTag,
     VersionSurface,
     collect_surfaces,
-    diff_consecutive,
     extract_surface,
     parse_version,
     scan_api_definitions,
     tag_lifecycle,
 )
-from vceval.errors import InvalidArgs, IoFailure, UnsortedVersions, VersionOrderError
+from vceval.errors import InvalidArgs, IoFailure, UnsortedVersions
 
 ADD = LifecycleTag.ADDITION
 DEP = LifecycleTag.DEPRECATION
@@ -54,38 +53,47 @@ class TestExtractSurface:
         assert result.skipped_files == 1
 
 
-class TestDiffConsecutive:
-    def test_addition(self):
-        diff = diff_consecutive(surface("1.0", {"f"}), surface("1.1", {"f", "g"}))
-        assert diff.added == {"g"}
-        assert diff.removed == frozenset()
-        assert diff.retained == {"f"}
+class TestExtractApiDefinitions:
+    def test_single_function(self, tmp_path):
+        target = tmp_path / "pkg" / "a.py"
+        target.parent.mkdir()
+        target.write_text("def f(): ...\n")
+        assert scan_api_definitions(tmp_path)[0] == frozenset({"pkg.a.f"})
 
-    def test_removal(self):
-        diff = diff_consecutive(surface("1.0", {"f"}), surface("1.1", set()))
-        assert diff.removed == {"f"}
+    def test_class_and_method(self, tmp_path):
+        target = tmp_path / "pkg" / "a.py"
+        target.parent.mkdir()
+        target.write_text("def f(): ...\n\nclass C:\n    def m(self): ...\n")
+        expected = frozenset({"pkg.a.f", "pkg.a.C", "pkg.a.C.m"})
+        assert scan_api_definitions(tmp_path)[0] == expected
 
-    def test_mixed(self):
-        diff = diff_consecutive(surface("1.0", {"f", "g"}), surface("2.0", {"g", "h"}))
-        assert diff.added == {"h"}
-        assert diff.removed == {"f"}
-        assert diff.retained == {"g"}
+    def test_underscore_terminal_excluded(self, tmp_path):
+        (tmp_path / "mod.py").write_text("def _helper(): ...\n")
+        assert scan_api_definitions(tmp_path)[0] == frozenset()
 
-    def test_version_order_enforced(self):
-        with pytest.raises(VersionOrderError):
-            diff_consecutive(surface("2.0", set()), surface("1.0", set()))
-        with pytest.raises(VersionOrderError):
-            diff_consecutive(surface("1.0", set()), surface("1.0.0", set()))
+    def test_dunder_methods_excluded(self, tmp_path):
+        (tmp_path / "mod.py").write_text("class C:\n    def __init__(self): ...\n")
+        assert scan_api_definitions(tmp_path)[0] == frozenset({"mod.C"})
 
-    @given(st.sets(st.sampled_from("abcdefgh")), st.sets(st.sampled_from("abcdefgh")))
-    def test_partition_property(self, prev_apis, curr_apis):
-        prev, curr = surface("1.0", prev_apis), surface("2.0", curr_apis)
-        diff = diff_consecutive(prev, curr)
-        union = diff.added | diff.removed | diff.retained
-        assert union == prev.apis | curr.apis
-        assert not diff.added & diff.removed
-        assert not diff.added & diff.retained
-        assert not diff.removed & diff.retained
+    def test_init_file_maps_to_package(self, tmp_path):
+        target = tmp_path / "pkg" / "__init__.py"
+        target.parent.mkdir()
+        target.write_text("def top(): ...\n")
+        assert scan_api_definitions(tmp_path)[0] == frozenset({"pkg.top"})
+
+    def test_unparseable_files_skipped_and_counted(self, tmp_path):
+        (tmp_path / "good.py").write_text("def g(): ...\n")
+        (tmp_path / "bad.py").write_text("def broken(:\n")
+        assert scan_api_definitions(tmp_path) == (frozenset({"good.g"}), 1, 1)
+
+    def test_deterministic(self, tmp_path):
+        (tmp_path / "a.py").write_text("def one(): ...\nclass Two: ...\n")
+        (tmp_path / "b.py").write_text("def three(): ...\n")
+        assert scan_api_definitions(tmp_path)[0] == scan_api_definitions(tmp_path)[0]
+
+    def test_missing_root_raises(self, tmp_path):
+        with pytest.raises(IoFailure):
+            scan_api_definitions(tmp_path / "nope")
 
 
 VERSIONS4 = ["1.0", "1.1", "2.0", "2.1"]
@@ -272,13 +280,13 @@ class TestParseOncePerContent:
             },
         )
         calls = []
-        original = vceval.syntax._parse_module
+        original = vceval.lifecycle.definition_names
 
         def counting(code):
             calls.append(code)
             return original(code)
 
-        monkeypatch.setattr(vceval.syntax, "_parse_module", counting)
+        monkeypatch.setattr(vceval.lifecycle, "definition_names", counting)
         surfaces = collect_surfaces(tmp_path)
         assert len(calls) == 4  # shared, changed, bad and changed + d
         assert [s.apis for s in surfaces] == [
@@ -299,7 +307,8 @@ class TestParseOncePerContent:
         assert scan_api_definitions(root, memo=memo) == plain
         assert len(memo) == 2
         assert scan_api_definitions(root, memo=memo) == plain
-        assert plain.names == frozenset(
-            {"pkg.a.f", "pkg.a.C", "pkg.a.C.m", "pkg.b.f", "pkg.b.C", "pkg.b.C.m"}
+        assert plain == (
+            frozenset({"pkg.a.f", "pkg.a.C", "pkg.a.C.m", "pkg.b.f", "pkg.b.C", "pkg.b.C.m"}),
+            2,
+            1,
         )
-        assert (plain.parsed_files, plain.skipped_files) == (2, 1)

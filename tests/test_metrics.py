@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -102,6 +103,11 @@ class TestScoreAtK:
         scores = [1.0] * 3 + [0.0] * 1197
         assert score_at_k(scores, 600) == estimate_at_k(1200, 3, 600)
         assert score_at_k([0.5] * 1200, 600) == 0.5
+
+    def test_float_sum_is_exactly_rounded(self):
+        # a plain left-to-right sum of ten 0.1s is 0.9999999999999999 before
+        # Python 3.12, so the value would depend on the Python version
+        assert score_at_k([0.1] * 10, 1) == 0.1
 
     def test_invalid_args(self):
         with pytest.raises(KExceedsN):
@@ -224,6 +230,10 @@ class TestBlockLineAverage:
         assert block_line_average("", "", ism_line) == 1.0
         assert block_line_average("x = 1", "# only a comment", ism_line) == 0.0
 
+    def test_float_sum_is_exactly_rounded(self):
+        code = "".join(f"v{i} = {i}\n" for i in range(10))
+        assert block_line_average(code, code, lambda generated, reference: 0.1) == 0.1
+
 
 def verdict_tuple(v: CdcVerdict):
     return (v.rule1_core_token, v.rule2_valid, v.rule3_arg_count, v.rule4_with, v.rule5_keywords)
@@ -284,6 +294,10 @@ class TestCdcCheck:
         verdict = cdc_check("f(" + "-" * 10000 + "1)", "f(1)", "f")
         assert verdict_tuple(verdict) == (PASS, FAIL, FAIL, NA, NA)
         assert not verdict.overall
+
+    def test_overall_is_true_iff_no_rule_failed(self):
+        for rules in itertools.product(RuleResult, repeat=5):
+            assert CdcVerdict(*rules).overall == (RuleResult.FAIL not in rules)
 
     def test_invalid_reference_raises(self):
         with pytest.raises(InvalidReference):

@@ -28,7 +28,6 @@ PUBLIC_NAMES = [
     "SampleSet",
     "ScoreVector",
     "ScoringResult",
-    "SurfaceDiff",
     "TaskInstance",
     "TaskKind",
     "VersionId",
@@ -43,7 +42,6 @@ PUBLIC_NAMES = [
     "collect_surfaces",
     "compare_versions",
     "contains_core_token",
-    "diff_consecutive",
     "em_block",
     "em_token",
     "emit_report",

@@ -10,9 +10,8 @@ from vceval import (
     contains_core_token,
     extract_facts,
     identifier_tokens,
-    scan_api_definitions,
 )
-from vceval.errors import InvalidArgs, IoFailure
+from vceval.errors import InvalidArgs
 
 
 class TestCheckSyntax:
@@ -207,6 +206,10 @@ class TestIdentifierStream:
     def test_string_prefixes_not_mistaken_for_identifiers(self):
         assert identifier_tokens("data = rb'abc'") == ["data"]
 
+    def test_unicode_identifiers_lexed_whole(self):
+        assert identifier_tokens("données = café(x)") == ["données", "café", "x"]
+        assert identifier_tokens("x1 = _y2") == ["x1", "_y2"]
+
 
 class TestContainsCoreToken:
     @pytest.mark.parametrize(
@@ -219,6 +222,8 @@ class TestContainsCoreToken:
             ("# explode\nz = 1", "explode", False),
             ("", "explode", False),
             ("df.explode('A'", "explode", True),  # lexical fallback on invalid code
+            ("données = café(x)", "café", True),
+            ("données = café(x)", "es", False),  # not a piece of a longer name
         ],
     )
     def test_examples(self, code, token, expected):
@@ -234,49 +239,3 @@ class TestContainsCoreToken:
     def test_rejects_non_identifier_token(self):
         with pytest.raises(InvalidArgs):
             contains_core_token("x = 1", "a.b")
-
-
-class TestExtractApiDefinitions:
-    def test_single_function(self, tmp_path):
-        target = tmp_path / "pkg" / "a.py"
-        target.parent.mkdir()
-        target.write_text("def f(): ...\n")
-        assert scan_api_definitions(tmp_path).names == frozenset({"pkg.a.f"})
-
-    def test_class_and_method(self, tmp_path):
-        target = tmp_path / "pkg" / "a.py"
-        target.parent.mkdir()
-        target.write_text("def f(): ...\n\nclass C:\n    def m(self): ...\n")
-        expected = frozenset({"pkg.a.f", "pkg.a.C", "pkg.a.C.m"})
-        assert scan_api_definitions(tmp_path).names == expected
-
-    def test_underscore_terminal_excluded(self, tmp_path):
-        (tmp_path / "mod.py").write_text("def _helper(): ...\n")
-        assert scan_api_definitions(tmp_path).names == frozenset()
-
-    def test_dunder_methods_excluded(self, tmp_path):
-        (tmp_path / "mod.py").write_text("class C:\n    def __init__(self): ...\n")
-        assert scan_api_definitions(tmp_path).names == frozenset({"mod.C"})
-
-    def test_init_file_maps_to_package(self, tmp_path):
-        target = tmp_path / "pkg" / "__init__.py"
-        target.parent.mkdir()
-        target.write_text("def top(): ...\n")
-        assert scan_api_definitions(tmp_path).names == frozenset({"pkg.top"})
-
-    def test_unparseable_files_skipped_and_counted(self, tmp_path):
-        (tmp_path / "good.py").write_text("def g(): ...\n")
-        (tmp_path / "bad.py").write_text("def broken(:\n")
-        scan = scan_api_definitions(tmp_path)
-        assert scan.names == frozenset({"good.g"})
-        assert scan.parsed_files == 1
-        assert scan.skipped_files == 1
-
-    def test_deterministic(self, tmp_path):
-        (tmp_path / "a.py").write_text("def one(): ...\nclass Two: ...\n")
-        (tmp_path / "b.py").write_text("def three(): ...\n")
-        assert scan_api_definitions(tmp_path).names == scan_api_definitions(tmp_path).names
-
-    def test_missing_root_raises(self, tmp_path):
-        with pytest.raises(IoFailure):
-            scan_api_definitions(tmp_path / "nope")
