@@ -6,6 +6,7 @@ arguments.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import sys
@@ -99,7 +100,9 @@ def lifecycle(versions_root, out_path) -> None:
             for record in sorted(records, key=lambda r: (r.api, r.start_index))
         ],
     }
-    harness.write_text(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # streamed: the encoded text is never held whole
+    encoded = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    harness.write_text(out_path, itertools.chain(encoded, ("\n",)))
     click.echo(f"tagged {len(records)} lifecycle record(s) -> {out_path}", err=True)
 
 

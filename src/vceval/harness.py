@@ -17,7 +17,7 @@ import os
 import stat
 import textwrap
 import uuid
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields
 from datetime import date
 from pathlib import Path
@@ -156,16 +156,19 @@ def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     return rows
 
 
-def write_text(path: str | Path, data: str, what: str = "") -> Path:
-    """Write data to path.  A new path or an existing regular file is
-    replaced atomically: the data goes to a temp file beside it, which takes
-    the old file's permission bits, is fsynced and then os.replace'd over
-    path, so a failed write leaves any previous file untouched.  That needs
-    a writable directory.  Anything else -- a symlink, or a device or pipe
-    such as /dev/stdout -- is opened and written through in place.
+def write_text(path: str | Path, chunks: Iterable[str], what: str = "") -> Path:
+    """Write the concatenated chunks to path.  A new path or an existing
+    regular file is replaced atomically: the chunks go to a temp file beside
+    it, which takes the old file's permission bits, is fsynced and then
+    os.replace'd over path, so a failed write leaves any previous file
+    untouched and removes the temp file, also when producing the chunks
+    raises.  That needs a writable directory.  Anything else -- a symlink, or
+    a device or pipe such as /dev/stdout -- is opened and written through in
+    place.
 
     Raises IoFailure("cannot write <what><path>: ...") on any OSError; the
-    message names path, never the temp file.
+    message names path, never the temp file.  Other exceptions raised by
+    chunks propagate as they are.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
@@ -175,21 +178,25 @@ def write_text(path: str | Path, data: str, what: str = "") -> Path:
         except FileNotFoundError:
             mode = None
         if mode is not None and not stat.S_ISREG(mode):
-            path.write_text(data, encoding="utf-8")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
             return path
         # O_EXCL never follows a planted file; mode 0o666 lets the umask
         # decide for a new file, as for a plain open()
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        with open(fd, "w", encoding="utf-8") as handle:
-            if mode is not None:
-                os.fchmod(fd, stat.S_IMODE(mode))
-            handle.write(data)
-            handle.flush()
-            os.fsync(fd)
-        os.replace(tmp, path)
+        try:
+            with open(fd, "w", encoding="utf-8") as handle:
+                if mode is not None:
+                    os.fchmod(fd, stat.S_IMODE(mode))
+                handle.writelines(chunks)
+                handle.flush()
+                os.fsync(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            raise
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
         reason = exc
         if exc.errno is not None and exc.filename is not None:
             reason = OSError(exc.errno, exc.strerror, str(path))
@@ -197,8 +204,8 @@ def write_text(path: str | Path, data: str, what: str = "") -> Path:
     return path
 
 
-def write_jsonl(path: str | Path, rows: Sequence[Mapping]) -> Path:
-    return write_text(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> Path:
+    return write_text(path, (json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
 def _prefixed(exc: SchemaViolation, where: str) -> SchemaViolation:
@@ -726,7 +733,7 @@ def emit_report(aggregates: Sequence[AggregateRow], fmt: str, out_path: str | Pa
         for row in rows:
             writer.writerow([row.group_key, row.metric, row.k, repr(row.value), row.instance_count])
         data = buffer.getvalue()
-    return write_text(out_path, data, what="report ")
+    return write_text(out_path, (data,), what="report ")
 
 
 def load_aggregates(path: str | Path) -> list[AggregateRow]:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import re
-import statistics
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -215,13 +214,31 @@ def _judge(applicable: bool, holds: bool) -> RuleResult:
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient of two equal-length series."""
+    """Sample Pearson correlation coefficient of two equal-length series.
+
+    The sums of centred products are exact rationals and the coefficient is
+    rounded once, through a correctly rounded float and square root, so the
+    result has the same bits on every Python version (statistics.correlation's
+    rounding changed between releases).
+    """
     if len(xs) != len(ys):
         raise InvalidArgs(f"series lengths differ: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise DegenerateSeries("correlation needs at least two points")
-    try:
-        return statistics.correlation(list(xs), list(ys))
-    except statistics.StatisticsError as exc:
-        raise DegenerateSeries(str(exc)) from None
+    if not all(map(math.isfinite, [*xs, *ys])):
+        raise InvalidArgs("series values must be finite")
+    dx = _centred(xs)
+    dy = _centred(ys)
+    sxy = sum(a * b for a, b in zip(dx, dy))
+    sxx = sum(a * a for a in dx)
+    syy = sum(b * b for b in dy)
+    if not sxx or not syy:
+        raise DegenerateSeries("at least one of the inputs is constant")
+    r = math.sqrt(float(sxy * sxy / (sxx * syy)))
+    return -r if sxy < 0 else r
 
+
+def _centred(values: Sequence[float]) -> list[Fraction]:
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    return [v - mean for v in exact]

@@ -1,7 +1,8 @@
 """Syntax facade over subject Python source.
 
-Structural facts (call sites, with-statements, definitions) come from the
-stdlib ast parser, which is the full grammar of the subject language.  The
+Structural facts (call sites, with-statements) come from the stdlib ast
+parser, which is the full grammar of the subject language; definition names
+come from the code objects that compiling the text yields.  The
 identifier stream comes from a lexical scanner that skips string literals
 and comments, so it works on unparseable text too; f-string interiors count
 as string content.  Identifiers are Unicode (a letter or underscore, then
@@ -14,8 +15,9 @@ import ast
 import keyword
 import re
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from types import CodeType
 from typing import TypeVar
 
 from .core_model import IDENTIFIER_RE
@@ -78,12 +80,21 @@ def _compiled(build: Callable[[], _T]) -> _T | None:
         return None
 
 
+def _compile(code: str) -> CodeType | None:
+    # Compiled from the text, so no syntax tree is built.  optimize=0 keeps
+    # the subject's "if __debug__:" blocks under "python -O", whose level
+    # compile() would otherwise inherit.
+    return _compiled(
+        lambda: compile(code, "<subject>", "exec", dont_inherit=True, optimize=0)
+    )
+
+
 def _parse_module(code: str) -> ast.Module | None:
     # ast.parse alone accepts contextually invalid statements (e.g. a
     # module-level return); compiling the tree applies the remaining checks.
     def parse() -> ast.Module:
         tree = ast.parse(code)
-        compile(tree, "<subject>", "exec", dont_inherit=True)
+        compile(tree, "<subject>", "exec", dont_inherit=True, optimize=0)
         return tree
 
     return _compiled(parse)
@@ -91,8 +102,7 @@ def _parse_module(code: str) -> ast.Module | None:
 
 def check_syntax(code: str) -> bool:
     """True iff the text compiles as a complete module under the full grammar."""
-    # compiled from the text, so no syntax tree is built
-    return _compiled(lambda: compile(code, "<subject>", "exec", dont_inherit=True)) is not None
+    return _compile(code) is not None
 
 
 @dataclass(frozen=True)
@@ -124,21 +134,62 @@ def _callee_name(func: ast.expr) -> str | None:
     return None
 
 
+# co_flags bits that every function body has and a class body lacks
+# (inspect.CO_OPTIMIZED, inspect.CO_NEWLOCALS); inspect itself is not
+# imported, since every command would pay for its import.
+_FUNCTION_FLAGS = 0x1 | 0x2
+
+# 3.12+ compiles a generic "def f[T]" or "class C[T]" inside a scope of this
+# name; its child "f" is the definition, while its other children are the
+# lazily evaluated bounds of the type parameters, named "T", "U", ...
+_GENERIC_SCOPE = "<generic parameters of "
+
+
+def _definitions(body: CodeType) -> Iterator[CodeType]:
+    """Code objects of the named definitions compiled into one body."""
+    for const in body.co_consts:
+        if not isinstance(const, CodeType):
+            continue
+        name = const.co_name
+        if name.startswith(_GENERIC_SCOPE):
+            inner = name[len(_GENERIC_SCOPE):-1]
+            yield from (
+                child
+                for child in const.co_consts
+                if isinstance(child, CodeType) and child.co_name == inner
+            )
+        elif not name.startswith("<"):  # not <lambda>, <genexpr>, <listcomp>, ...
+            yield const
+
+
 def definition_names(code: str) -> frozenset[str] | None:
-    """Module-level function and class names plus methods one level down as
-    Class.method; None when the text does not parse and compile."""
-    tree = _parse_module(code)
-    if tree is None:
+    """Local names of the definitions in a module's text; None when the
+    text does not compile.
+
+    Counted are the functions and classes defined in the module body and
+    the functions defined in each such class body, as "Class.method",
+    including those under if/elif/else, try/except/else/finally, with, for,
+    while and match blocks, since each compiles into its enclosing body.
+    Nested classes, lambdas and comprehensions are not counted.  On 3.12+ a
+    generic "def f[T]" counts as "f" (not "T"), "type X = ..." counts as
+    the definition "X", and a definition that the compiler drops as
+    unreachable (under "if False:") is not counted.  The text is compiled
+    once and no syntax tree is built.
+    """
+    module = _compile(code)
+    if module is None:
         return None
     names: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.ClassDef):
-            names.add(node.name)
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    names.add(f"{node.name}.{item.name}")
+    for definition in _definitions(module):
+        names.add(definition.co_name)
+        if definition.co_flags & _FUNCTION_FLAGS:
+            continue
+        # a class body: its functions are its methods
+        names.update(
+            f"{definition.co_name}.{member.co_name}"
+            for member in _definitions(definition)
+            if member.co_flags & _FUNCTION_FLAGS
+        )
     return frozenset(names)
 
 

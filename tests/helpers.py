@@ -3,8 +3,11 @@ corpus generators."""
 
 from __future__ import annotations
 
+import ast
 import json
 import random
+import sys
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -21,6 +24,55 @@ def brute_force_subset_max(scores, k: int) -> float:
     """Mean of max(scores over subset) across all C(n, k) index subsets."""
     subsets = list(combinations(range(len(scores)), k))
     return sum(max(scores[i] for i in subset) for subset in subsets) / len(subsets)
+
+
+# Function-like definitions: a 3.12+ "type X = ..." compiles like "def X()".
+_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef) + (
+    (ast.TypeAlias,) if sys.version_info >= (3, 12) else ()
+)
+
+
+def _statements(body):
+    """Every statement of body and of the if/try/with/for/while/match blocks
+    in it, but none inside a def or class."""
+    stack = list(body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            # handlers and cases hold the except and case bodies
+            for field in ("body", "orelse", "finalbody", "handlers", "cases"):
+                stack.extend(getattr(node, field, ()))
+
+
+def _node_name(node) -> str:
+    return node.name.id if isinstance(node.name, ast.Name) else node.name  # TypeAlias: a Name
+
+
+def reference_definition_names(code: str):
+    """definition_names by a syntax-tree walk: parse, compile the tree, and
+    collect defs and classes from the module body and defs from class bodies,
+    descending into compound statements.  Unlike the compiler it keeps dead
+    "if False:" branches."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tree = ast.parse(code)
+            compile(tree, "<subject>", "exec", dont_inherit=True, optimize=0)
+    except (SyntaxError, ValueError, RecursionError, MemoryError):
+        return None
+    names = set()
+    for node in _statements(tree.body):
+        if isinstance(node, ast.ClassDef):
+            names.add(node.name)
+            names.update(
+                f"{node.name}.{_node_name(item)}"
+                for item in _statements(node.body)
+                if isinstance(item, _FUNCTION_NODES)
+            )
+        elif isinstance(node, _FUNCTION_NODES):
+            names.add(_node_name(node))
+    return frozenset(names)
 
 
 _SUFFIXES = ("", "", "", "rc1", "a1", "b2", "dev0", "post1")

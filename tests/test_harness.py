@@ -41,6 +41,7 @@ from vceval.harness import (
     encode_instance,
     load_aggregates,
     write_score_vectors,
+    write_text,
 )
 from vceval.metrics import (
     block_line_average,
@@ -565,6 +566,25 @@ class TestEmitReport:
         assert str(info.value) == (
             f"cannot write report {out}: [Errno 2] No such file or directory: '{out}'"
         )
+
+    @pytest.mark.parametrize("error", [ValueError("bad row"), OSError(28, "No space left")])
+    def test_failing_chunks_keep_the_previous_file(self, tmp_path, error):
+        out = tmp_path / "r.json"
+        out.write_text("previous\n")
+
+        def chunks():
+            yield "partial"
+            raise error
+
+        expected = IoFailure if isinstance(error, OSError) else ValueError
+        with pytest.raises(expected):
+            write_text(out, chunks())
+        assert out.read_text() == "previous\n"
+        assert sorted(tmp_path.iterdir()) == [out]
+
+    def test_chunks_are_concatenated(self, tmp_path):
+        out = write_text(tmp_path / "r.txt", iter(["a", "", "bc\n", "é"]))
+        assert out.read_bytes() == "abc\né".encode()
 
     def test_write_score_vectors(self, tmp_path):
         items = items_from_corpus(tmp_path, 2)

@@ -226,6 +226,16 @@ class TestCollectSurfaces:
             assert (surface.parsed_files, surface.skipped_files) == (1, 1)
 
 
+    def test_deep_expression_file_is_parsed(self, tmp_path):
+        # Python compiles this file; building its syntax tree hits the
+        # recursion limit before 3.12, so it must not need one
+        deep = "def h(): ...\nx = " + "-" * 1000 + "1\n"
+        for version in ("1.0", "2.0"):
+            self._make_version(tmp_path, version, {"a.py": "def f(): ...\n", "deep.py": deep})
+        for surface in collect_surfaces(tmp_path):
+            assert surface.apis == frozenset({"pkg.a.f", "pkg.deep.h"})
+            assert (surface.parsed_files, surface.skipped_files) == (2, 0)
+
 def write_versions(root, versions: dict[str, dict[str, bytes]]):
     """Lay out <root>/<version>/<relative path> files with the given bytes."""
     for version, files in versions.items():

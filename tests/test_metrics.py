@@ -337,6 +337,26 @@ class TestPearson:
             assert pearson(scaled, ys) == pytest.approx(pearson(xs, ys), abs=1e-9)
             assert pearson(xs, [a * x + b for x in xs]) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            (1, -0.059061799180099045),
+            (5, -0.26382004901589945),
+            (7, -0.03436966083525293),
+            (8, 0.1944316023271894),
+            (10, 0.25977565431315947),
+            (11, 0.01427722044024729),
+        ],
+    )
+    def test_same_bits_on_every_python(self, seed, expected):
+        # statistics.correlation gives each of these a different last digit
+        # on 3.11, 3.12 or 3.13
+        rng = random.Random(seed)
+        size = rng.randint(5, 40)
+        xs = [rng.random() for _ in range(size)]
+        ys = [rng.random() for _ in range(size)]
+        assert pearson(xs, ys) == expected
+
     def test_degenerate_series(self):
         with pytest.raises(DegenerateSeries):
             pearson([1.0], [2.0])
@@ -344,4 +364,6 @@ class TestPearson:
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(InvalidArgs):
             pearson([1.0, 2.0], [1.0])
+        with pytest.raises(InvalidArgs):
+            pearson([1.0, float("nan")], [1.0, 2.0])
 

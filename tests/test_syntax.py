@@ -1,5 +1,9 @@
+import os
+import subprocess
 import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,9 @@ from vceval import (
     identifier_tokens,
 )
 from vceval.errors import InvalidArgs
+from vceval.syntax import definition_names
+
+from helpers import reference_definition_names
 
 
 class TestCheckSyntax:
@@ -182,6 +189,122 @@ class TestExtractFacts:
             facts = extract_facts(code)
             for site in facts.call_sites:
                 assert site.keyword_names <= set(identifier_tokens(code))
+
+
+# Each compound statement whose blocks compile into the enclosing body; BODY
+# marks the block that holds the definition.
+_COMPOUND = {
+    "if": "if x:\n    BODY\n",
+    "elif": "if x:\n    pass\nelif y:\n    BODY\n",
+    "else": "if x:\n    pass\nelse:\n    BODY\n",
+    "try": "try:\n    BODY\nexcept E:\n    pass\n",
+    "except": "try:\n    pass\nexcept E:\n    BODY\n",
+    "try-else": "try:\n    pass\nexcept E:\n    pass\nelse:\n    BODY\n",
+    "finally": "try:\n    pass\nfinally:\n    BODY\n",
+    "with": "with m:\n    BODY\n",
+    "for": "for i in r:\n    BODY\n",
+    "for-else": "for i in r:\n    pass\nelse:\n    BODY\n",
+    "while": "while x:\n    BODY\n",
+    "while-else": "while x:\n    pass\nelse:\n    BODY\n",
+    "match": "match x:\n    case 1:\n        BODY\n",
+}
+_TRY_STAR = "try:\n    pass\nexcept* E:\n    BODY\n"
+_COMPOUND_CASES = [
+    *_COMPOUND.values(),
+    pytest.param(_TRY_STAR, marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="3.11+")),
+]
+_COMPOUND_IDS = [*_COMPOUND, "try-star"]
+
+
+def _fill(template: str, block: str) -> str:
+    """template with BODY replaced by block, indented to BODY's column."""
+    head, tail = template.split("BODY")
+    indent = head[head.rindex("\n") + 1:]
+    return head + textwrap.indent(block, indent)[len(indent):].rstrip("\n") + tail
+
+
+class TestDefinitionNames:
+    @pytest.mark.parametrize("template", _COMPOUND_CASES, ids=_COMPOUND_IDS)
+    def test_module_level_definitions_under_compound_statements(self, template):
+        function = _fill(template, "def f(): ...\n")
+        cls = _fill(template, "class K:\n    def m(self): ...\n")
+        assert definition_names(function) == reference_definition_names(function) == {"f"}
+        assert definition_names(cls) == reference_definition_names(cls) == {"K", "K.m"}
+
+    @pytest.mark.parametrize("template", _COMPOUND_CASES, ids=_COMPOUND_IDS)
+    def test_methods_under_compound_statements_in_a_class(self, template):
+        # a nested class under the block is still not counted
+        block = "def f(self): ...\nclass N:\n    def g(self): ...\n"
+        code = "class C:\n" + textwrap.indent(_fill(template, block), "    ")
+        assert definition_names(code) == reference_definition_names(code) == {"C", "C.f"}
+
+    def test_nested_classes_lambdas_and_comprehensions_not_counted(self):
+        code = (
+            "class C:\n"
+            "    class N:\n"
+            "        def m(self): ...\n"
+            "    key = lambda self: 0\n"
+            "    squares = [i * i for i in range(3)]\n"
+            "    async def fetch(self): ...\n"
+            "def outer():\n"
+            "    def inner(): ...\n"
+            "    return inner\n"
+            "handler = lambda: 0\n"
+            "pairs = {i: j for i, j in items}\n"
+            "seen = {i for i in items}\n"
+            "lazy = (i for i in items)\n"
+        )
+        assert definition_names(code) == reference_definition_names(code) == {
+            "C", "C.fetch", "outer",
+        }
+
+    def test_invalid_text_has_no_names(self):
+        assert definition_names("def f(:\n") is None
+        assert definition_names("return 1\n") is None
+        assert definition_names("") == frozenset()
+
+    @pytest.mark.skipif(sys.version_info < (3, 12), reason="PEP 695 syntax is 3.12+")
+    def test_generic_definitions_and_type_aliases(self):
+        code = (
+            "def f[T: int](x: T) -> T: ...\n"
+            "class C[U]:\n"
+            "    def m[V](self, v: V) -> U: ...\n"
+            "    type A = list[U]\n"
+            "type A = int\n"
+        )
+        expected = {"f", "C", "C.m", "A", "C.A"}
+        assert definition_names(code) == reference_definition_names(code) == expected
+
+    def test_dead_branch_counts_only_before_3_12(self):
+        # from 3.12 the compiler emits no code for a constant-false branch
+        code = "if False:\n    def dead(): ...\ndef live(): ...\n"
+        if sys.version_info >= (3, 12):
+            assert definition_names(code) == {"live"}
+        else:
+            assert definition_names(code) == {"live", "dead"}
+
+    def test_debug_block_counts_under_python_O(self):
+        # python -O would drop the block if compile() inherited its level
+        src = str(Path(definition_names.__code__.co_filename).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        script = "import sys; from vceval.syntax import definition_names as d; print(sorted(d(sys.stdin.read())))"
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            input="if __debug__:\n    def f(): ...\n",
+            capture_output=True, text=True, env=env, check=True, timeout=60,
+        )
+        assert result.stdout == "['f']\n"
+
+    def test_agrees_with_a_syntax_tree_walk_on_this_repository(self):
+        root = Path(__file__).resolve().parents[1]
+        paths = sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")])
+        assert len(paths) > 10
+        for path in paths:
+            code = path.read_text(encoding="utf-8")
+            names = definition_names(code)
+            assert names is not None, path
+            assert names == reference_definition_names(code), path
 
 
 class TestIdentifierStream:
