@@ -7,11 +7,13 @@ Every operation is a pure function of its arguments.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import DegenerateSeries, InvalidArgs, InvalidReference, KExceedsN
 from .syntax import contains_core_token, extract_facts, identifier_tokens
@@ -52,7 +54,8 @@ def score_at_k(per_sample: Sequence[float], k: int) -> float:
         raise InvalidArgs("scores must lie in [0, 1]")
     ordered = sorted(per_sample)
     try:
-        weighted = math.fsum(s * math.comb(i, k - 1) for i, s in enumerate(ordered))
+        # the products and the sum run in C; fsum rounds once
+        weighted = math.fsum(map(operator.mul, ordered, map(math.comb, range(n), repeat(k - 1))))
         return weighted / math.comb(n, k)
     except OverflowError:
         # A binomial past the float range (first at n=1050, k=n/2): the same

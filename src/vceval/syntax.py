@@ -7,11 +7,16 @@ identifier stream comes from a lexical scanner that skips string literals
 and comments, so it works on unparseable text too; f-string interiors count
 as string content.  Identifiers are Unicode (a letter or underscore, then
 word characters) and hard keywords are dropped from the stream.
+
+Facts and identifier streams are memoized by text, in bounded per-process
+caches, because scoring asks about the same text many times: the instance
+reference once per sample, and each sample once per metric.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import keyword
 import re
 import warnings
@@ -53,9 +58,21 @@ def identifier_spans(code: str) -> list[tuple[str, int, int]]:
     return spans
 
 
+# Scoring revisits a text only within one instance (its reference, the
+# reference lines, a sample across metrics), so the memos hold a few
+# instances' worth of texts.
+_FACTS_CACHE_SIZE = 64
+_NAMES_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_NAMES_CACHE_SIZE)
+def _identifier_names(code: str) -> tuple[str, ...]:
+    return tuple(name for name, _, _ in identifier_spans(code))
+
+
 def identifier_tokens(code: str) -> list[str]:
     """Identifier tokens in source order; strings and comments contribute none."""
-    return [name for name, _, _ in identifier_spans(code)]
+    return list(_identifier_names(code))
 
 
 def _compiled(build: Callable[[], _T]) -> _T | None:
@@ -193,6 +210,7 @@ def definition_names(code: str) -> frozenset[str] | None:
     return frozenset(names)
 
 
+@functools.lru_cache(maxsize=_FACTS_CACHE_SIZE)
 def extract_facts(code: str) -> CodeFacts:
     """Structural facts when the text parses; is_valid False and no facts otherwise."""
     tree = _parse_module(code)

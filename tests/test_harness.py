@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import vceval.harness
+import vceval.syntax
 
 from vceval import (
     EvaluationItem,
@@ -50,6 +51,7 @@ from vceval.metrics import (
     em_token,
     ism_line,
     pm_line,
+    significant_lines,
 )
 
 from helpers import build_fixture_corpus, write_jsonl
@@ -470,6 +472,52 @@ class TestScoreDistinctTexts:
         assert len(calls) == 3
         assert vector.per_sample[:4] == (1.0, 0.0, 0.0, 0.0)
         assert vector.correct_count == 25
+
+    def test_each_distinct_text_is_parsed_and_lexed_once(self, monkeypatch):
+        # cdc parses the reference for every sample and rule 1, block em and
+        # ism lex the same texts and reference lines again; the syntax memos
+        # leave one parse and one lex per distinct string
+        instance = _KINDS[2]
+        reference = instance.reference
+        samples = (
+            reference,
+            "df = pd.DataFrame(data)\nresult = df.explode('B')",
+            "df = pd.DataFrame(data)\nresult = df.explode('B')",
+            "    out = df.explode('A')\n    total = 1",
+            "result = df.explode('A'",
+            "  \n",
+        )
+        vceval.syntax.extract_facts.cache_clear()
+        vceval.syntax._identifier_names.cache_clear()
+        parsed, lexed = [], []
+
+        def counting(calls, original):
+            def wrapper(code):
+                calls.append(code)
+                return original(code)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            vceval.syntax, "_parse_module", counting(parsed, vceval.syntax._parse_module)
+        )
+        monkeypatch.setattr(
+            vceval.syntax, "identifier_spans", counting(lexed, vceval.syntax.identifier_spans)
+        )
+        item = EvaluationItem(instance, SampleSet(instance.id, samples), (None,) * 6)
+        run_scoring([item], ["em", "ism", "pm", "cdc"], [1])
+
+        texts = {normalize_generation(raw, instance.granularity) for raw in samples[:5]}
+        expected_parsed = {textwrap.dedent(text) for text in texts} | {textwrap.dedent(reference)}
+        expected_lexed = set()
+        ref_lines = significant_lines(reference)
+        for text in texts:
+            gen_lines = significant_lines(text)
+            expected_lexed |= {text, textwrap.dedent(text), *ref_lines[: len(gen_lines)]}
+            expected_lexed.update(gen_lines[: len(ref_lines)])
+        assert len(expected_parsed) == 4
+        assert sorted(parsed) == sorted(expected_parsed)
+        assert sorted(lexed) == sorted(expected_lexed)
 
     def test_pass_follows_each_sample_verdict(self):
         instance = _KINDS[1]

@@ -334,6 +334,38 @@ class TestIdentifierStream:
         assert identifier_tokens("x1 = _y2") == ["x1", "_y2"]
 
 
+class TestTextMemo:
+    """extract_facts and the identifier stream are memoized by text; a
+    repeated call must look the same to its caller as a fresh one."""
+
+    def test_each_call_returns_a_fresh_token_list(self):
+        code = "df.explode(column)"
+        first = identifier_tokens(code)
+        first.append("injected")
+        first[0] = "changed"
+        assert identifier_tokens(code) == ["df", "explode", "column"]
+
+    def test_repeated_facts_are_equal(self):
+        code = "with lock:\n    json.dump(obj, f, indent=2)\n"
+        first = extract_facts(code)
+        assert extract_facts(code) == first
+        assert first.has_with and first.call_sites[0].keyword_names == {"indent"}
+
+    @pytest.mark.parametrize("code", ['s = "\\d"\n', "if x is 1:\n    pass\n"])
+    def test_warning_text_judged_the_same_on_a_hit(self, code):
+        # compiling either text warns; the first call fills the memo, the
+        # second is a hit, and neither may depend on the warning filter
+        extract_facts.cache_clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            first = extract_facts(code)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert extract_facts(code) == first
+        assert first.is_valid is True
+        assert caught == []
+
+
 class TestContainsCoreToken:
     @pytest.mark.parametrize(
         "code, token, expected",
