@@ -6,10 +6,13 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
+from itertools import repeat
 
 from .errors import MaskSentinelMismatch, NoNumericComponent, SchemaViolation
 
@@ -188,6 +191,14 @@ class SampleSet:
         return len(self.samples)
 
 
+def in_unit_interval(values: Sequence[float]) -> bool:
+    """True iff every value lies in [0, 1]; a NaN does not.  The comparisons
+    run in C."""
+    return all(map(operator.le, repeat(0.0), values)) and all(
+        map(operator.ge, repeat(1.0), values)
+    )
+
+
 @dataclass(frozen=True)
 class ScoreVector:
     """Per-sample outcomes of one metric on one instance."""
@@ -197,7 +208,7 @@ class ScoreVector:
     per_sample: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(not 0.0 <= s <= 1.0 for s in self.per_sample):
+        if not in_unit_interval(self.per_sample):
             raise SchemaViolation(["per_sample: scores must lie in [0, 1]"])
 
     @property

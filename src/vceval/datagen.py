@@ -246,20 +246,22 @@ def filter_tree(root: str | Path) -> list[tuple[str, FilterVerdict]]:
     """Judge every .py file under root; paths are root-relative POSIX strings.
 
     Files that cannot be decoded are rejected with the decode_error reason.
-    A leading UTF-8 byte-order mark is not part of the judged text.
+    A leading UTF-8 byte-order mark is not part of the judged text.  Files
+    are judged on every usable core (see _fanout.fan_out).
     """
     base = Path(root)
     if not base.is_dir():
         raise IoFailure(f"not a readable directory: {base}")
-    results = []
-    for path in sorted(base.rglob("*.py")):
-        if not path.is_file():
-            continue
-        rel = path.relative_to(base).as_posix()
-        try:
-            content = path.read_text(encoding="utf-8-sig")
-        except (OSError, UnicodeDecodeError):
-            results.append((rel, FilterVerdict((FILTER_DECODE_ERROR,))))
-            continue
-        results.append((rel, filter_corpus_file(content)))
-    return results
+    from ._fanout import fan_out  # see its module docstring
+
+    paths = [path for path in sorted(base.rglob("*.py")) if path.is_file()]
+    verdicts = fan_out(_filter_path, paths)
+    return [(path.relative_to(base).as_posix(), verdict) for path, verdict in zip(paths, verdicts)]
+
+
+def _filter_path(path: Path) -> FilterVerdict:
+    try:
+        content = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError):
+        return FilterVerdict((FILTER_DECODE_ERROR,))
+    return filter_corpus_file(content)

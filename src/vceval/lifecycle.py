@@ -62,20 +62,24 @@ def scan_api_definitions(
     names (None for a skipped file), and a file whose bytes are already in
     it is not parsed again.  Scans of several versions that share one memo
     parse each distinct file content once; without one, the memo lasts for
-    this call.
+    this call.  The contents not in memo are parsed on every usable core
+    (see _fanout.fan_out).
     """
     # hashlib.blake2b is _blake2.blake2b on CPython 3.10-3.13, but importing
     # it through hashlib also loads OpenSSL's _hashlib: ~3 ms and ~4 MB of
     # resident memory.  Imported here, so that no other command loads it.
     from _blake2 import blake2b
 
+    from ._fanout import fan_out  # see its module docstring
+
     root = Path(tree_root)
     if not root.is_dir():
         raise IoFailure(f"not a readable directory: {root}")
     if memo is None:
         memo = {}
-    names: set[str] = set()
-    parsed = skipped = 0
+    files: list[tuple[Path, bytes]] = []
+    unseen: dict[bytes, bytes] = {}  # digest -> bytes of a content not in memo
+    skipped = 0
     for path in sorted(root.rglob("*.py")):
         if not path.is_file():
             continue
@@ -86,7 +90,13 @@ def scan_api_definitions(
             continue
         key = blake2b(data).digest()
         if key not in memo:
-            memo[key] = _file_definitions(data)
+            unseen[key] = data
+        files.append((path, key))
+    memo.update(zip(unseen, fan_out(_file_definitions, list(unseen.values()))))
+
+    names: set[str] = set()
+    parsed = 0
+    for path, key in files:
         local = memo[key]
         if local is None:
             skipped += 1

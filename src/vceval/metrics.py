@@ -6,6 +6,7 @@ Every operation is a pure function of its arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -15,6 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import repeat
 
+from .core_model import in_unit_interval
 from .errors import DegenerateSeries, InvalidArgs, InvalidReference, KExceedsN
 from .syntax import contains_core_token, extract_facts, identifier_tokens
 
@@ -50,18 +52,27 @@ def score_at_k(per_sample: Sequence[float], k: int) -> float:
         raise KExceedsN(f"k={k} exceeds sample count n={n}")
     if n < 1 or k < 1:
         raise InvalidArgs(f"need 1 <= k <= n, got n={n} k={k}")
-    if any(not 0.0 <= s <= 1.0 for s in per_sample):
+    if not in_unit_interval(per_sample):
         raise InvalidArgs("scores must lie in [0, 1]")
     ordered = sorted(per_sample)
     try:
         # the products and the sum run in C; fsum rounds once
-        weighted = math.fsum(map(operator.mul, ordered, map(math.comb, range(n), repeat(k - 1))))
+        weighted = math.fsum(map(operator.mul, ordered, _rank_weights(n, k)))
         return weighted / math.comb(n, k)
     except OverflowError:
         # A binomial past the float range (first at n=1050, k=n/2): the same
         # sum in exact arithmetic, rounded once.
         exact = sum(Fraction(s) * math.comb(i, k - 1) for i, s in enumerate(ordered))
         return float(exact / math.comb(n, k))
+
+
+@functools.lru_cache(maxsize=32)
+def _rank_weights(n: int, k: int) -> tuple[float, ...]:
+    """C(i, k-1) for i in 0..n-1 as floats, which score_at_k multiplies by
+    the scores; float * int rounds the int just as float() does, so the
+    products are unchanged.  Raises OverflowError when one is past the float
+    range, and lru_cache keeps no exception."""
+    return tuple(map(float, map(math.comb, range(n), repeat(k - 1))))
 
 
 _LANG_TAG_RE = re.compile(r"[A-Za-z0-9_+-]*")

@@ -82,7 +82,8 @@ def _compiled(build: Callable[[], _T]) -> _T | None:
     DeprecationWarning for invalid escapes) are silenced so that a "-W
     error" filter cannot turn them into failures and none reach stderr.
     catch_warnings swaps the process-wide filter list, which is safe only
-    because nothing parses on another thread.  Both callers compile with
+    because nothing parses on another thread: filter and lifecycle compile
+    in forked worker processes (_fanout), each with its own filter list.  Both callers compile with
     dont_inherit=True, so that this module's own __future__ imports do not
     change what the subject code may contain.
     """

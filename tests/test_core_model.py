@@ -268,3 +268,8 @@ class TestRecordInvariants:
     def test_score_vector_rejects_out_of_range(self):
         with pytest.raises(SchemaViolation):
             ScoreVector("x", MetricName.EM, (1.5,))
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("-inf")])
+    def test_score_vector_rejects_negative_and_nan(self, bad):
+        with pytest.raises(SchemaViolation):
+            ScoreVector("x", MetricName.EM, (0.0, bad, 1.0))

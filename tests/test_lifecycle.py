@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -282,23 +284,30 @@ class TestParseOncePerContent:
     def test_parses_each_distinct_content_once(self, tmp_path, monkeypatch):
         shared, changed = b"def s(): ...\n", b"def c(): ...\n"
         write_versions(
-            tmp_path,
+            tmp_path / "versions",
             {
                 "1.0": {"pkg/s.py": shared, "pkg/c.py": changed, "pkg/bad.py": b"def (:\n"},
                 "2.0": {"pkg/s.py": shared, "pkg/c.py": changed + b"def d(): ...\n"},
                 "3.0": {"pkg/s.py": shared, "pkg/t.py": shared, "pkg/bad.py": b"def (:\n"},
             },
         )
-        calls = []
+        # Files may be compiled in forked workers, so each call appends one
+        # line to a file that every process writes to.
+        log = tmp_path / "calls.log"
         original = vceval.lifecycle.definition_names
 
         def counting(code):
-            calls.append(code)
+            with open(log, "a", encoding="utf-8") as out:
+                out.write(repr(code) + "\n")
             return original(code)
 
         monkeypatch.setattr(vceval.lifecycle, "definition_names", counting)
-        surfaces = collect_surfaces(tmp_path)
-        assert len(calls) == 4  # shared, changed, bad and changed + d
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        surfaces = collect_surfaces(tmp_path / "versions")
+        calls = log.read_text(encoding="utf-8").splitlines()
+        assert sorted(calls) == sorted(
+            repr(code.decode()) for code in (shared, changed, b"def (:\n", changed + b"def d(): ...\n")
+        )
         assert [s.apis for s in surfaces] == [
             frozenset({"pkg.s.s", "pkg.c.c"}),
             frozenset({"pkg.s.s", "pkg.c.c", "pkg.c.d"}),

@@ -1,5 +1,8 @@
 import itertools
+import math
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +119,34 @@ class TestScoreAtK:
             score_at_k([1.2], 1)
         with pytest.raises(InvalidArgs):
             score_at_k([], 1)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(InvalidArgs):
+                score_at_k([0.5, bad], 1)
+
+    @staticmethod
+    def unmemoized(per_sample, k):
+        # the sum with one integer binomial per sample, as computed before
+        # the rank weights were memoized
+        n = len(per_sample)
+        ordered = sorted(per_sample)
+        try:
+            weighted = math.fsum(
+                map(operator.mul, ordered, map(math.comb, range(n), itertools.repeat(k - 1)))
+            )
+            return weighted / math.comb(n, k)
+        except OverflowError:
+            exact = sum(Fraction(s) * math.comb(i, k - 1) for i, s in enumerate(ordered))
+            return float(exact / math.comb(n, k))
+
+    def test_memoized_weights_keep_every_bit(self):
+        rng = random.Random(11)
+        for n in (1, 2, 7, 100, 333, 1049, 1050, 1200):
+            for k in sorted({1, 3, 10, n // 2, n} & set(range(1, n + 1))):
+                for draw in (rng.random, lambda: rng.choice((0.0, 0.25, 1.0))):
+                    scores = [draw() for _ in range(n)]
+                    # twice: the second call reads the cached weights
+                    for _ in range(2):
+                        assert score_at_k(scores, k).hex() == self.unmemoized(scores, k).hex()
 
 
 class TestEmToken:
