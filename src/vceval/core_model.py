@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 import re
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -175,22 +175,6 @@ class TaskInstance:
     release_date: date | None = None
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """The ordered generated-code samples for one instance."""
-
-    instance_id: str
-    samples: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.samples) < 1:
-            raise SchemaViolation(["samples: need at least one generated sample"])
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
-
-
 def in_unit_interval(values: Sequence[float]) -> bool:
     """True iff every value lies in [0, 1]; a NaN does not.  The comparisons
     run in C."""
@@ -201,11 +185,12 @@ def in_unit_interval(values: Sequence[float]) -> bool:
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """Per-sample outcomes of one metric on one instance."""
+    """Per-sample outcomes of one metric on one instance, and their @k values."""
 
     instance_id: str
     metric: MetricName
     per_sample: tuple[float, ...]
+    at_k: Mapping[int, float]
 
     def __post_init__(self) -> None:
         if not in_unit_interval(self.per_sample):

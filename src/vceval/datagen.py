@@ -28,7 +28,7 @@ from .errors import (
     SentinelCollision,
     SpanUnresolvable,
 )
-from .syntax import check_syntax, identifier_spans
+from .syntax import check_syntax, contains_core_token, identifier_spans
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,9 @@ def mask_instance(meta: MetaInstance, spec: MaskSpec) -> TaskInstance:
 
     The masked code holds exactly one sentinel and the reference is the
     removed span verbatim, so substituting it back restores the original
-    byte-for-byte.
+    byte-for-byte.  The span must hold the core token as a whole identifier
+    (not in a string or comment), so that a sample equal to the reference
+    can score 1; SpanUnresolvable otherwise.
     """
     if not check_syntax(meta.code):
         raise InvalidArgs("meta.code must be syntactically valid before masking")
@@ -112,7 +114,13 @@ def mask_instance(meta: MetaInstance, spec: MaskSpec) -> TaskInstance:
         lifecycle_tag=meta.lifecycle_tag,
         release_date=meta.release_date,
     )
-    return validate_instance(instance)
+    validate_instance(instance)
+    if not contains_core_token(instance.reference, spec.core_token):
+        raise SpanUnresolvable(
+            f"instance {spec.instance_id!r}: span {instance.reference!r}"
+            f" does not hold the core token {spec.core_token!r}"
+        )
+    return instance
 
 
 class MigrationDirection(str, Enum):
@@ -154,7 +162,8 @@ def build_migration_pair(
     a migration instance: source code from m_i, reference answer from m_j.
 
     Provenance tags (data source, lifecycle tag, release date) come from the
-    target side m_j, whose code is the graded reference.
+    target side m_j, whose code is the graded reference; that code must hold
+    core_token as a whole identifier, or PairingViolation is raised.
     """
     problems = []
     if m_i.library != m_j.library:
@@ -182,7 +191,12 @@ def build_migration_pair(
         lifecycle_tag=m_j.lifecycle_tag,
         release_date=m_j.release_date,
     )
-    return validate_instance(instance), category
+    validate_instance(instance)
+    if not contains_core_token(m_j.code, core_token):
+        raise PairingViolation(
+            [f"instance {instance_id!r}: target code does not hold the core token {core_token!r}"]
+        )
+    return instance, category
 
 
 FILTER_AVG_LINE_LENGTH = "avg_line_length"

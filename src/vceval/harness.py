@@ -30,7 +30,6 @@ from .core_model import (
     LifecycleTag,
     MetaInstance,
     MetricName,
-    SampleSet,
     ScoreVector,
     TaskInstance,
     TaskKind,
@@ -74,25 +73,13 @@ _METRIC_ORDER = (MetricName.EM, MetricName.ISM, MetricName.PM, MetricName.CDC, M
 
 @dataclass(frozen=True)
 class ExecReport:
-    """Externally produced execution verdict for one generated sample."""
+    """Externally produced execution verdict for one generated sample;
+    decode_exec_report validates it."""
 
     instance_id: str
     sample_index: int
     passed: bool
     case_results: Mapping[str, bool] | None = None
-
-    def __post_init__(self) -> None:
-        problems = []
-        if self.sample_index < 0:
-            problems.append("sample_index: must be >= 0")
-        if self.case_results is not None:
-            unknown = set(self.case_results) - set(EXEC_CASE_CATEGORIES)
-            if unknown:
-                problems.append(f"case_results: unknown categories {sorted(unknown)}")
-            if self.case_results and self.passed != all(self.case_results.values()):
-                problems.append("passed: must equal the conjunction of case_results")
-        if problems:
-            raise SchemaViolation(problems)
 
 
 @dataclass(frozen=True)
@@ -111,19 +98,16 @@ class EvaluationItem:
     """A validated instance joined with its samples and optional exec verdicts."""
 
     instance: TaskInstance
-    sample_set: SampleSet
+    samples: tuple[str, ...]
     exec_passed: tuple[bool | None, ...]
 
 
 @dataclass(frozen=True)
 class ScoringResult:
-    """Per-instance score vectors, @k values keyed by (id, metric, k), and
-    group aggregates."""
+    """Per-instance score vectors, with their @k values, and group aggregates."""
 
     score_vectors: tuple[ScoreVector, ...]
-    at_k: Mapping[tuple[str, MetricName, int], float]
     aggregates: tuple[AggregateRow, ...]
-    ks: tuple[int, ...]
 
 
 def _read_text(path: Path) -> str:
@@ -377,6 +361,7 @@ def decode_mask_record(
 
 
 def decode_exec_report(obj: dict, where: str = "exec") -> ExecReport:
+    """Decode one exec report; every problem with it is raised at once."""
     problems: list[str] = []
     unknown = set(obj) - {field.name for field in fields(ExecReport)}
     if unknown:
@@ -385,6 +370,8 @@ def decode_exec_report(obj: dict, where: str = "exec") -> ExecReport:
     index = obj.get("sample_index")
     if not _is_int(index):
         problems.append("sample_index: expected an integer")
+    elif index < 0:
+        problems.append("sample_index: must be >= 0")
     passed = obj.get("passed")
     if not isinstance(passed, bool):
         problems.append("passed: expected a boolean")
@@ -393,12 +380,15 @@ def decode_exec_report(obj: dict, where: str = "exec") -> ExecReport:
         not isinstance(cases, dict) or not all(isinstance(v, bool) for v in cases.values())
     ):
         problems.append("case_results: expected a map of category -> boolean")
+    elif cases:
+        unknown = set(cases) - set(EXEC_CASE_CATEGORIES)
+        if unknown:
+            problems.append(f"case_results: unknown categories {sorted(unknown)}")
+        if isinstance(passed, bool) and passed != all(cases.values()):
+            problems.append("passed: must equal the conjunction of case_results")
     if problems:
         raise SchemaViolation([f"{where}: {p}" for p in problems])
-    try:
-        return ExecReport(iid, index, passed, cases)
-    except SchemaViolation as exc:
-        raise _prefixed(exc, where) from None
+    return ExecReport(iid, index, passed, cases)
 
 
 def ingest(
@@ -421,7 +411,7 @@ def ingest(
         instances[inst.id] = inst
         order.append(inst.id)
 
-    sample_sets: dict[str, SampleSet] = {}
+    sample_sets: dict[str, tuple[str, ...]] = {}
     orphan_samples: list[str] = []
     for lineno, obj in read_jsonl(samples_path):
         where = f"{samples_path}:{lineno}"
@@ -436,10 +426,9 @@ def ingest(
         if iid not in instances:
             orphan_samples.append(iid)
             continue
-        try:
-            sample_sets[iid] = SampleSet(iid, tuple(samples))
-        except SchemaViolation as exc:
-            raise _prefixed(exc, where) from None
+        if not samples:
+            raise SchemaViolation([f"{where}: samples: need at least one generated sample"])
+        sample_sets[iid] = tuple(samples)
     if orphan_samples:
         raise JoinFailure(
             f"sample sets reference unknown instance ids: {orphan_samples}", orphan_samples
@@ -448,7 +437,7 @@ def ingest(
     if missing_samples:
         raise JoinFailure(f"instances lack sample sets: {missing_samples}", missing_samples)
 
-    verdicts: dict[str, list[bool | None]] = {iid: [None] * sample_sets[iid].n for iid in order}
+    verdicts: dict[str, list[bool | None]] = {iid: [None] * len(sample_sets[iid]) for iid in order}
     if exec_reports_path is not None:
         seen: set[tuple[str, int]] = set()
         orphan_reports: list[str] = []
@@ -458,7 +447,7 @@ def ingest(
             if report.instance_id not in instances:
                 orphan_reports.append(report.instance_id)
                 continue
-            n = sample_sets[report.instance_id].n
+            n = len(sample_sets[report.instance_id])
             if report.sample_index >= n:
                 raise SchemaViolation(
                     [f"{where}: sample_index {report.sample_index} out of range for n={n}"]
@@ -556,7 +545,7 @@ def _score_text(metric: MetricName, instance: TaskInstance, text: str) -> float:
 
 def _score_item(
     item: EvaluationItem, metrics: Sequence[MetricName], ks: Sequence[int]
-) -> dict[MetricName, tuple[ScoreVector, dict[int, float]]]:
+) -> dict[MetricName, ScoreVector]:
     """Score one instance.  Samples repeat heavily at large n, so each
     distinct raw text is normalized once and each distinct normalized text
     is scored once per static metric; pass stays per sample index because
@@ -564,7 +553,7 @@ def _score_item(
     nothing (None) scores 0."""
     instance = item.instance
     normalized: dict[str, str | None] = {}
-    for raw in item.sample_set.samples:
+    for raw in item.samples:
         if raw in normalized:
             continue
         try:
@@ -572,10 +561,10 @@ def _score_item(
         except EmptyAfterNormalization:
             log.warning("instance %s: a sample normalized to nothing, scoring it 0", instance.id)
             normalized[raw] = None
-    texts = [normalized[raw] for raw in item.sample_set.samples]
+    texts = [normalized[raw] for raw in item.samples]
     distinct = [text for text in dict.fromkeys(texts) if text is not None]
 
-    n = item.sample_set.n
+    n = len(item.samples)
     result = {}
     for metric in metrics:
         if metric is MetricName.PASS:
@@ -584,14 +573,12 @@ def _score_item(
             scores = {text: _score_text(metric, instance, text) for text in distinct}
             scores[None] = 0.0
             per_sample = tuple(scores[text] for text in texts)
-        vector = ScoreVector(instance.id, metric, per_sample)
-        at_k: dict[int, float] = {}
-        for k in ks:
-            if metric in (MetricName.EM, MetricName.CDC, MetricName.PASS):
-                at_k[k] = estimate_at_k(n, vector.correct_count, k)
-            else:
-                at_k[k] = score_at_k(per_sample, k)
-        result[metric] = (vector, at_k)
+        if metric in (MetricName.EM, MetricName.CDC, MetricName.PASS):
+            correct = per_sample.count(1.0)
+            at_k = {k: estimate_at_k(n, correct, k) for k in ks}
+        else:
+            at_k = {k: score_at_k(per_sample, k) for k in ks}
+        result[metric] = ScoreVector(instance.id, metric, per_sample, at_k)
     return result
 
 
@@ -637,9 +624,9 @@ def run_scoring(
 
     for item in items:
         for k in ks:
-            if k > item.sample_set.n:
+            if k > len(item.samples):
                 raise KExceedsN(
-                    f"k={k} exceeds n={item.sample_set.n} for instance {item.instance.id!r}"
+                    f"k={k} exceeds n={len(item.samples)} for instance {item.instance.id!r}"
                 )
     if MetricName.PASS in metric_sel:
         missing = [
@@ -656,34 +643,27 @@ def run_scoring(
 
     scored = [_score_item(item, metric_sel, ks) for item in items]
 
-    vectors: list[ScoreVector] = []
-    at_k: dict[tuple[str, MetricName, int], float] = {}
     groups: dict[str, list[int]] = {}
     for idx, item in enumerate(items):
         groups.setdefault(_group_key(item.instance, group_by), []).append(idx)
-        for metric in metric_sel:
-            vector, ks_map = scored[idx][metric]
-            vectors.append(vector)
-            for k, value in ks_map.items():
-                at_k[(item.instance.id, metric, k)] = value
 
     rows: list[AggregateRow] = []
     for key in sorted(groups):
         indexes = groups[key]
         for metric in metric_sel:
             for k in ks:
-                mean = math.fsum(scored[i][metric][1][k] for i in indexes) / len(indexes)
+                mean = math.fsum(scored[i][metric].at_k[k] for i in indexes) / len(indexes)
                 rows.append(AggregateRow(key, metric.value, k, mean, len(indexes)))
 
     if MetricName.PASS in metric_sel and len(items) >= 2:
         pass_series = {
-            k: [scored[i][MetricName.PASS][1][k] for i in range(len(items))] for k in ks
+            k: [scored[i][MetricName.PASS].at_k[k] for i in range(len(items))] for k in ks
         }
         for metric in metric_sel:
             if metric is MetricName.PASS:
                 continue
             for k in ks:
-                series = [scored[i][metric][1][k] for i in range(len(items))]
+                series = [scored[i][metric].at_k[k] for i in range(len(items))]
                 try:
                     coefficient = pearson(series, pass_series[k])
                 except DegenerateSeries as exc:
@@ -698,7 +678,8 @@ def run_scoring(
                 )
 
     rows.sort(key=lambda row: (row.group_key, row.metric, row.k))
-    return ScoringResult(tuple(vectors), at_k, tuple(rows), ks)
+    vectors = tuple(vector for per_item in scored for vector in per_item.values())
+    return ScoringResult(vectors, tuple(rows))
 
 
 def emit_report(aggregates: Sequence[AggregateRow], fmt: str, out_path: str | Path) -> Path:
@@ -765,19 +746,15 @@ def load_aggregates(path: str | Path) -> list[AggregateRow]:
 
 def write_score_vectors(result: ScoringResult, out_path: str | Path) -> Path:
     """Dump per-instance score vectors (with their @k values) as JSONL."""
-    rows = []
-    for vector in result.score_vectors:
-        rows.append(
-            {
-                "instance_id": vector.instance_id,
-                "metric": vector.metric.value,
-                "n": len(vector.per_sample),
-                "correct_count": vector.correct_count,
-                "per_sample": list(vector.per_sample),
-                "at_k": {
-                    str(k): result.at_k[(vector.instance_id, vector.metric, k)]
-                    for k in result.ks
-                },
-            }
-        )
+    rows = (
+        {
+            "instance_id": vector.instance_id,
+            "metric": vector.metric.value,
+            "n": len(vector.per_sample),
+            "correct_count": vector.correct_count,
+            "per_sample": list(vector.per_sample),
+            "at_k": {str(k): value for k, value in vector.at_k.items()},
+        }
+        for vector in result.score_vectors
+    )
     return write_jsonl(out_path, rows)

@@ -255,6 +255,37 @@ class TestMaskCommand:
                      "--out", str(tmp_path / "out.jsonl")])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "code, span",
+        [
+            # the core token sits on the next line, outside the span
+            ("x = 1\nout = df.explode('A')\n", "x = 1"),
+            ("out = df.explode('A')\n\nprint(out)\n", ""),
+            ("# explode the frame\nout = df.explode('A')\n", "# explode the frame"),
+        ],
+        ids=["token-outside", "blank", "comment-only"],
+    )
+    def test_line_span_without_the_core_token_exits_1(self, tmp_path, capsys, code, span):
+        line_index = code.split("\n").index(span)
+        spec_rows = [
+            {
+                "instance_id": "m1",
+                "core_token": "explode",
+                "library": "pandas",
+                "version": "1.3.5",
+                "description": "demo",
+                "code": code,
+                "data_source": "library_source",
+                "line_index": line_index,
+            }
+        ]
+        spec = write_jsonl(tmp_path / "spec.jsonl", spec_rows)
+        out = tmp_path / "out.jsonl"
+        assert main(["mask", "--granularity", "line", "--spec", str(spec),
+                     "--out", str(out)]) == 1
+        assert f"span {span!r} does not hold the core token 'explode'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPairCommand:
     def test_pairs_same_functionality_rows(self, tmp_path):
@@ -297,6 +328,35 @@ class TestPairCommand:
         assert forward["target_version"] == "2.0.0"
         assert forward["core_token"] == "new_call"
         assert forward["reference"] == "new_call()"
+
+    def test_target_without_the_core_token_exits_1(self, tmp_path, capsys):
+        meta_rows = [
+            {
+                "id": "m1",
+                "core_token": "old_call",
+                "library": "torch",
+                "version": "1.3.2",
+                "description": "shared",
+                "code": "old_call()",
+                "data_source": "library_source",
+            },
+            {
+                "id": "m2",
+                "core_token": "nothere",
+                "library": "torch",
+                "version": "2.0.0",
+                "description": "shared",
+                "code": "new_call()",
+                "data_source": "library_source",
+            },
+        ]
+        meta = write_jsonl(tmp_path / "meta.jsonl", meta_rows)
+        out = tmp_path / "pairs.jsonl"
+        assert main(["pair", "--meta", str(meta), "--out", str(out)]) == 1
+        assert "instance 'm1::m2': target code does not hold the core token 'nothere'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_duplicate_meta_id_exits_1(self, tmp_path):
         row = {

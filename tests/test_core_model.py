@@ -11,7 +11,6 @@ from vceval import (
     LifecycleTag,
     MetaInstance,
     Ordering,
-    SampleSet,
     ScoreVector,
     TaskInstance,
     TaskKind,
@@ -257,19 +256,15 @@ class TestRecordInvariants:
                 data_source=DataSource.STACK_OVERFLOW,
             )
 
-    def test_sample_set_needs_samples(self):
-        with pytest.raises(SchemaViolation):
-            SampleSet("x", ())
-
     def test_score_vector_counts_exact_ones(self):
-        vector = ScoreVector("x", MetricName.ISM, (1.0, 0.5, 1.0, 0.0))
+        vector = ScoreVector("x", MetricName.ISM, (1.0, 0.5, 1.0, 0.0), {})
         assert vector.correct_count == 2
 
     def test_score_vector_rejects_out_of_range(self):
         with pytest.raises(SchemaViolation):
-            ScoreVector("x", MetricName.EM, (1.5,))
+            ScoreVector("x", MetricName.EM, (1.5,), {})
 
     @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("-inf")])
     def test_score_vector_rejects_negative_and_nan(self, bad):
         with pytest.raises(SchemaViolation):
-            ScoreVector("x", MetricName.EM, (0.0, bad, 1.0))
+            ScoreVector("x", MetricName.EM, (0.0, bad, 1.0), {})

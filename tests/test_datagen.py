@@ -1,4 +1,5 @@
 import random
+import textwrap
 from datetime import date
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from vceval import (
     DataSource,
+    EvaluationItem,
     FilterVerdict,
     Granularity,
     LifecycleTag,
@@ -17,10 +19,13 @@ from vceval import (
     TaskKind,
     build_migration_pair,
     categorize_migration,
+    contains_core_token,
     filter_corpus_file,
     filter_tree,
     mask_instance,
+    identifier_tokens,
     parse_version,
+    run_scoring,
     validate_instance,
 )
 from vceval.datagen import (
@@ -36,6 +41,8 @@ from vceval.errors import (
     SentinelCollision,
     SpanUnresolvable,
 )
+
+from helpers import make_reference_snippet
 
 
 def meta(code: str, version: str = "1.3.5", description: str = "demo") -> MetaInstance:
@@ -202,6 +209,81 @@ class TestBuildMigrationPair:
         instance, _ = build_migration_pair(m_i, m_j, "m1", "b")
         assert instance.data_source is DataSource.STACK_OVERFLOW
         assert instance.release_date == date(2023, 5, 1)
+
+
+# headers that nest a snippet one level deep; None leaves it at module level
+_NESTINGS = (None, "def wrapped():", "for item in items:", "with context() as handle:")
+
+
+def nested_snippet(seed: int, header: str | None) -> tuple[str, str]:
+    code, token = make_reference_snippet(random.Random(seed))
+    if header is not None:
+        code = header + "\n" + textwrap.indent(code, "    ")
+    return code, token
+
+
+def reference_scores(instance) -> dict[str, float]:
+    """Aggregate em, ism and pm of the one sample equal to the reference."""
+    item = EvaluationItem(instance, (instance.reference,), (None,))
+    result = run_scoring([item], ["em", "ism", "pm"], [1])
+    return {row.metric: row.value for row in result.aggregates}
+
+
+class TestBuiltInstancesScore:
+    """Every instance the builders accept is scorable: a sample equal to its
+    reference scores 1 on the static metrics.  cdc is not asserted, because
+    a reference-equal sample of an indented span still fails it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        header=st.sampled_from(_NESTINGS),
+        granularity=st.sampled_from(Granularity),
+        data=st.data(),
+    )
+    def test_accepted_mask_scores_one(self, seed, header, granularity, data):
+        code, token = nested_snippet(seed, header)
+        lines = code.split("\n")
+        if granularity is Granularity.TOKEN:
+            occurrences = identifier_tokens(code).count(token)
+            spec = MaskSpec(
+                granularity, "i", token, occurrence=data.draw(st.integers(0, occurrences - 1))
+            )
+            span = token
+        else:
+            first = data.draw(st.integers(0, len(lines) - 1))
+            if granularity is Granularity.LINE:
+                last = first
+                spec = MaskSpec(granularity, "i", token, line_index=first)
+            else:
+                last = data.draw(st.integers(first, len(lines) - 1))
+                spec = MaskSpec(granularity, "i", token, line_span=(first, last))
+            span = "\n".join(lines[first : last + 1])
+        try:
+            instance = mask_instance(meta(code), spec)
+        except SpanUnresolvable:
+            assert not contains_core_token(span, token)
+            return
+        assert instance.reference == span
+        assert reference_scores(instance) == {"em": 1.0, "ism": 1.0, "pm": 1.0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+        headers=st.tuples(st.sampled_from(_NESTINGS), st.sampled_from(_NESTINGS)),
+        token_side=st.integers(0, 1),
+    )
+    def test_accepted_pair_scores_one(self, seeds, headers, token_side):
+        (source, source_token), (target, target_token) = map(nested_snippet, seeds, headers)
+        core_token = (source_token, target_token)[token_side]
+        m_i = meta(source, version="1.3.2", description="shared")
+        m_j = meta(target, version="2.0.0", description="shared")
+        try:
+            instance, _ = build_migration_pair(m_i, m_j, "p", core_token)
+        except PairingViolation:
+            assert not contains_core_token(target, core_token)
+            return
+        assert reference_scores(instance) == {"em": 1.0, "ism": 1.0, "pm": 1.0}
 
 
 class TestCategorizeMigration:

@@ -18,7 +18,6 @@ from vceval import (
     ExecReport,
     Granularity,
     MetricName,
-    SampleSet,
     TaskInstance,
     ingest,
     normalize_generation,
@@ -178,7 +177,7 @@ class TestIngest:
         inst_path, samp_path = self.write_corpus(tmp_path, 3)
         items = ingest(inst_path, samp_path)
         assert len(items) == 3
-        assert all(item.sample_set.n == 6 for item in items)
+        assert all(len(item.samples) == 6 for item in items)
 
     def test_unknown_sample_instance_id(self, tmp_path):
         inst_path, _ = self.write_corpus(tmp_path, 2)
@@ -207,6 +206,17 @@ class TestIngest:
         samp_path = write_jsonl(tmp_path / "samples.jsonl", samples)
         with pytest.raises(SchemaViolation):
             ingest(inst_path, samp_path)
+
+    def test_empty_sample_list_rejected(self, tmp_path):
+        inst_path, _ = self.write_corpus(tmp_path, 1)
+        samp_path = write_jsonl(
+            tmp_path / "samples.jsonl", [{"instance_id": "inst-000", "samples": []}]
+        )
+        with pytest.raises(SchemaViolation) as excinfo:
+            ingest(inst_path, samp_path)
+        assert excinfo.value.violations == [
+            f"{samp_path}:1: samples: need at least one generated sample"
+        ]
 
     def test_exec_reports_joined(self, tmp_path):
         inst_path, samp_path = self.write_corpus(tmp_path, 1)
@@ -253,7 +263,7 @@ class TestIngest:
             encoding="utf-8",
         )
         items = ingest(inst, samp)
-        assert items[1].sample_set.samples[0] == "result = df.explode('\u2028')\u0085"
+        assert items[1].samples[0] == "result = df.explode('\u2028')\u0085"
 
     def test_crlf_file_loads(self, tmp_path):
         instances, samples = build_fixture_corpus(3)
@@ -271,20 +281,6 @@ class TestIngest:
             ingest(broken, samp_path)
 
 
-class TestExecReport:
-    def test_passed_must_match_case_results(self):
-        with pytest.raises(SchemaViolation):
-            ExecReport("x", 0, True, {"return_type": True, "functionality": False})
-
-    def test_consistent_case_results_accepted(self):
-        report = ExecReport("x", 0, False, {"return_type": True, "functionality": False})
-        assert report.passed is False
-
-    def test_unknown_category_rejected(self):
-        with pytest.raises(SchemaViolation):
-            ExecReport("x", 0, True, {"made_up": True})
-
-
 def items_from_corpus(tmp_path, count, exec_rows=None):
     instances, samples = build_fixture_corpus(count)
     inst_path = write_jsonl(tmp_path / "instances.jsonl", instances)
@@ -300,14 +296,15 @@ class TestRunScoring:
         # instance 3 of the fixture corpus has 3 correct samples out of 6
         items = items_from_corpus(tmp_path, 4)
         result = run_scoring(items[3:], ["cdc"], [1])
-        assert result.at_k[("inst-003", MetricName.CDC, 1)] == pytest.approx(0.5)
+        (vector,) = result.score_vectors
+        assert vector.at_k == {1: pytest.approx(0.5)}
 
     def test_perfect_em_aggregates_to_one(self, tmp_path):
         items = items_from_corpus(tmp_path, 8)
         perfect = [
             EvaluationItem(
                 item.instance,
-                SampleSet(item.instance.id, (_correct_sample(item.instance),) * 3),
+                (_correct_sample(item.instance),) * 3,
                 (None,) * 3,
             )
             for item in items
@@ -324,7 +321,7 @@ class TestRunScoring:
         items = [
             EvaluationItem(
                 dataclasses.replace(instance, id=f"i{i}"),
-                SampleSet(f"i{i}", samples),
+                samples,
                 (None,) * 10,
             )
             for i in range(10)
@@ -392,7 +389,7 @@ class TestRunScoring:
         first = run_scoring(items, ["em", "cdc"], [1, 3], group_by="data_source")
         second = run_scoring(items, ["em", "cdc"], [1, 3], group_by="data_source")
         assert first.aggregates == second.aggregates
-        assert first.at_k == second.at_k
+        assert first.score_vectors == second.score_vectors
 
 
 def _correct_sample(instance: TaskInstance) -> str:
@@ -450,7 +447,7 @@ class TestScoreDistinctTexts:
         instance = _KINDS[kind]
         pool = _sample_pool(instance)
         samples = tuple(pool[i] for i in picks)
-        item = EvaluationItem(instance, SampleSet(instance.id, samples), (None,) * len(samples))
+        item = EvaluationItem(instance, samples, (None,) * len(samples))
         result = run_scoring([item], ["em", "ism", "pm", "cdc"], [1])
         for vector in result.score_vectors:
             expected = tuple(_independent_score(vector.metric, instance, raw) for raw in samples)
@@ -467,7 +464,7 @@ class TestScoreDistinctTexts:
         monkeypatch.setattr(vceval.harness, "cdc_check", counting_cdc)
         texts = (instance.reference, "result = unrelated(x)", "x = 1", "   ")
         samples = tuple(texts[i % 4] for i in range(100))
-        item = EvaluationItem(instance, SampleSet(instance.id, samples), (None,) * 100)
+        item = EvaluationItem(instance, samples, (None,) * 100)
         (vector,) = run_scoring([item], ["cdc"], [1]).score_vectors
         assert len(calls) == 3
         assert vector.per_sample[:4] == (1.0, 0.0, 0.0, 0.0)
@@ -504,7 +501,7 @@ class TestScoreDistinctTexts:
         monkeypatch.setattr(
             vceval.syntax, "identifier_spans", counting(lexed, vceval.syntax.identifier_spans)
         )
-        item = EvaluationItem(instance, SampleSet(instance.id, samples), (None,) * 6)
+        item = EvaluationItem(instance, samples, (None,) * 6)
         run_scoring([item], ["em", "ism", "pm", "cdc"], [1])
 
         texts = {normalize_generation(raw, instance.granularity) for raw in samples[:5]}
@@ -522,7 +519,7 @@ class TestScoreDistinctTexts:
     def test_pass_follows_each_sample_verdict(self):
         instance = _KINDS[1]
         samples = (instance.reference, instance.reference)
-        item = EvaluationItem(instance, SampleSet(instance.id, samples), (True, False))
+        item = EvaluationItem(instance, samples, (True, False))
         result = run_scoring([item], ["em", "pass"], [1])
         per_sample = {vector.metric: vector.per_sample for vector in result.score_vectors}
         assert per_sample[MetricName.EM] == (1.0, 1.0)
@@ -531,7 +528,7 @@ class TestScoreDistinctTexts:
     def test_warnings_once_per_distinct_text(self, caplog):
         instance = _KINDS[0]
         samples = ("The answer is to_numpy", "   ", "to_numpy") * 30
-        item = EvaluationItem(instance, SampleSet(instance.id, samples), (None,) * len(samples))
+        item = EvaluationItem(instance, samples, (None,) * len(samples))
         with caplog.at_level(logging.WARNING, logger="vceval.harness"):
             run_scoring([item], ["em"], [1])
         assert sum("token normalization" in m for m in caplog.messages) == 1

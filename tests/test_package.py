@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "MigrationPattern",
     "Ordering",
     "RuleResult",
-    "SampleSet",
     "ScoreVector",
     "ScoringResult",
     "TaskInstance",

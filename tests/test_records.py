@@ -2,9 +2,10 @@
 
 Each case starts from a valid record of one kind and changes one field: it
 drops the field, sets it to None, to a value of the wrong JSON type, or to
-a value of the right type that the schema refuses.  The expected outcome is
-the error type and the sorted violation messages, or None for a record that
-decodes.  The table was recorded from the hand-written per-field decoders
+a value of the right type that the schema refuses.  A kind may also have a
+record with several problems, which one error must name together.  The
+expected outcome is the error type and the sorted violation messages, or
+None for a record that decodes.  The table was recorded from the hand-written per-field decoders
 that preceded the codec table in harness, so it holds both to one behaviour;
 the three empty mask rows were widened since, when decode_mask_record began
 to report a record's problems all at once instead of instance_id first.
@@ -148,6 +149,16 @@ BAD_VALUE = {
     "case_results": {"speed": True},
 }
 
+# a record with several problems, per kind that reports them all at once
+SEVERAL = {
+    "exec": {
+        "instance_id": 5,
+        "sample_index": -1,
+        "passed": True,
+        "case_results": {"made_up": True},
+    },
+}
+
 
 def record_for(kind, field, variant):
     obj = dict(KINDS[kind][1])
@@ -163,6 +174,8 @@ def record_for(kind, field, variant):
         obj["extra"] = 1
     elif variant == "empty":
         obj = {}
+    elif variant == "several":
+        obj = dict(SEVERAL[kind])
     return obj
 
 
@@ -805,6 +818,14 @@ EXPECTED = {
             "exec: sample_index: expected an integer",
         ],
     ),
+    ("exec", "-", "several"): (
+        "SchemaViolation",
+        [
+            "exec: case_results: unknown categories ['made_up']",
+            "exec: instance_id: expected a string",
+            "exec: sample_index: must be >= 0",
+        ],
+    ),
 }
 
 
@@ -815,6 +836,8 @@ def cases():
                 yield kind, field, variant
         yield kind, "-", "unknown"
         yield kind, "-", "empty"
+        if kind in SEVERAL:
+            yield kind, "-", "several"
 
 
 @pytest.mark.parametrize("kind, field, variant", list(cases()))
