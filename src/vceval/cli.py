@@ -115,8 +115,14 @@ def mask(granularity, spec_path, out_path) -> None:
     gran = Granularity(granularity)
     rows = []
     for lineno, obj in harness.read_jsonl(spec_path):
-        meta, spec = decode_mask_record(obj, gran, where=f"{spec_path}:{lineno}")
-        rows.append(harness.encode_instance(mask_instance(meta, spec)))
+        where = f"{spec_path}:{lineno}"
+        meta, spec = decode_mask_record(obj, gran, where)
+        try:
+            instance = mask_instance(meta, spec)
+        except EvalError as exc:  # a bad spec record, whatever mask_instance calls it
+            violations = getattr(exc, "violations", [str(exc)])
+            raise SchemaViolation([f"{where}: {v}" for v in violations]) from None
+        rows.append(harness.encode_instance(instance))
     harness.write_jsonl(out_path, rows)
     click.echo(f"masked {len(rows)} instance(s) -> {out_path}", err=True)
 
@@ -202,10 +208,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvalidArgs as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_USAGE
-    except IoFailure as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_IO
-    except OSError as exc:
+    except (IoFailure, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_IO
     except EvalError as exc:

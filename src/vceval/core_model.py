@@ -1,4 +1,4 @@
-"""Domain records, version algebra, and task-instance validation.
+"""Domain records that validate on construction, and version algebra.
 
 All types are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -129,9 +129,79 @@ def classify_version_pattern(v: VersionId) -> VersionPattern:
     return VersionPattern.MINOR
 
 
+def _broken_rules(known: Mapping[str, object]) -> tuple[type[SchemaViolation], list[str]]:
+    """The error type and messages of the meta and task instance rules that
+    the field values in known break.  A rule is judged only when known holds
+    every field it reads; an optional field that is None there is absent."""
+    problems: list[str] = []
+    sentinel_problems: list[str] = []
+    given = {name for name, value in known.items() if value is not None}
+    unset = known.keys() - given
+
+    if "id" in known and not known["id"]:
+        problems.append("id: must be non-empty")
+    if "library" in known and (not known["library"] or any(map(str.isspace, known["library"]))):
+        problems.append("library: must be non-empty and contain no whitespace")
+    if "core_token" in known and not IDENTIFIER_RE.fullmatch(known["core_token"] or ""):
+        problems.append("core_token: must be a single identifier")
+    if "code" in known and not known["code"]:
+        problems.append("code: must be non-empty")
+
+    task = known.get("task")
+    if task is TaskKind.VSCC:
+        if "masked_code" in unset:
+            problems.append("masked_code: required for vscc instances")
+        if "source_code" in given:
+            problems.append("source_code: only migration instances carry source code")
+        if "target_version" in given:
+            problems.append("target_version: only migration instances carry a target version")
+        if "masked_code" in given and "granularity" in known:
+            sentinel = MASK_SENTINELS[known["granularity"]]
+            count = known["masked_code"].count(sentinel)
+            if count != 1:
+                sentinel_problems.append(
+                    f"masked_code: expected exactly one {sentinel!r}, found {count}"
+                )
+            elif "reference" in known:
+                restored = known["masked_code"].replace(sentinel, known["reference"], 1)
+                leftover = [s for s in MASK_SENTINELS.values() if s in restored]
+                if leftover:
+                    sentinel_problems.append(
+                        f"masked_code: sentinels {leftover} remain after substituting the reference"
+                    )
+    elif "task" in known:
+        if "source_code" in unset:
+            problems.append("source_code: required for vacm instances")
+        if "masked_code" in given:
+            problems.append("masked_code: only completion instances carry masked code")
+        if "target_version" in unset:
+            problems.append("target_version: required for vacm instances")
+        elif {"source_version", "target_version"} <= given and compare_versions(
+            known["source_version"], known["target_version"]
+        ) is Ordering.EQUAL:
+            problems.append("target_version: must differ from source_version")
+        if "granularity" in known and known["granularity"] is not Granularity.BLOCK:
+            problems.append("granularity: vacm instances are block-level")
+
+    if sentinel_problems:
+        return MaskSentinelMismatch, problems + sentinel_problems
+    return SchemaViolation, problems
+
+
+class _SelfChecked:
+    """A record whose construction raises the error that _broken_rules gives."""
+
+    def __post_init__(self) -> None:
+        error, problems = _broken_rules(vars(self))
+        if problems:
+            raise error(problems)
+
+
 @dataclass(frozen=True)
-class MetaInstance:
-    """One harvested (library, version, description, code) record with provenance tags."""
+class MetaInstance(_SelfChecked):
+    """One harvested (library, version, description, code) record with
+    provenance tags; construction raises SchemaViolation listing every
+    broken rule."""
 
     library: str
     version: VersionId
@@ -141,22 +211,14 @@ class MetaInstance:
     lifecycle_tag: LifecycleTag | None = None
     release_date: date | None = None
 
-    def __post_init__(self) -> None:
-        problems = []
-        if not self.library or any(ch.isspace() for ch in self.library):
-            problems.append("library: must be non-empty and contain no whitespace")
-        if not self.code:
-            problems.append("code: must be non-empty")
-        if problems:
-            raise SchemaViolation(problems)
-
 
 @dataclass(frozen=True)
-class TaskInstance:
+class TaskInstance(_SelfChecked):
     """One evaluation item, either a masked completion or a migration pair.
 
-    Construction does not validate; validate_instance is the gate every
-    decoded or generated record goes through.
+    Construction raises MaskSentinelMismatch when mask sentinel rules are
+    broken and SchemaViolation when other rules are; either way the error
+    lists every broken rule.
     """
 
     id: str
@@ -200,59 +262,3 @@ class ScoreVector:
     def correct_count(self) -> int:
         """The number of samples that scored exactly 1."""
         return self.per_sample.count(1.0)
-
-
-def validate_instance(record: TaskInstance) -> TaskInstance:
-    """Check every schema invariant; return the record unchanged or raise.
-
-    Raises MaskSentinelMismatch when mask sentinel rules are broken and
-    SchemaViolation otherwise; either way the error lists every violated rule.
-    """
-    problems: list[str] = []
-    sentinel_problems: list[str] = []
-
-    if not record.id:
-        problems.append("id: must be non-empty")
-    if not record.library or any(ch.isspace() for ch in record.library):
-        problems.append("library: must be non-empty and contain no whitespace")
-    if not IDENTIFIER_RE.fullmatch(record.core_token or ""):
-        problems.append("core_token: must be a single identifier")
-
-    if record.task is TaskKind.VSCC:
-        if record.masked_code is None:
-            problems.append("masked_code: required for vscc instances")
-        if record.source_code is not None:
-            problems.append("source_code: only migration instances carry source code")
-        if record.target_version is not None:
-            problems.append("target_version: only migration instances carry a target version")
-        if record.masked_code is not None:
-            sentinel = MASK_SENTINELS[record.granularity]
-            count = record.masked_code.count(sentinel)
-            if count != 1:
-                sentinel_problems.append(
-                    f"masked_code: expected exactly one {sentinel!r}, found {count}"
-                )
-            else:
-                restored = record.masked_code.replace(sentinel, record.reference, 1)
-                leftover = [s for s in MASK_SENTINELS.values() if s in restored]
-                if leftover:
-                    sentinel_problems.append(
-                        f"masked_code: sentinels {leftover} remain after substituting the reference"
-                    )
-    else:
-        if record.source_code is None:
-            problems.append("source_code: required for vacm instances")
-        if record.masked_code is not None:
-            problems.append("masked_code: only completion instances carry masked code")
-        if record.target_version is None:
-            problems.append("target_version: required for vacm instances")
-        elif compare_versions(record.source_version, record.target_version) is Ordering.EQUAL:
-            problems.append("target_version: must differ from source_version")
-        if record.granularity is not Granularity.BLOCK:
-            problems.append("granularity: vacm instances are block-level")
-
-    if sentinel_problems:
-        raise MaskSentinelMismatch(problems + sentinel_problems)
-    if problems:
-        raise SchemaViolation(problems)
-    return record

@@ -19,7 +19,6 @@ from .core_model import (
     VersionId,
     classify_version_pattern,
     compare_versions,
-    validate_instance,
 )
 from .errors import (
     InvalidArgs,
@@ -114,7 +113,6 @@ def mask_instance(meta: MetaInstance, spec: MaskSpec) -> TaskInstance:
         lifecycle_tag=meta.lifecycle_tag,
         release_date=meta.release_date,
     )
-    validate_instance(instance)
     if not contains_core_token(instance.reference, spec.core_token):
         raise SpanUnresolvable(
             f"instance {spec.instance_id!r}: span {instance.reference!r}"
@@ -191,7 +189,6 @@ def build_migration_pair(
         lifecycle_tag=m_j.lifecycle_tag,
         release_date=m_j.release_date,
     )
-    validate_instance(instance)
     if not contains_core_token(m_j.code, core_token):
         raise PairingViolation(
             [f"instance {instance_id!r}: target code does not hold the core token {core_token!r}"]

@@ -34,9 +34,9 @@ from .core_model import (
     TaskInstance,
     TaskKind,
     VersionId,
+    _broken_rules,
     parse_version,
 )
-from .core_model import validate_instance as _validate_instance
 from .datagen import MaskSpec, categorize_migration
 from .errors import (
     DegenerateSeries,
@@ -192,10 +192,6 @@ def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> Path:
     return write_text(path, (json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
-def _prefixed(exc: SchemaViolation, where: str) -> SchemaViolation:
-    return type(exc)([f"{where}: {v}" for v in exc.violations])
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -276,24 +272,34 @@ def _decode_field(obj: dict, name: str, kind: type, required: bool, problems: li
 
 
 def _decode_record(obj: dict, record: tuple, problems: list[str]) -> dict:
-    """Every field of record decoded from obj (None where absent or
-    malformed); each unknown, missing or malformed field adds a problem."""
+    """The fields of record that decode from obj, an absent optional one as
+    None; each unknown, missing or malformed field adds a problem instead."""
     unknown = set(obj) - {name for name, _, _ in record}
     if unknown:
         problems.append(f"unknown fields: {sorted(unknown)}")
-    return {name: _decode_field(obj, name, kind, req, problems) for name, kind, req in record}
+    values = {}
+    for name, kind, required in record:
+        before = len(problems)
+        value = _decode_field(obj, name, kind, required, problems)
+        if len(problems) == before:
+            values[name] = value
+    return values
+
+
+def _check(values: dict, problems: list[str], where: str) -> None:
+    """Raise one error naming the decode problems and every record rule that
+    the decoded values break, if there is any."""
+    error, broken = _broken_rules(values)
+    if problems or broken:
+        raise error([f"{where}: {p}" for p in problems + broken])
 
 
 def decode_instance(obj: dict, where: str = "instance") -> TaskInstance:
-    """Decode and fully validate one instance record."""
+    """Decode one instance record; every problem with it is raised at once."""
     problems: list[str] = []
     values = _decode_record(obj, _INSTANCE_RECORD, problems)
-    if problems:
-        raise SchemaViolation([f"{where}: {p}" for p in problems])
-    try:
-        return _validate_instance(TaskInstance(**values))
-    except SchemaViolation as exc:
-        raise _prefixed(exc, where) from None
+    _check(values, problems, where)
+    return TaskInstance(**values)
 
 
 def encode_instance(instance: TaskInstance) -> dict:
@@ -309,22 +315,13 @@ def encode_instance(instance: TaskInstance) -> dict:
 def _decode_meta(
     obj: dict, record: tuple, where: str, problems: list[str]
 ) -> tuple[str, str, MetaInstance]:
-    """Decode obj as record, whose first field is the caller-supplied id.
-
-    Its problems join those already in problems, and all of them are raised
-    together as one SchemaViolation.
-    """
+    """Decode obj as record, whose first field is the caller-supplied id;
+    its problems join those in problems, all raised in one error."""
     values = _decode_record(obj, record, problems)
-    meta_id, core_token = values.pop(record[0][0]), values.pop("core_token")
-    if core_token is not None and not IDENTIFIER_RE.fullmatch(core_token):
-        problems.append("core_token: must be a single identifier")
-    if problems:
-        raise SchemaViolation([f"{where}: {p}" for p in problems])
-    try:
-        meta = MetaInstance(**values)
-    except SchemaViolation as exc:
-        raise _prefixed(exc, where) from None
-    return meta_id, core_token, meta
+    meta_id = values.pop(record[0][0], None)
+    _check(values, problems, where)
+    core_token = values.pop("core_token")
+    return meta_id, core_token, MetaInstance(**values)
 
 
 def decode_meta_record(obj: dict, where: str = "meta") -> tuple[str, str, MetaInstance]:
@@ -403,13 +400,11 @@ def ingest(
     instances and in-range sample indexes.
     """
     instances: dict[str, TaskInstance] = {}
-    order: list[str] = []
     for lineno, obj in read_jsonl(instances_path):
         inst = decode_instance(obj, where=f"{instances_path}:{lineno}")
         if inst.id in instances:
             raise SchemaViolation([f"{instances_path}:{lineno}: duplicate instance id {inst.id!r}"])
         instances[inst.id] = inst
-        order.append(inst.id)
 
     sample_sets: dict[str, tuple[str, ...]] = {}
     orphan_samples: list[str] = []
@@ -433,11 +428,11 @@ def ingest(
         raise JoinFailure(
             f"sample sets reference unknown instance ids: {orphan_samples}", orphan_samples
         )
-    missing_samples = [iid for iid in order if iid not in sample_sets]
+    missing_samples = [iid for iid in instances if iid not in sample_sets]
     if missing_samples:
         raise JoinFailure(f"instances lack sample sets: {missing_samples}", missing_samples)
 
-    verdicts: dict[str, list[bool | None]] = {iid: [None] * len(sample_sets[iid]) for iid in order}
+    verdicts: dict[str, list[bool | None]] = {iid: [None] * len(s) for iid, s in sample_sets.items()}
     if exec_reports_path is not None:
         seen: set[tuple[str, int]] = set()
         orphan_reports: list[str] = []
@@ -462,7 +457,7 @@ def ingest(
                 f"exec reports reference unknown instance ids: {orphan_reports}", orphan_reports
             )
 
-    return [EvaluationItem(instances[iid], sample_sets[iid], tuple(verdicts[iid])) for iid in order]
+    return [EvaluationItem(i, sample_sets[i.id], tuple(verdicts[i.id])) for i in instances.values()]
 
 
 def _shorten(text: str, limit: int = 60) -> str:
@@ -594,7 +589,7 @@ def _group_key(instance: TaskInstance, group_by: str | None) -> str:
         year = instance.release_date.year if instance.release_date else "unspecified"
         return f"year={year}"
     # pattern / direction apply to migration instances only
-    if instance.task is not TaskKind.VACM or instance.target_version is None:
+    if instance.task is not TaskKind.VACM:
         return f"{group_by}=unspecified"
     category = categorize_migration(instance.source_version, instance.target_version)
     value = category.pattern.value if group_by == "pattern" else category.direction.value

@@ -286,6 +286,35 @@ class TestMaskCommand:
         assert f"span {span!r} does not hold the core token 'explode'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"instance_id": ""}, "id: must be non-empty"),
+            ({"line_index": 7}, "line 7 outside 0..1"),
+            ({"code": "x = '[line-mask]'\n"},
+             "code already contains the literal sentinel '[line-mask]'"),
+            ({"code": "def (:\n"}, "meta.code must be syntactically valid before masking"),
+        ],
+        ids=["empty-id", "line-outside", "sentinel-in-code", "invalid-code"],
+    )
+    def test_masking_errors_name_the_spec_line(self, tmp_path, capsys, change, message):
+        good = {
+            "instance_id": "m0",
+            "core_token": "explode",
+            "library": "pandas",
+            "version": "1.3.5",
+            "description": "demo",
+            "code": "out = df.explode('A')\n",
+            "data_source": "library_source",
+            "line_index": 0,
+        }
+        spec = write_jsonl(tmp_path / "spec.jsonl", [good, {**good, **change}])
+        out = tmp_path / "out.jsonl"
+        assert main(["mask", "--granularity", "line", "--spec", str(spec),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {spec}:2: {message}\n"
+        assert not out.exists()
+
 
 class TestPairCommand:
     def test_pairs_same_functionality_rows(self, tmp_path):

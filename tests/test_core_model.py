@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from datetime import date
 
@@ -18,7 +19,6 @@ from vceval import (
     classify_version_pattern,
     compare_versions,
     parse_version,
-    validate_instance,
 )
 from vceval.core_model import MetricName
 from vceval.errors import MaskSentinelMismatch, NoNumericComponent, SchemaViolation
@@ -162,34 +162,34 @@ def make_vacm(**overrides) -> TaskInstance:
 
 
 class TestValidateInstance:
+    """Construction enforces every instance rule."""
+
     def test_accepts_token_instance_with_one_sentinel(self):
         instance = make_vscc()
-        assert validate_instance(instance) is instance
+        assert instance.masked_code.count("[token-mask]") == 1
 
     def test_idempotent_on_accepted_instances(self):
-        instance = validate_instance(make_vscc())
-        assert validate_instance(instance) is instance
+        instance = make_vscc()
+        assert dataclasses.replace(instance) == instance
 
     def test_two_sentinels_rejected(self):
         with pytest.raises(MaskSentinelMismatch):
-            validate_instance(make_vscc(masked_code="df.[token-mask]().[token-mask]"))
+            make_vscc(masked_code="df.[token-mask]().[token-mask]")
 
     def test_zero_sentinels_rejected(self):
         with pytest.raises(MaskSentinelMismatch):
-            validate_instance(make_vscc(masked_code="df.to_numpy()"))
+            make_vscc(masked_code="df.to_numpy()")
 
     def test_wrong_granularity_sentinel_rejected(self):
         with pytest.raises(MaskSentinelMismatch):
-            validate_instance(make_vscc(masked_code="df.[line-mask]()"))
+            make_vscc(masked_code="df.[line-mask]()")
 
     def test_foreign_sentinel_remaining_after_substitution_rejected(self):
         with pytest.raises(MaskSentinelMismatch):
-            validate_instance(
-                make_vscc(masked_code="df.[token-mask]()\n[block-mask]")
-            )
+            make_vscc(masked_code="df.[token-mask]()\n[block-mask]")
 
     def test_substituted_code_contains_no_sentinel(self):
-        instance = validate_instance(make_vscc())
+        instance = make_vscc()
         restored = instance.masked_code.replace("[token-mask]", instance.reference, 1)
         assert "[token-mask]" not in restored
         assert "[line-mask]" not in restored
@@ -197,42 +197,78 @@ class TestValidateInstance:
 
     def test_vacm_accepted(self):
         instance = make_vacm()
-        assert validate_instance(instance) is instance
+        assert instance.target_version == parse_version("2.0.0")
 
     def test_vacm_equal_versions_rejected(self):
         with pytest.raises(SchemaViolation) as excinfo:
-            validate_instance(make_vacm(target_version=parse_version("1.3.2")))
+            make_vacm(target_version=parse_version("1.3.2"))
         assert any("target_version" in v for v in excinfo.value.violations)
 
     def test_vacm_zero_padded_equal_versions_rejected(self):
         with pytest.raises(SchemaViolation):
-            validate_instance(
-                make_vacm(source_version=parse_version("2.0"), target_version=parse_version("2.0.0"))
-            )
+            make_vacm(source_version=parse_version("2.0"), target_version=parse_version("2.0.0"))
 
     def test_vacm_requires_block_granularity(self):
         with pytest.raises(SchemaViolation):
-            validate_instance(make_vacm(granularity=Granularity.LINE))
+            make_vacm(granularity=Granularity.LINE)
 
     def test_vacm_missing_target_rejected(self):
         with pytest.raises(SchemaViolation):
-            validate_instance(make_vacm(target_version=None))
+            make_vacm(target_version=None)
 
     def test_all_violations_listed(self):
         with pytest.raises(SchemaViolation) as excinfo:
-            validate_instance(
-                make_vscc(id="", library="bad name", core_token="not an identifier")
-            )
+            make_vscc(id="", library="bad name", core_token="not an identifier")
         joined = " ".join(excinfo.value.violations)
         assert "id" in joined and "library" in joined and "core_token" in joined
 
     def test_core_token_must_not_start_with_digit(self):
         with pytest.raises(SchemaViolation):
-            validate_instance(make_vscc(core_token="1abc"))
+            make_vscc(core_token="1abc")
 
     def test_unicode_core_token_accepted(self):
         instance = make_vscc(reference="café", core_token="café")
-        assert validate_instance(instance) is instance
+        assert instance.core_token == "café"
+
+    @pytest.mark.parametrize(
+        "make, overrides, error, message",
+        [
+            (make_vscc, {"id": ""}, SchemaViolation, "id: must be non-empty"),
+            (make_vscc, {"library": ""}, SchemaViolation,
+             "library: must be non-empty and contain no whitespace"),
+            (make_vscc, {"core_token": "a.b"}, SchemaViolation,
+             "core_token: must be a single identifier"),
+            (make_vscc, {"masked_code": None}, SchemaViolation,
+             "masked_code: required for vscc instances"),
+            (make_vscc, {"source_code": "x"}, SchemaViolation,
+             "source_code: only migration instances carry source code"),
+            (make_vscc, {"target_version": parse_version("2.0")}, SchemaViolation,
+             "target_version: only migration instances carry a target version"),
+            (make_vscc, {"masked_code": "df.to_numpy()"}, MaskSentinelMismatch,
+             "masked_code: expected exactly one '[token-mask]', found 0"),
+            (make_vscc, {"masked_code": "[token-mask] [line-mask]"}, MaskSentinelMismatch,
+             "masked_code: sentinels ['[line-mask]'] remain after substituting the reference"),
+            (make_vacm, {"source_code": None}, SchemaViolation,
+             "source_code: required for vacm instances"),
+            (make_vacm, {"masked_code": "[block-mask]"}, SchemaViolation,
+             "masked_code: only completion instances carry masked code"),
+            (make_vacm, {"target_version": None}, SchemaViolation,
+             "target_version: required for vacm instances"),
+            (make_vacm, {"target_version": parse_version("1.3.2.0")}, SchemaViolation,
+             "target_version: must differ from source_version"),
+            (make_vacm, {"granularity": Granularity.TOKEN}, SchemaViolation,
+             "granularity: vacm instances are block-level"),
+        ],
+    )
+    def test_each_rule_names_itself(self, make, overrides, error, message):
+        with pytest.raises(SchemaViolation) as excinfo:
+            make(**overrides)
+        assert type(excinfo.value) is error
+        assert excinfo.value.violations == [message]
+
+    def test_replace_revalidates(self):
+        with pytest.raises(MaskSentinelMismatch):
+            dataclasses.replace(make_vscc(), granularity=Granularity.LINE)
 
 
 class TestRecordInvariants:

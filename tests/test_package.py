@@ -64,7 +64,6 @@ PUBLIC_NAMES = [
     "score_at_k",
     "strip_code_fences",
     "tag_lifecycle",
-    "validate_instance",
     "version_sort_key",
 ]
 

@@ -6,9 +6,11 @@ a value of the right type that the schema refuses.  A kind may also have a
 record with several problems, which one error must name together.  The
 expected outcome is the error type and the sorted violation messages, or
 None for a record that decodes.  The table was recorded from the hand-written per-field decoders
-that preceded the codec table in harness, so it holds both to one behaviour;
-the three empty mask rows were widened since, when decode_mask_record began
-to report a record's problems all at once instead of instance_id first.
+that preceded the codec table in harness, so it holds both to one behaviour.
+Since then every kind has come to name all of a record's problems at once,
+field problems and broken record rules together: the three empty mask rows
+were widened and the several rows added.  A rule that reads a field which
+failed to decode is not judged.
 """
 
 import pytest
@@ -151,6 +153,23 @@ BAD_VALUE = {
 
 # a record with several problems, per kind that reports them all at once
 SEVERAL = {
+    "vscc": {**VSCC, "source_version": "v1", "library": "pan das", "masked_code": "df.to_numpy()"},
+    "vacm": {**VACM, "source_version": "v1", "library": "pan das", "granularity": "line"},
+    "meta": {
+        "id": "a",
+        "core_token": "f",
+        "library": "has space",
+        "version": 5,
+        "description": "d",
+        "code": "",
+        "data_source": "library_source",
+    },
+    "mask-token": {
+        **MASK[Granularity.TOKEN], "occurrence": "x", "library": "a b", "core_token": "1x",
+        "code": "",
+    },
+    "mask-line": {**MASK[Granularity.LINE], "line_index": "x", "library": "a b", "code": ""},
+    "mask-block": {**MASK[Granularity.BLOCK], "line_start": "x", "version": 5, "code": ""},
     "exec": {
         "instance_id": 5,
         "sample_index": -1,
@@ -336,6 +355,14 @@ EXPECTED = {
             "instance: task: required",
         ],
     ),
+    ("vscc", "-", "several"): (
+        "MaskSentinelMismatch",
+        [
+            "instance: library: must be non-empty and contain no whitespace",
+            "instance: masked_code: expected exactly one '[token-mask]', found 0",
+            "instance: source_version: version 'v1' has no leading integer segment",
+        ],
+    ),
     ("vacm", "id", "missing"): ("SchemaViolation", ["instance: id: required"]),
     ("vacm", "id", "none"): ("SchemaViolation", ["instance: id: required"]),
     ("vacm", "id", "wrong_type"): ("SchemaViolation", ["instance: id: expected a string"]),
@@ -483,6 +510,14 @@ EXPECTED = {
             "instance: task: required",
         ],
     ),
+    ("vacm", "-", "several"): (
+        "SchemaViolation",
+        [
+            "instance: granularity: vacm instances are block-level",
+            "instance: library: must be non-empty and contain no whitespace",
+            "instance: source_version: version 'v1' has no leading integer segment",
+        ],
+    ),
     ("meta", "id", "missing"): ("SchemaViolation", ["meta: id: required"]),
     ("meta", "id", "none"): ("SchemaViolation", ["meta: id: required"]),
     ("meta", "id", "wrong_type"): ("SchemaViolation", ["meta: id: expected a string"]),
@@ -566,6 +601,14 @@ EXPECTED = {
             "meta: id: required",
             "meta: library: required",
             "meta: version: required",
+        ],
+    ),
+    ("meta", "-", "several"): (
+        "SchemaViolation",
+        [
+            "meta: code: must be non-empty",
+            "meta: library: must be non-empty and contain no whitespace",
+            "meta: version: expected a version string",
         ],
     ),
     ("mask-token", "id", "missing"): None,
@@ -683,6 +726,15 @@ EXPECTED = {
             "mask: version: required",
         ],
     ),
+    ("mask-token", "-", "several"): (
+        "SchemaViolation",
+        [
+            "mask: code: must be non-empty",
+            "mask: core_token: must be a single identifier",
+            "mask: library: must be non-empty and contain no whitespace",
+            "mask: occurrence: expected an integer",
+        ],
+    ),
     ("mask-line", "instance_id", "missing"): ("SchemaViolation", ["mask: instance_id: required"]),
     ("mask-line", "instance_id", "none"): ("SchemaViolation", ["mask: instance_id: required"]),
     ("mask-line", "instance_id", "wrong_type"): (
@@ -723,6 +775,14 @@ EXPECTED = {
             "mask: library: required",
             "mask: line_index: required integer for line masking",
             "mask: version: required",
+        ],
+    ),
+    ("mask-line", "-", "several"): (
+        "SchemaViolation",
+        [
+            "mask: code: must be non-empty",
+            "mask: library: must be non-empty and contain no whitespace",
+            "mask: line_index: required integer for line masking",
         ],
     ),
     ("mask-block", "instance_id", "missing"): ("SchemaViolation", ["mask: instance_id: required"]),
@@ -775,6 +835,14 @@ EXPECTED = {
             "mask: library: required",
             "mask: line_start/line_end: required integers for block masking",
             "mask: version: required",
+        ],
+    ),
+    ("mask-block", "-", "several"): (
+        "SchemaViolation",
+        [
+            "mask: code: must be non-empty",
+            "mask: line_start/line_end: required integers for block masking",
+            "mask: version: expected a version string",
         ],
     ),
     ("exec", "instance_id", "missing"): ("SchemaViolation", ["exec: instance_id: required"]),
