@@ -1,7 +1,13 @@
 """Map a function over items on every core that this process may run on,
 in forked worker processes; filter and lifecycle compile corpus files this
-way.  Imported by its callers when they run, so that commands which do not
-use it neither compile nor load it.
+way, and score scores its instances.  Imported by its callers when they
+run, so that commands which do not use it neither compile nor load it.
+
+The first error wins in input order, as in a serial loop: a worker whose
+item raises an Exception stops taking items and reports (index, exception),
+and the call raises the exception of the lowest such index.  Indices enter
+the queue in ascending order and the other workers go on taking them, so
+every index below the lowest failing one is worked on.
 """
 
 from __future__ import annotations
@@ -32,10 +38,11 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
     reach the children through fork; each worker takes the index of its
     next item from a shared pipe when it is free, so a worker on a starved
     core just takes fewer, and each child sends back its (index, result)
-    pairs pickled.  The results, and the exception that fn raises, are the
-    same for any number of cores.  A child that ends without sending them
-    raises ChildProcessError, and every child is reaped before this returns
-    or raises.  No thread is started.
+    pairs pickled.  The results, and the exception that fn raises for the
+    first failing item, are the same for any number of cores.  A child that
+    ends without sending them raises ChildProcessError; any other
+    BaseException kills the children at once.  Every child is reaped before
+    this returns or raises.  No thread is started.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     mask = affinity(0) if affinity and hasattr(os, "fork") else set()
@@ -44,6 +51,14 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
         return [fn(item) for item in items]
 
     results: list = [None] * len(items)
+    failures: list[tuple[int, Exception]] = []
+
+    def work(index: int) -> None:
+        try:
+            results[index] = fn(items[index])
+        except Exception as exc:
+            failures.append((index, exc))
+
     cores = sorted(mask)  # worker w runs on cores[w]; the caller is worker 0
     parent = os.getpid()
     take, feed = os.pipe()
@@ -63,7 +78,7 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
         _pin({cores[0]})
         os.set_blocking(feed, False)
         fed = 0
-        while fed < len(items):
+        while fed < len(items) and not failures:
             try:
                 while fed < len(items):
                     batch = range(fed, min(fed + _BATCH, len(items)))
@@ -71,13 +86,12 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
                     fed = batch.stop
             except BlockingIOError:
                 # the queue is full: work on an item that it does not hold
-                results[fed] = fn(items[fed])
+                work(fed)
                 fed += 1
         os.close(feed)
         open_fds.remove(feed)
-        while record := os.read(take, _RECORD):
-            index = int.from_bytes(record, "little")
-            results[index] = fn(items[index])
+        while not failures and (record := os.read(take, _RECORD)):
+            work(int.from_bytes(record, "little"))
         payloads = {pid: _read_to_end(receive) for pid, receive in children.items()}
     except BaseException:
         if os.getpid() != parent:  # a child that left _serve by an exception
@@ -97,8 +111,13 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
         payload = pickle.loads(data)
         if isinstance(payload, BaseException):
             raise payload
-        for index, result in payload:
+        done, failure = payload
+        for index, result in done:
             results[index] = result
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return results
 
 
@@ -123,18 +142,24 @@ def _serve(
     fn: Callable[[_T], _R], items: Sequence[_T], take: int, send: int, core: int
 ) -> NoReturn:
     """A fan_out child's whole run: fn over the items whose indices it takes
-    from the queue, then its (index, result) pairs, or the exception that
-    stopped it, pickled to send.  It exits without returning, so it never
-    runs the caller's code or flushes the caller's stdio buffers."""
+    from the queue, until the queue is empty or an item raises; then its
+    (index, result) pairs and the (index, exception) of that item or None,
+    or the BaseException that stopped it, pickled to send.  It exits
+    without returning, so it never runs the caller's code or flushes the
+    caller's stdio buffers."""
     code = 1
     try:
         try:
             _pin({core})
             done = []
-            while record := os.read(take, _RECORD):
+            failure = None
+            while failure is None and (record := os.read(take, _RECORD)):
                 index = int.from_bytes(record, "little")
-                done.append((index, fn(items[index])))
-            payload: object = done
+                try:
+                    done.append((index, fn(items[index])))
+                except Exception as exc:
+                    failure = (index, exc)
+            payload: object = (done, failure)
         except BaseException as exc:
             payload = exc
         data = memoryview(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))

@@ -135,8 +135,8 @@ def pair(meta_path, out_path) -> None:
     migration instances.
 
     Both directions are emitted per unordered pair; the produced instance id
-    joins the two caller-supplied meta ids as "<source_id>::<target_id>" and
-    the core token is the target side's.
+    joins the two caller-supplied meta ids as "<source_id>::<target_id>", so
+    a meta id may not contain "::", and the core token is the target side's.
     """
     entries: list[tuple[str, str, MetaInstance]] = []
     seen_ids = set()

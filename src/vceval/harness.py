@@ -1,8 +1,9 @@
 """Pipeline plumbing: JSONL ingestion, generation-text normalization, metric
 orchestration, grouped aggregation, and report emission.
 
-Items are scored one after another and reduced in input order, so the same
-inputs always give the same output bytes.
+Items are scored on every core, and their results, warnings and errors are
+taken up in input order, so the same inputs always give the same output
+bytes, whatever the core count.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .datagen import MaskSpec, categorize_migration
 from .errors import (
     DegenerateSeries,
     EmptyAfterNormalization,
+    EvalError,
     InvalidArgs,
     InvalidReference,
     IoFailure,
@@ -325,8 +327,12 @@ def _decode_meta(
 
 
 def decode_meta_record(obj: dict, where: str = "meta") -> tuple[str, str, MetaInstance]:
-    """Decode one meta record carrying its caller-supplied id and core token."""
-    return _decode_meta(obj, _META_RECORD, where, [])
+    """Decode one meta record carrying its caller-supplied id and core token.
+    The id may not hold "::", which joins the two ids of a migration pair."""
+    problems = []
+    if isinstance(obj.get("id"), str) and "::" in obj["id"]:
+        problems.append(f"id: {obj['id']!r} holds '::', which joins the ids of a pair")
+    return _decode_meta(obj, _META_RECORD, where, problems)
 
 
 def decode_mask_record(
@@ -577,6 +583,23 @@ def _score_item(
     return result
 
 
+def _score_kept(
+    item: EvaluationItem, metrics: Sequence[MetricName], ks: Sequence[int]
+) -> tuple[dict[MetricName, ScoreVector] | None, list[logging.LogRecord], EvalError | None]:
+    """_score_item in a form that fan_out can return from a worker: the
+    result, the warnings logged while scoring, and the error that stopped
+    it, if any, in place of the result."""
+    records: list[logging.LogRecord] = []
+    # a filter that keeps each record and, returning None, stops it here
+    log.addFilter(records.append)
+    try:
+        return _score_item(item, metrics, ks), records, None
+    except EvalError as exc:
+        return None, records, exc
+    finally:
+        log.removeFilter(records.append)
+
+
 def _group_key(instance: TaskInstance, group_by: str | None) -> str:
     if group_by is None:
         return "all"
@@ -604,6 +627,11 @@ def run_scoring(
 ) -> ScoringResult:
     """Score every item, estimate @k per requested k, and aggregate unweighted
     per-group means.
+
+    Items are scored on every usable core (see _fanout.fan_out).  Each
+    item's warnings are then logged, and the first error raised, in input
+    order, so the result, the log and the error do not depend on the core
+    count.
 
     When both pass and a static metric are selected, a Pearson agreement row
     (metric "pearson_<m>_vs_pass") over the per-instance @k series is emitted
@@ -636,7 +664,15 @@ def run_scoring(
                 f" first: {missing[: 3]}"
             )
 
-    scored = [_score_item(item, metric_sel, ks) for item in items]
+    from ._fanout import fan_out  # see its module docstring
+
+    scored = []
+    for result, records, error in fan_out(lambda item: _score_kept(item, metric_sel, ks), items):
+        for record in records:
+            log.handle(record)
+        if error is not None:
+            raise error
+        scored.append(result)
 
     groups: dict[str, list[int]] = {}
     for idx, item in enumerate(items):

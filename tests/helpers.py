@@ -217,3 +217,23 @@ def build_fixture_corpus(count: int = 50, n: int = 6) -> tuple[list[dict], list[
             {"instance_id": iid, "samples": [correct if j < correct_count else wrong for j in range(n)]}
         )
     return instances, samples
+
+
+def write_score_inputs(directory: Path, count: int = 40, bad_references=()) -> tuple[Path, Path]:
+    """instances.jsonl and samples.jsonl in directory, from the fixture
+    corpus: every token instance gets a prose sample that normalization
+    reduces and one that it empties, so score logs both warnings; the line
+    instances at the indexes in bad_references get a reference that does
+    not parse.  The token instances come first, one after another, so that
+    workers scoring them side by side would log out of input order."""
+    instances, samples = build_fixture_corpus(count)
+    for index, (instance, row) in enumerate(zip(instances, samples)):
+        if instance["granularity"] == "token":
+            row["samples"][:2] = [f"The answer is {instance['reference']} {index}", "!!!"]
+        if index in bad_references:
+            instance["reference"] = row["samples"][0] = "return df.explode('A')"
+    instances.sort(key=lambda instance: instance["granularity"] != "token")
+    return (
+        write_jsonl(directory / "instances.jsonl", instances),
+        write_jsonl(directory / "samples.jsonl", samples),
+    )

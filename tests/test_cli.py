@@ -400,6 +400,29 @@ class TestPairCommand:
         meta = write_jsonl(tmp_path / "meta.jsonl", [row, row])
         assert main(["pair", "--meta", str(meta), "--out", str(tmp_path / "o.jsonl")]) == 1
 
+    def test_meta_id_with_the_pair_separator_exits_1(self, tmp_path, capsys):
+        # a::b with c and a with b::c would both be paired as a::b::c
+        row = {
+            "core_token": "f",
+            "library": "torch",
+            "description": "one",
+            "code": "f()",
+            "data_source": "library_source",
+        }
+        meta_rows = [
+            dict(row, id="a::b", version="1.0"),
+            dict(row, id="c", version="2.0"),
+            dict(row, id="a", version="1.0", description="two"),
+            dict(row, id="b::c", version="2.0", description="two"),
+        ]
+        meta = write_jsonl(tmp_path / "meta.jsonl", meta_rows)
+        out = tmp_path / "pairs.jsonl"
+        assert main(["pair", "--meta", str(meta), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {meta}:1: id: 'a::b' holds '::', which joins the ids of a pair\n"
+        )
+        assert not out.exists()
+
 
 class TestFilterCommand:
     def test_reports_verdicts(self, tmp_path):

@@ -1,11 +1,16 @@
+import logging
 import operator
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
 from vceval._fanout import fan_out
 from vceval.cli import main
+
+from helpers import write_score_inputs
 
 
 @pytest.fixture
@@ -48,6 +53,28 @@ def write_tree(root, files):
         path = root / relative
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(data)
+
+
+@pytest.fixture
+def cli_log():
+    """Warnings to stderr in the CLI's format, which pytest's own log
+    handlers would otherwise keep from basicConfig."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger = logging.getLogger("vceval")
+    logger.addHandler(handler)
+    yield
+    logger.removeHandler(handler)
+
+
+def test_importing_the_cli_does_not_load_it():
+    # it is imported where a command fans out, so that the others pay
+    # neither its compile nor the import of pickle
+    loaded = "' '.join({'vceval._fanout', 'pickle'} & set(sys.modules))"
+    code = f"import sys, vceval.cli; sys.exit({loaded} or None)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestFanOut:
@@ -139,6 +166,27 @@ class TestFanOut:
             fan_out(die_in_child, list(range(10)))
         assert_no_child_left()
 
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_the_first_failing_item_in_input_order_wins(self, cores, tmp_path, count):
+        # item 1 fails only after a higher item has failed on another
+        # worker; whichever worker that is, the call names item 1
+        cores(count)
+        for attempt in range(8):
+            marker = tmp_path / f"later-item-failed-{attempt}"
+
+            def fail(item):
+                if item == 1:
+                    wait_for(marker, timeout=2)
+                elif item >= 2:
+                    marker.touch()
+                else:
+                    return item
+                raise ValueError(f"item {item}")
+
+            with pytest.raises(ValueError, match="^item 1$"):
+                fan_out(fail, list(range(4 * count)))
+            assert_no_child_left()
+
     def test_an_interrupt_reaps_every_child(self, cores, tmp_path):
         cores(3)
         parent = os.getpid()
@@ -159,21 +207,57 @@ class TestFanOut:
         assert time.monotonic() - start < 10
         assert_no_child_left()
 
-    @pytest.mark.parametrize("command", ["filter", "lifecycle"])
-    def test_outputs_do_not_depend_on_the_core_count(self, cores, tmp_path, command):
+    @pytest.mark.parametrize("command", ["filter", "lifecycle", "score"])
+    def test_outputs_do_not_depend_on_the_core_count(
+        self, cores, tmp_path, capfd, cli_log, command
+    ):
+        outs = [tmp_path / "out"]
         if command == "filter":
             write_tree(tmp_path / "corpus", MIXED_TREE)
             args = ["filter", "--root", str(tmp_path / "corpus")]
-        else:
+        elif command == "lifecycle":
             changed = {**MIXED_TREE, "pkg/mod3.py": b"def other(): ...\n"}
             write_tree(tmp_path / "versions" / "1.0", MIXED_TREE)
             write_tree(tmp_path / "versions" / "2.0", changed)
             args = ["lifecycle", "--versions-root", str(tmp_path / "versions")]
+        else:
+            instances, samples = write_score_inputs(tmp_path)
+            outs.append(tmp_path / "vectors.jsonl")
+            args = [
+                "score", "--instances", str(instances), "--samples", str(samples),
+                "--metrics", "em,ism,pm,cdc", "--k", "1,3", "--group-by", "data_source",
+                "--per-instance", str(outs[1]),
+            ]
         outputs = set()
         for count in (1, 2, 3):
             cores(count)
-            out = tmp_path / f"out-{count}"
-            assert main([*args, "--out", str(out)]) == 0
-            outputs.add(out.read_bytes())
+            assert main([*args, "--out", str(outs[0])]) == 0
+            outputs.add((*(out.read_bytes() for out in outs), capfd.readouterr().err))
         assert len(outputs) == 1
+        if command == "score":
+            (*_, err), = outputs
+            assert "token normalization reduced" in err
+            assert "a sample normalized to nothing" in err
+        assert_no_child_left()
+
+    def test_score_names_the_first_bad_reference_on_any_core_count(
+        self, cores, tmp_path, capfd, cli_log
+    ):
+        instances, samples = write_score_inputs(tmp_path, bad_references=(5, 33))
+        outcomes = set()
+        for count in (1, 2, 3):
+            cores(count)
+            argv = [
+                "score", "--instances", str(instances), "--samples", str(samples),
+                "--metrics", "em,cdc", "--out", str(tmp_path / "report.json"),
+            ]
+            outcomes.add((main(argv), capfd.readouterr().err))
+        assert len(outcomes) == 1
+        (code, err), = outcomes
+        assert code == 1
+        assert err.endswith(
+            "error: instance 'inst-005': reference code must be syntactically valid\n"
+        )
+        assert "normalized to nothing" in err
+        assert not (tmp_path / "report.json").exists()
         assert_no_child_left()

@@ -156,7 +156,7 @@ SEVERAL = {
     "vscc": {**VSCC, "source_version": "v1", "library": "pan das", "masked_code": "df.to_numpy()"},
     "vacm": {**VACM, "source_version": "v1", "library": "pan das", "granularity": "line"},
     "meta": {
-        "id": "a",
+        "id": "a::b",
         "core_token": "f",
         "library": "has space",
         "version": 5,
@@ -607,6 +607,7 @@ EXPECTED = {
         "SchemaViolation",
         [
             "meta: code: must be non-empty",
+            "meta: id: 'a::b' holds '::', which joins the ids of a pair",
             "meta: library: must be non-empty and contain no whitespace",
             "meta: version: expected a version string",
         ],
