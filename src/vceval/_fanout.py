@@ -13,8 +13,10 @@ every index below the lowest failing one is worked on.
 from __future__ import annotations
 
 import os
-import pickle
-import signal
+
+# pickle.dumps and pickle.loads are _pickle's on CPython, but importing them
+# through pickle also loads its pure-Python pickler: ~2 ms more.
+from _pickle import dumps, loads
 from collections.abc import Callable, Sequence
 from typing import NoReturn, TypeVar
 
@@ -96,6 +98,8 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
     except BaseException:
         if os.getpid() != parent:  # a child that left _serve by an exception
             os._exit(1)
+        import signal  # only here, on the kill path
+
         for pid in children:
             os.kill(pid, signal.SIGKILL)
         raise
@@ -108,7 +112,7 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
         code = os.waitstatus_to_exitcode(statuses[pid])
         if code:
             raise ChildProcessError(f"worker process {pid} ended with status {code}")
-        payload = pickle.loads(data)
+        payload = loads(data)
         if isinstance(payload, BaseException):
             raise payload
         done, failure = payload
@@ -162,7 +166,7 @@ def _serve(
             payload: object = (done, failure)
         except BaseException as exc:
             payload = exc
-        data = memoryview(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        data = memoryview(dumps(payload, -1))  # -1: the highest protocol
         while data:
             data = data[os.write(send, data):]
         code = 0

@@ -6,13 +6,14 @@ arguments.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import logging
 import sys
-from collections.abc import Sequence
-
-import click
+import textwrap
+from collections.abc import Callable, Sequence
+from typing import NoReturn
 
 from . import harness
 from .core_model import Granularity, MetaInstance, Ordering, compare_versions
@@ -34,10 +35,65 @@ EXIT_IO = 2
 EXIT_USAGE = 3
 
 
-@click.group()
-def cli() -> None:
-    """Evaluation toolkit for version-controllable code generation."""
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises InvalidArgs where ArgumentParser would
+    print its usage and exit 2 (exit_on_error=False alone does not cover a
+    missing required option before Python 3.13), takes no abbreviated
+    option, and has --help but no -h."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(
+            add_help=False,
+            allow_abbrev=False,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+            **kwargs,
+        )
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str) -> NoReturn:
+        raise InvalidArgs(message)
+
+
+_PARSER = _Parser(
+    prog="vceval",
+    description="Evaluation toolkit for version-controllable code generation.",
+)
+_COMMANDS = _PARSER.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+
+def _option(flag: str, dest: str | None = None, *, help: str = "", **kwargs) -> tuple[str, dict]:
+    """An option for _command, a PATH unless it has choices or another
+    metavar; its help ends in [required] or its default."""
+    marks = ["[required]"] if kwargs.get("required") else []
+    if kwargs.get("default") is not None:
+        marks.append(f"[default: {kwargs['default']}]")
+    if "choices" not in kwargs:
+        kwargs.setdefault("metavar", "PATH")
+    if dest:
+        kwargs["dest"] = dest
+    return flag, dict(kwargs, help=" ".join(filter(None, [help, *marks])) or None)
+
+
+def _command(*options: tuple[str, dict], name: str | None = None) -> Callable:
+    """Register the decorated function as a subcommand with these options,
+    which it takes as keyword arguments; its docstring is the command's
+    --help text, and the docstring's first paragraph its line in the
+    top-level --help."""
+
+    def register(run: Callable) -> Callable:
+        first, _, rest = (run.__doc__ or "").partition("\n")  # None under python -OO
+        doc = f"{first}\n{textwrap.dedent(rest)}".strip()
+        parser = _COMMANDS.add_parser(
+            name or run.__name__,
+            help=" ".join(doc.split("\n\n")[0].split()),
+            description=doc,
+        )
+        for flag, kwargs in options:
+            parser.add_argument(flag, **kwargs)
+        parser.set_defaults(run=run)
+        return run
+
+    return register
 
 
 def _parse_list(raw: str) -> list[str]:
@@ -51,17 +107,18 @@ def _parse_ks(raw: str) -> list[int]:
         raise InvalidArgs(f"--k expects a comma list of integers, got {raw!r}") from None
 
 
-@cli.command()
-@click.option("--instances", "instances_path", required=True, type=click.Path())
-@click.option("--samples", "samples_path", required=True, type=click.Path())
-@click.option("--exec-reports", "exec_reports_path", type=click.Path(), default=None)
-@click.option("--metrics", default="em", show_default=True, help="Comma list: em,ism,pm,cdc,pass.")
-@click.option("--k", "k_spec", default="1", show_default=True, help="Comma list of k values.")
-@click.option("--group-by", type=click.Choice(harness.GROUP_DIMENSIONS), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--per-instance", "per_instance_path", type=click.Path(), default=None,
-              help="Also dump per-instance score vectors as JSONL.")
+@_command(
+    _option("--instances", "instances_path", required=True),
+    _option("--samples", "samples_path", required=True),
+    _option("--exec-reports", "exec_reports_path"),
+    _option("--metrics", default="em", metavar="TEXT", help="Comma list: em,ism,pm,cdc,pass."),
+    _option("--k", "k_spec", default="1", metavar="TEXT", help="Comma list of k values."),
+    _option("--group-by", choices=harness.GROUP_DIMENSIONS),
+    _option("--format", "fmt", choices=["csv", "json"], default="json"),
+    _option("--out", "out_path", required=True),
+    _option("--per-instance", "per_instance_path",
+            help="Also dump per-instance score vectors as JSONL."),
+)
 def score(instances_path, samples_path, exec_reports_path, metrics, k_spec, group_by,
           fmt, out_path, per_instance_path) -> None:
     """Score generated samples against instances and write aggregate rows."""
@@ -70,12 +127,13 @@ def score(instances_path, samples_path, exec_reports_path, metrics, k_spec, grou
     if per_instance_path:
         harness.write_score_vectors(result, per_instance_path)
     emit_report(result.aggregates, fmt, out_path)
-    click.echo(f"scored {len(items)} instance(s) -> {out_path}", err=True)
+    print(f"scored {len(items)} instance(s) -> {out_path}", file=sys.stderr)
 
 
-@cli.command()
-@click.option("--versions-root", "versions_root", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
+@_command(
+    _option("--versions-root", required=True),
+    _option("--out", "out_path", required=True),
+)
 def lifecycle(versions_root, out_path) -> None:
     """Diff per-version API surfaces under --versions-root and write lifecycle records."""
     surfaces = collect_surfaces(versions_root)
@@ -103,13 +161,14 @@ def lifecycle(versions_root, out_path) -> None:
     # streamed: the encoded text is never held whole
     encoded = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
     harness.write_text(out_path, itertools.chain(encoded, ("\n",)))
-    click.echo(f"tagged {len(records)} lifecycle record(s) -> {out_path}", err=True)
+    print(f"tagged {len(records)} lifecycle record(s) -> {out_path}", file=sys.stderr)
 
 
-@cli.command()
-@click.option("--granularity", required=True, type=click.Choice(["token", "line", "block"]))
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
+@_command(
+    _option("--granularity", required=True, choices=["token", "line", "block"]),
+    _option("--spec", "spec_path", required=True),
+    _option("--out", "out_path", required=True),
+)
 def mask(granularity, spec_path, out_path) -> None:
     """Mask spans in meta-instance code per --spec and write completion instances."""
     gran = Granularity(granularity)
@@ -124,12 +183,13 @@ def mask(granularity, spec_path, out_path) -> None:
             raise SchemaViolation([f"{where}: {v}" for v in violations]) from None
         rows.append(harness.encode_instance(instance))
     harness.write_jsonl(out_path, rows)
-    click.echo(f"masked {len(rows)} instance(s) -> {out_path}", err=True)
+    print(f"masked {len(rows)} instance(s) -> {out_path}", file=sys.stderr)
 
 
-@cli.command()
-@click.option("--meta", "meta_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
+@_command(
+    _option("--meta", "meta_path", required=True),
+    _option("--out", "out_path", required=True),
+)
 def pair(meta_path, out_path) -> None:
     """Pair meta-instances sharing (library, description) across versions into
     migration instances.
@@ -165,12 +225,14 @@ def pair(meta_path, out_path) -> None:
                 )
                 rows.append(harness.encode_instance(instance))
     harness.write_jsonl(out_path, rows)
-    click.echo(f"paired {len(rows)} migration instance(s) -> {out_path}", err=True)
+    print(f"paired {len(rows)} migration instance(s) -> {out_path}", file=sys.stderr)
 
 
-@cli.command("filter")
-@click.option("--root", "root_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
+@_command(
+    _option("--root", "root_path", required=True),
+    _option("--out", "out_path", required=True),
+    name="filter",
+)
 def filter_cmd(root_path, out_path) -> None:
     """Judge every .py file under --root against the corpus quality rules."""
     results = filter_tree(root_path)
@@ -180,39 +242,37 @@ def filter_cmd(root_path, out_path) -> None:
     ]
     harness.write_jsonl(out_path, rows)
     kept = sum(1 for _, verdict in results if verdict.keep)
-    click.echo(f"kept {kept}/{len(results)} file(s) -> {out_path}", err=True)
+    print(f"kept {kept}/{len(results)} file(s) -> {out_path}", file=sys.stderr)
 
 
-@cli.command()
-@click.option("--aggregates", "aggregates_path", required=True, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path())
+@_command(
+    _option("--aggregates", "aggregates_path", required=True),
+    _option("--format", "fmt", choices=["csv", "json"], default="json"),
+    _option("--out", "out_path", required=True),
+)
 def report(aggregates_path, fmt, out_path) -> None:
     """Re-emit a scoring aggregates file in the chosen format."""
     emit_report(load_aggregates(aggregates_path), fmt, out_path)
-    click.echo(f"report -> {out_path}", err=True)
+    print(f"report -> {out_path}", file=sys.stderr)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the CLI, returning an exit code instead of raising SystemExit."""
     try:
-        cli.main(args=list(argv) if argv is not None else None, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return EXIT_USAGE
-    except click.ClickException as exc:
-        exc.show()
-        return EXIT_DATA
+        args = vars(_PARSER.parse_args(argv))
+        run = args.pop("run")
+        logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
+        run(**args)
+    except SystemExit as exc:  # raised by --help once it has printed the help
+        return exc.code
     except InvalidArgs as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IoFailure, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except EvalError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK
 

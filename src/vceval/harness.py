@@ -9,7 +9,6 @@ bytes, whatever the core count.
 from __future__ import annotations
 
 import contextlib
-import csv
 import io
 import json
 import logging
@@ -17,7 +16,6 @@ import math
 import os
 import stat
 import textwrap
-import uuid
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields
 from datetime import date
@@ -157,7 +155,7 @@ def write_text(path: str | Path, chunks: Iterable[str], what: str = "") -> Path:
     chunks propagate as they are.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
     try:
         try:
             mode = os.lstat(path).st_mode
@@ -739,6 +737,8 @@ def emit_report(aggregates: Sequence[AggregateRow], fmt: str, out_path: str | Pa
         }
         data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
+        import csv  # here, so that only a csv report loads it
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["group_key", "metric", "k", "value", "instance_count"])

@@ -13,12 +13,15 @@ import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import repeat
+from typing import TYPE_CHECKING
 
 from .core_model import in_unit_interval
 from .errors import DegenerateSeries, InvalidArgs, InvalidReference, KExceedsN
 from .syntax import contains_core_token, extract_facts, identifier_tokens
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def estimate_at_k(n: int, correct: int, k: int) -> float:
@@ -61,7 +64,10 @@ def score_at_k(per_sample: Sequence[float], k: int) -> float:
         return weighted / math.comb(n, k)
     except OverflowError:
         # A binomial past the float range (first at n=1050, k=n/2): the same
-        # sum in exact arithmetic, rounded once.
+        # sum in exact arithmetic, rounded once.  fractions (with decimal) is
+        # imported only here and in _centred, as it takes ~4 ms to load.
+        from fractions import Fraction
+
         exact = sum(Fraction(s) * math.comb(i, k - 1) for i, s in enumerate(ordered))
         return float(exact / math.comb(n, k))
 
@@ -253,6 +259,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def _centred(values: Sequence[float]) -> list[Fraction]:
+    from fractions import Fraction  # see score_at_k
+
     exact = [Fraction(v) for v in values]
     mean = sum(exact) / len(exact)
     return [v - mean for v in exact]

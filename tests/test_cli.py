@@ -567,3 +567,54 @@ class TestHelp:
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
         assert main(["score", "--help"]) == 0
+
+    def test_score_help_lists_every_option_with_its_default(self, capsys):
+        assert main(["score", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for option in ["--instances", "--samples", "--exec-reports", "--metrics", "--k",
+                       "--group-by", "--format", "--out", "--per-instance", "--help"]:
+            assert f"{option} " in text
+        for default in ["[default: em]", "[default: 1]", "[default: json]"]:
+            assert default in text
+        assert "{data_source,lifecycle_tag,year,pattern,direction}" in text
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        assert main(["--help"]) == 0
+        text = capsys.readouterr().out
+        for command in ["score", "lifecycle", "mask", "pair", "filter", "report"]:
+            assert f"\n    {command}" in text
+
+
+class TestUsage:
+    def test_no_arguments_exits_3(self, capsys):
+        assert main([]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unknown_command_exits_3(self, capsys):
+        assert main(["bogus"]) == 3
+        assert "'bogus'" in capsys.readouterr().err
+
+    def test_missing_required_option_exits_3(self, corpus, tmp_path, capsys):
+        _, samp = corpus
+        assert main(["score", "--samples", str(samp), "--out", str(tmp_path / "r.json")]) == 3
+        assert "--instances" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--format", "xml"], ["--group-by", "month"], ["--inst", "instances.jsonl"]],
+        ids=["format", "group-by", "abbreviation"],
+    )
+    def test_rejected_option_exits_3(self, corpus, tmp_path, extra):
+        code, out = run_score(corpus, tmp_path, *extra)
+        assert code == 3
+        assert not out.exists()
+
+    def test_option_value_after_equals(self, corpus, tmp_path):
+        inst, samp = corpus
+        out = tmp_path / "equals.json"
+        assert main(["score", f"--instances={inst}", f"--samples={samp}", "--metrics=em,cdc",
+                     "--k=1,3", f"--out={out}"]) == 0
+        code, spaced = run_score(corpus, tmp_path)
+        assert code == 0
+        assert out.read_bytes() == spaced.read_bytes()

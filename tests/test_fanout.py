@@ -67,14 +67,37 @@ def cli_log():
     logger.removeHandler(handler)
 
 
-def test_importing_the_cli_does_not_load_it():
-    # it is imported where a command fans out, so that the others pay
-    # neither its compile nor the import of pickle
-    loaded = "' '.join({'vceval._fanout', 'pickle'} & set(sys.modules))"
-    code = f"import sys, vceval.cli; sys.exit({loaded} or None)"
+def loaded_by(statement):
+    """The modules that statement loads in a fresh interpreter."""
+    code = (
+        f"import sys; before = set(sys.modules); {statement}; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_does_not_load_it():
+    # fan_out is imported where a command fans out, so that the others pay
+    # neither its compile nor its imports; fractions (with decimal) and csv
+    # are imported where they are used, and the CLI needs nothing beyond
+    # the standard library
+    loaded = loaded_by("import vceval.cli")
+    assert {
+        name for name in loaded
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"vceval"}
+    } == set()
+    unused = {"vceval._fanout", "pickle", "click", "uuid", "platform", "fractions", "decimal", "csv"}
+    assert loaded & unused == set()
+
+
+def test_importing_fan_out_loads_neither_pickle_nor_signal():
+    # it takes dumps and loads from _pickle, and signal only to kill workers
+    loaded = loaded_by("import vceval._fanout")
+    assert "vceval._fanout" in loaded
+    assert loaded & {"pickle", "signal"} == set()
 
 
 class TestFanOut:
