@@ -2,12 +2,6 @@
 in forked worker processes; filter and lifecycle compile corpus files this
 way, and score scores its instances.  Imported by its callers when they
 run, so that commands which do not use it neither compile nor load it.
-
-The first error wins in input order, as in a serial loop: a worker whose
-item raises an Exception stops taking items and reports (index, exception),
-and the call raises the exception of the lowest such index.  Indices enter
-the queue in ascending order and the other workers go on taking them, so
-every index below the lowest failing one is worked on.
 """
 
 from __future__ import annotations
@@ -40,11 +34,15 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
     reach the children through fork; each worker takes the index of its
     next item from a shared pipe when it is free, so a worker on a starved
     core just takes fewer, and each child sends back its (index, result)
-    pairs pickled.  The results, and the exception that fn raises for the
-    first failing item, are the same for any number of cores.  A child that
-    ends without sending them raises ChildProcessError; any other
-    BaseException kills the children at once.  Every child is reaped before
-    this returns or raises.  No thread is started.
+    pairs pickled.  The results are the same for any number of cores.
+
+    fn must return a value for every item: a caller turns the failures it
+    expects into values and handles them in its own input order.  An
+    exception that fn raises anyway ends the call.  Raised in the calling
+    process, it kills the children at once; raised in a child, it is
+    raised here once the queue is drained.  A child that ends without
+    sending its results raises ChildProcessError.  Every child is reaped
+    before this returns or raises.  No thread is started.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     mask = affinity(0) if affinity and hasattr(os, "fork") else set()
@@ -53,14 +51,6 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
         return [fn(item) for item in items]
 
     results: list = [None] * len(items)
-    failures: list[tuple[int, Exception]] = []
-
-    def work(index: int) -> None:
-        try:
-            results[index] = fn(items[index])
-        except Exception as exc:
-            failures.append((index, exc))
-
     cores = sorted(mask)  # worker w runs on cores[w]; the caller is worker 0
     parent = os.getpid()
     take, feed = os.pipe()
@@ -80,7 +70,7 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
         _pin({cores[0]})
         os.set_blocking(feed, False)
         fed = 0
-        while fed < len(items) and not failures:
+        while fed < len(items):
             try:
                 while fed < len(items):
                     batch = range(fed, min(fed + _BATCH, len(items)))
@@ -88,12 +78,13 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
                     fed = batch.stop
             except BlockingIOError:
                 # the queue is full: work on an item that it does not hold
-                work(fed)
+                results[fed] = fn(items[fed])
                 fed += 1
         os.close(feed)
         open_fds.remove(feed)
-        while not failures and (record := os.read(take, _RECORD)):
-            work(int.from_bytes(record, "little"))
+        while record := os.read(take, _RECORD):
+            index = int.from_bytes(record, "little")
+            results[index] = fn(items[index])
         payloads = {pid: _read_to_end(receive) for pid, receive in children.items()}
     except BaseException:
         if os.getpid() != parent:  # a child that left _serve by an exception
@@ -115,13 +106,8 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
         payload = loads(data)
         if isinstance(payload, BaseException):
             raise payload
-        done, failure = payload
-        for index, result in done:
+        for index, result in payload:
             results[index] = result
-        if failure is not None:
-            failures.append(failure)
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
     return results
 
 
@@ -146,9 +132,8 @@ def _serve(
     fn: Callable[[_T], _R], items: Sequence[_T], take: int, send: int, core: int
 ) -> NoReturn:
     """A fan_out child's whole run: fn over the items whose indices it takes
-    from the queue, until the queue is empty or an item raises; then its
-    (index, result) pairs and the (index, exception) of that item or None,
-    or the BaseException that stopped it, pickled to send.  It exits
+    from the queue, until the queue is empty; then its (index, result)
+    pairs, or the BaseException that stopped it, pickled to send.  It exits
     without returning, so it never runs the caller's code or flushes the
     caller's stdio buffers."""
     code = 1
@@ -156,14 +141,10 @@ def _serve(
         try:
             _pin({core})
             done = []
-            failure = None
-            while failure is None and (record := os.read(take, _RECORD)):
+            while record := os.read(take, _RECORD):
                 index = int.from_bytes(record, "little")
-                try:
-                    done.append((index, fn(items[index])))
-                except Exception as exc:
-                    failure = (index, exc)
-            payload: object = (done, failure)
+                done.append((index, fn(items[index])))
+            payload: object = done
         except BaseException as exc:
             payload = exc
         data = memoryview(dumps(payload, -1))  # -1: the highest protocol

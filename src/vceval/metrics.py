@@ -203,9 +203,9 @@ def cdc_check(generated: str, reference: str, core_token: str) -> CdcVerdict:
             core token).
     Rule 4: a with-statement appears in the generated code when one appears in
             the reference.
-    Rule 5: some generated core-token call uses at least the keyword argument
-            names the reference core-token calls use (judged only when they
-            use any).
+    Rule 5: each reference core-token call's keyword argument names are all
+            used by some generated core-token call (judged only when a
+            reference core-token call uses any).
     """
     ref_facts = extract_facts(reference)
     if not ref_facts.is_valid:
@@ -213,7 +213,7 @@ def cdc_check(generated: str, reference: str, core_token: str) -> CdcVerdict:
 
     ref_sites = [s for s in ref_facts.call_sites if s.callee_name == core_token]
     ref_counts = {s.total_arg_count for s in ref_sites}
-    ref_keywords: frozenset[str] = frozenset().union(*(s.keyword_names for s in ref_sites))
+    ref_keywords = [s.keyword_names for s in ref_sites if s.keyword_names]
 
     rule1 = RuleResult.PASS if contains_core_token(generated, core_token) else RuleResult.FAIL
     # Code that does not parse has no call sites and no with-statement, so
@@ -223,7 +223,8 @@ def cdc_check(generated: str, reference: str, core_token: str) -> CdcVerdict:
     gen_sites = [s for s in gen_facts.call_sites if s.callee_name == core_token]
     rule3 = _judge(bool(ref_sites), any(s.total_arg_count in ref_counts for s in gen_sites))
     rule4 = _judge(ref_facts.has_with, gen_facts.has_with)
-    rule5 = _judge(bool(ref_keywords), any(s.keyword_names >= ref_keywords for s in gen_sites))
+    covered = all(any(g.keyword_names >= r for g in gen_sites) for r in ref_keywords)
+    rule5 = _judge(bool(ref_keywords), covered)
     return CdcVerdict(rule1, rule2, rule3, rule4, rule5)
 
 

@@ -189,26 +189,25 @@ class TestFanOut:
             fan_out(die_in_child, list(range(10)))
         assert_no_child_left()
 
-    @pytest.mark.parametrize("count", [2, 3])
-    def test_the_first_failing_item_in_input_order_wins(self, cores, tmp_path, count):
-        # item 1 fails only after a higher item has failed on another
-        # worker; whichever worker that is, the call names item 1
-        cores(count)
-        for attempt in range(8):
-            marker = tmp_path / f"later-item-failed-{attempt}"
+    def test_an_exception_in_the_caller_ends_the_call_at_once(self, cores, tmp_path):
+        cores(3)
+        parent = os.getpid()
+        marker = tmp_path / "child-ran"
 
-            def fail(item):
-                if item == 1:
-                    wait_for(marker, timeout=2)
-                elif item >= 2:
-                    marker.touch()
-                else:
-                    return item
-                raise ValueError(f"item {item}")
+        def fail_in_caller(item):
+            if os.getpid() == parent:
+                wait_for(marker)
+                raise ValueError(f"caller failed on {item}")
+            marker.touch()
+            time.sleep(0.02)
+            return item
 
-            with pytest.raises(ValueError, match="^item 1$"):
-                fan_out(fail, list(range(4 * count)))
-            assert_no_child_left()
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="caller failed on"):
+            fan_out(fail_in_caller, list(range(2000)))
+        # the children are killed, not left to drain 20 s of items first
+        assert time.monotonic() - start < 10
+        assert_no_child_left()
 
     def test_an_interrupt_reaps_every_child(self, cores, tmp_path):
         cores(3)

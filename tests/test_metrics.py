@@ -310,14 +310,26 @@ class TestCdcCheck:
         assert verdict.rule5_keywords is PASS
         assert verdict.overall
 
-    def test_keyword_union_across_reference_sites(self):
+    def test_keywords_of_each_reference_site_must_be_covered(self):
         reference = "draw(x, y, color='r')\ndraw(x, width=2, style=s)\n"
-        # the required set is the union over both reference calls: {color, width, style}
+        # each reference call's keywords, {color} and {width, style}, must be
+        # used by some generated call; no generated call covers {width, style}
         partial = cdc_check("draw(x, color='b', width=1)", reference, "draw")
         assert partial.rule5_keywords is FAIL
         full = cdc_check("draw(a, color='b', width=1, style=t)", reference, "draw")
         assert full.rule5_keywords is PASS
         assert full.rule3_arg_count is FAIL  # 4 arguments, reference calls use 3
+
+    def test_reference_sites_with_different_keywords_score_the_reference(self):
+        # each reference call is covered by a generated call of its own, so
+        # the reference passes against itself
+        reference = "a = timedelta(hours=1)\nb = timedelta(minutes=1)\n"
+        verdict = cdc_check(reference, reference, "timedelta")
+        assert verdict.rule5_keywords is PASS
+        assert verdict.overall
+        swapped = "a = timedelta(minutes=2)\nb = timedelta(hours=2)\n"
+        assert cdc_check(swapped, reference, "timedelta").overall
+        assert cdc_check("a = timedelta(hours=2)\n", reference, "timedelta").rule5_keywords is FAIL
 
     def test_too_deeply_nested_generated_fails_rule2(self):
         # the parser raises MemoryError on the sample; only rule 2 and the
