@@ -35,6 +35,8 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
     next item from a shared pipe when it is free, so a worker on a starved
     core just takes fewer, and each child sends back its (index, result)
     pairs pickled.  The results are the same for any number of cores.
+    Nothing that fn logs in a child is carried back, so callers log in the
+    calling process.
 
     fn must return a value for every item: a caller turns the failures it
     expects into values and handles them in its own input order.  An

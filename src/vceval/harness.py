@@ -1,9 +1,10 @@
 """Pipeline plumbing: JSONL ingestion, generation-text normalization, metric
 orchestration, grouped aggregation, and report emission.
 
-Items are scored on every core, and their results, warnings and errors are
-taken up in input order, so the same inputs always give the same output
-bytes, whatever the core count.
+Only the calling process logs: scoring normalizes every item's samples and
+logs their warnings in input order, then scores the items on every core and
+takes up their results and errors in input order, so the same inputs always
+give the same output bytes, whatever the core count.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import json
 import logging
 import math
 import os
+import re
 import stat
+import sys
 import textwrap
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields
@@ -202,6 +205,20 @@ def _decode_str(value) -> str:
     return value
 
 
+def _decode_int(value) -> int:
+    if not _is_int(value):
+        raise ValueError("expected an integer")
+    return value
+
+
+def _decode_float(value) -> float:
+    # the comparison is exact for an int of any size, and false for NaN
+    if _is_int(value) or isinstance(value, float):
+        if -sys.float_info.max <= value <= sys.float_info.max:
+            return float(value)
+    raise ValueError("expected a finite number")
+
+
 def _decode_version(value) -> VersionId:
     if not isinstance(value, str):
         raise ValueError("expected a version string")
@@ -209,10 +226,11 @@ def _decode_version(value) -> VersionId:
 
 
 def _decode_date(value) -> date:
-    try:
-        return date.fromisoformat(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"expected an ISO 8601 date, got {value!r}") from None
+    # date.fromisoformat alone also takes "20211201" and "2021-W48-3" on 3.11+
+    if isinstance(value, str) and re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", value):
+        with contextlib.suppress(ValueError):  # a month or day out of range
+            return date.fromisoformat(value)
+    raise ValueError(f"expected a YYYY-MM-DD date, got {value!r}")
 
 
 def _enum_codec(enum_cls):
@@ -230,6 +248,8 @@ def _enum_codec(enum_cls):
 # raises ValueError carrying the violation text.
 _CODECS = {
     str: (_decode_str, lambda text: text),
+    int: (_decode_int, int),
+    float: (_decode_float, float),
     VersionId: (_decode_version, lambda version: version.raw),
     date: (_decode_date, date.isoformat),
     **{cls: _enum_codec(cls) for cls in (TaskKind, Granularity, DataSource, LifecycleTag)},
@@ -249,6 +269,7 @@ def _record_fields(cls) -> tuple[tuple[str, type, bool], ...]:
 
 
 _INSTANCE_RECORD = _record_fields(TaskInstance)
+_AGGREGATE_RECORD = _record_fields(AggregateRow)
 # a meta record carries its caller-supplied id and core token beside the
 # MetaInstance fields
 _META_RECORD = (("id", str, True), ("core_token", str, True)) + _record_fields(MetaInstance)
@@ -542,14 +563,11 @@ def _score_text(metric: MetricName, instance: TaskInstance, text: str) -> float:
         raise InvalidReference(f"instance {instance.id!r}: {exc}") from None
 
 
-def _score_item(
-    item: EvaluationItem, metrics: Sequence[MetricName], ks: Sequence[int]
-) -> dict[MetricName, ScoreVector]:
-    """Score one instance.  Samples repeat heavily at large n, so each
-    distinct raw text is normalized once and each distinct normalized text
-    is scored once per static metric; pass stays per sample index because
-    it follows each sample's exec verdict.  A sample that normalizes to
-    nothing (None) scores 0."""
+def _normalized(item: EvaluationItem) -> dict[str, str | None]:
+    """Each distinct raw sample text of item, in first-occurrence order,
+    mapped to its normalized text, or to None when nothing is left.  Samples
+    repeat heavily at large n, so each distinct text is normalized, and its
+    warnings logged, once."""
     instance = item.instance
     normalized: dict[str, str | None] = {}
     for raw in item.samples:
@@ -560,6 +578,20 @@ def _score_item(
         except EmptyAfterNormalization:
             log.warning("instance %s: a sample normalized to nothing, scoring it 0", instance.id)
             normalized[raw] = None
+    return normalized
+
+
+def _score_item(
+    item: EvaluationItem,
+    normalized: Mapping[str, str | None],
+    metrics: Sequence[MetricName],
+    ks: Sequence[int],
+) -> dict[MetricName, ScoreVector] | EvalError:
+    """Score one instance from its _normalized map, or return the error
+    that stopped it.  Each distinct normalized text is scored once per
+    static metric; pass stays per sample index because it follows each
+    sample's exec verdict.  A sample that normalized to nothing scores 0."""
+    instance = item.instance
     texts = [normalized[raw] for raw in item.samples]
     distinct = [text for text in dict.fromkeys(texts) if text is not None]
 
@@ -569,7 +601,10 @@ def _score_item(
         if metric is MetricName.PASS:
             per_sample = tuple(1.0 if passed else 0.0 for passed in item.exec_passed)
         else:
-            scores = {text: _score_text(metric, instance, text) for text in distinct}
+            try:
+                scores = {text: _score_text(metric, instance, text) for text in distinct}
+            except EvalError as exc:
+                return exc
             scores[None] = 0.0
             per_sample = tuple(scores[text] for text in texts)
         if metric in (MetricName.EM, MetricName.CDC, MetricName.PASS):
@@ -579,23 +614,6 @@ def _score_item(
             at_k = {k: score_at_k(per_sample, k) for k in ks}
         result[metric] = ScoreVector(instance.id, metric, per_sample, at_k)
     return result
-
-
-def _score_kept(
-    item: EvaluationItem, metrics: Sequence[MetricName], ks: Sequence[int]
-) -> tuple[dict[MetricName, ScoreVector] | None, list[logging.LogRecord], EvalError | None]:
-    """_score_item in a form that fan_out can return from a worker: the
-    result, the warnings logged while scoring, and the error that stopped
-    it, if any, in place of the result."""
-    records: list[logging.LogRecord] = []
-    # a filter that keeps each record and, returning None, stops it here
-    log.addFilter(records.append)
-    try:
-        return _score_item(item, metrics, ks), records, None
-    except EvalError as exc:
-        return None, records, exc
-    finally:
-        log.removeFilter(records.append)
 
 
 def _group_key(instance: TaskInstance, group_by: str | None) -> str:
@@ -626,9 +644,11 @@ def run_scoring(
     """Score every item, estimate @k per requested k, and aggregate unweighted
     per-group means.
 
-    Items are scored on every usable core (see _fanout.fan_out).  Each
-    item's warnings are then logged, and the first error raised, in input
-    order, so the result, the log and the error do not depend on the core
+    Every item's samples are normalized, and their warnings logged, in
+    input order before any item is scored, so a run that aborts has logged
+    every instance's warnings first.  Items are then scored on every usable
+    core (see _fanout.fan_out), and the first error in input order is
+    raised, so the result, the log and the error do not depend on the core
     count.
 
     When both pass and a static metric are selected, a Pearson agreement row
@@ -664,13 +684,11 @@ def run_scoring(
 
     from ._fanout import fan_out  # see its module docstring
 
-    scored = []
-    for result, records, error in fan_out(lambda item: _score_kept(item, metric_sel, ks), items):
-        for record in records:
-            log.handle(record)
-        if error is not None:
-            raise error
-        scored.append(result)
+    work = [(item, _normalized(item)) for item in items]
+    scored = fan_out(lambda pair: _score_item(*pair, metric_sel, ks), work)
+    for result in scored:
+        if isinstance(result, EvalError):
+            raise result
 
     groups: dict[str, list[int]] = {}
     for idx, item in enumerate(items):
@@ -749,7 +767,8 @@ def emit_report(aggregates: Sequence[AggregateRow], fmt: str, out_path: str | Pa
 
 
 def load_aggregates(path: str | Path) -> list[AggregateRow]:
-    """Read back a JSON report produced by emit_report."""
+    """Read back a JSON report produced by emit_report; the first row that
+    is not an AggregateRow raises one error naming all its problems."""
     path = Path(path)
     try:
         payload = json.loads(_read_text(path))
@@ -760,18 +779,13 @@ def load_aggregates(path: str | Path) -> list[AggregateRow]:
         raise SchemaViolation([f"{path}: expected an object with a 'rows' list"])
     out = []
     for i, row in enumerate(rows):
-        try:
-            out.append(
-                AggregateRow(
-                    group_key=row["group_key"],
-                    metric=row["metric"],
-                    k=int(row["k"]),
-                    value=float(row["value"]),
-                    instance_count=int(row["instance_count"]),
-                )
-            )
-        except (TypeError, KeyError, ValueError) as exc:
-            raise SchemaViolation([f"{path}: rows[{i}]: malformed aggregate row ({exc})"]) from None
+        if not isinstance(row, dict):
+            raise SchemaViolation([f"{path}: rows[{i}]: expected an object"])
+        problems: list[str] = []
+        values = _decode_record(row, _AGGREGATE_RECORD, problems)
+        if problems:
+            raise SchemaViolation([f"{path}: rows[{i}]: {p}" for p in problems])
+        out.append(AggregateRow(**values))
     return out
 
 

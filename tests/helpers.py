@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import json
 import random
+import shutil
 import sys
 import warnings
 from itertools import combinations
@@ -237,3 +238,20 @@ def write_score_inputs(directory: Path, count: int = 40, bad_references=()) -> t
         write_jsonl(directory / "instances.jsonl", instances),
         write_jsonl(directory / "samples.jsonl", samples),
     )
+
+
+def write_version_tree(root: Path, package: Path) -> Path:
+    """A lifecycle input under root: versions 1.0 and 2.0 of the package
+    directory, each beside a file with CRLF line ends, one with a byte-order
+    mark, one that does not parse and one in Latin-1; 2.0 adds a module to
+    the package and drops its errors.py."""
+    for version in ("1.0", "2.0"):
+        base = root / version
+        shutil.copytree(package, base / package.name, ignore=shutil.ignore_patterns("__pycache__"))
+        (base / "crlf.py").write_bytes(b"def f():\r\n    return 1\r\n")
+        (base / "bom.py").write_bytes(b"\xef\xbb\xbfdef g(): ...\n")
+        (base / "broken.py").write_bytes(b"def broken(:\n")
+        (base / "latin.py").write_bytes(b"def caf\xe9(): ...\n")
+    (root / "2.0" / package.name / "added.py").write_bytes(b"def added(): ...\n")
+    (root / "2.0" / package.name / "errors.py").unlink()
+    return root

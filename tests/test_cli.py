@@ -215,6 +215,19 @@ class TestReportCommand:
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert f"unreadable file {aggregates}" in capsys.readouterr().err
 
+    def test_malformed_row_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # a numeric group_key next to a string one once reached emit_report's
+        # sort and raised TypeError
+        aggregates = tmp_path / "aggregates.json"
+        row = {"group_key": "all", "metric": "em", "k": 1, "value": 0.5, "instance_count": 3}
+        aggregates.write_text(json.dumps({"rows": [row, {**row, "group_key": 2019}]}))
+        out = tmp_path / "o.csv"
+        assert main(["report", "--aggregates", str(aggregates), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {aggregates}: rows[1]: group_key: expected a string\n"
+        )
+        assert not out.exists()
+
 
 class TestMaskCommand:
     def test_masks_instances(self, tmp_path):

@@ -55,11 +55,18 @@ def write_tree(root, files):
         path.write_bytes(data)
 
 
+class StderrHandler(logging.StreamHandler):
+    """Writes to sys.stderr as it is at each write: capfd puts a new stream
+    there between a test's setup and its call, and closes the old one."""
+
+    stream = property(lambda self: sys.stderr, lambda self, value: None)
+
+
 @pytest.fixture
 def cli_log():
     """Warnings to stderr in the CLI's format, which pytest's own log
     handlers would otherwise keep from basicConfig."""
-    handler = logging.StreamHandler(sys.stderr)
+    handler = StderrHandler()
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     logger = logging.getLogger("vceval")
     logger.addHandler(handler)
@@ -98,6 +105,51 @@ def test_importing_fan_out_loads_neither_pickle_nor_signal():
     loaded = loaded_by("import vceval._fanout")
     assert "vceval._fanout" in loaded
     assert loaded & {"pickle", "signal"} == set()
+
+
+def command_inputs(tmp_path, command, count=40):
+    """(argv without --out, [the --out path, and any other output file])
+    for a run of command on inputs written under tmp_path; the score
+    inputs hold count instances."""
+    outs = [tmp_path / "out"]
+    if command == "filter":
+        write_tree(tmp_path / "corpus", MIXED_TREE)
+        return ["filter", "--root", str(tmp_path / "corpus")], outs
+    if command == "lifecycle":
+        changed = {**MIXED_TREE, "pkg/mod3.py": b"def other(): ...\n"}
+        write_tree(tmp_path / "versions" / "1.0", MIXED_TREE)
+        write_tree(tmp_path / "versions" / "2.0", changed)
+        # a directory that is not a version and a version with nothing to
+        # parse, so that lifecycle logs a warning for each
+        write_tree(tmp_path / "versions" / "notes", {"a.py": b""})
+        write_tree(tmp_path / "versions" / "3.0", {"broken.py": b"def broken(:\n"})
+        return ["lifecycle", "--versions-root", str(tmp_path / "versions")], outs
+    instances, samples = write_score_inputs(tmp_path, count=count)
+    outs.append(tmp_path / "vectors.jsonl")
+    args = [
+        "score", "--instances", str(instances), "--samples", str(samples),
+        "--metrics", "em,ism,pm,cdc", "--k", "1,3", "--group-by", "data_source",
+        "--per-instance", str(outs[1]),
+    ]
+    return args, outs
+
+
+class PidLog(logging.Handler):
+    """Appends one line per record that any process handles to a file
+    opened by the test's process: the id of the process that created the
+    record and of the one that handles it, so that records logged in a
+    forked worker show up too."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def emit(self, record):
+        os.write(self.fd, f"{record.process} {os.getpid()}\n".encode())
+
+    def close(self):
+        os.close(self.fd)
+        super().close()
 
 
 class TestFanOut:
@@ -233,23 +285,7 @@ class TestFanOut:
     def test_outputs_do_not_depend_on_the_core_count(
         self, cores, tmp_path, capfd, cli_log, command
     ):
-        outs = [tmp_path / "out"]
-        if command == "filter":
-            write_tree(tmp_path / "corpus", MIXED_TREE)
-            args = ["filter", "--root", str(tmp_path / "corpus")]
-        elif command == "lifecycle":
-            changed = {**MIXED_TREE, "pkg/mod3.py": b"def other(): ...\n"}
-            write_tree(tmp_path / "versions" / "1.0", MIXED_TREE)
-            write_tree(tmp_path / "versions" / "2.0", changed)
-            args = ["lifecycle", "--versions-root", str(tmp_path / "versions")]
-        else:
-            instances, samples = write_score_inputs(tmp_path)
-            outs.append(tmp_path / "vectors.jsonl")
-            args = [
-                "score", "--instances", str(instances), "--samples", str(samples),
-                "--metrics", "em,ism,pm,cdc", "--k", "1,3", "--group-by", "data_source",
-                "--per-instance", str(outs[1]),
-            ]
+        args, outs = command_inputs(tmp_path, command)
         outputs = set()
         for count in (1, 2, 3):
             cores(count)
@@ -260,6 +296,59 @@ class TestFanOut:
             (*_, err), = outputs
             assert "token normalization reduced" in err
             assert "a sample normalized to nothing" in err
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("command", ["filter", "lifecycle", "score"])
+    def test_only_the_calling_process_logs(self, cores, tmp_path, capfd, command):
+        args, outs = command_inputs(tmp_path, command, count=400)
+        handler = PidLog(tmp_path / "pids.txt")
+        logger = logging.getLogger("vceval")
+        logger.addHandler(handler)
+        try:
+            cores(3)
+            assert main([*args, "--out", str(outs[0])]) == 0
+        finally:
+            logger.removeHandler(handler)
+            handler.close()
+        lines = (tmp_path / "pids.txt").read_text().splitlines()
+        assert set(lines) <= {f"{os.getpid()} {os.getpid()}"}
+        if command != "filter":  # filter logs nothing
+            assert lines
+        capfd.readouterr()
+        assert_no_child_left()
+
+    def test_an_aborting_score_logs_every_instance_warning_first(
+        self, cores, tmp_path, capfd, cli_log
+    ):
+        # the bad reference comes first, before every instance whose samples
+        # normalization reduces or empties
+        def inputs(directory, bad_references):
+            directory.mkdir()
+            instances, samples = write_score_inputs(directory, bad_references=bad_references)
+            lines = instances.read_text().splitlines(keepends=True)
+            first = next(line for line in lines if '"inst-005"' in line)
+            instances.write_text("".join([first] + [line for line in lines if line != first]))
+            return [
+                "score", "--instances", str(instances), "--samples", str(samples),
+                "--metrics", "em,cdc", "--out", str(directory / "report.json"),
+            ]
+
+        good = inputs(tmp_path / "good", ())
+        bad = inputs(tmp_path / "bad", (5,))
+        cores(1)
+        assert main(good) == 0
+        *warnings, _ = capfd.readouterr().err.splitlines(keepends=True)
+        assert sum("token normalization reduced" in line for line in warnings) == 10
+        assert sum("normalized to nothing" in line for line in warnings) == 10
+        outcomes = set()
+        for count in (1, 2, 3):
+            cores(count)
+            outcomes.add((main(bad), capfd.readouterr().err))
+        assert outcomes == {(
+            1,
+            "".join(warnings)
+            + "error: instance 'inst-005': reference code must be syntactically valid\n",
+        )}
         assert_no_child_left()
 
     def test_score_names_the_first_bad_reference_on_any_core_count(

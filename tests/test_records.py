@@ -335,10 +335,10 @@ EXPECTED = {
     ("vscc", "release_date", "missing"): None,
     ("vscc", "release_date", "none"): None,
     ("vscc", "release_date", "wrong_type"): (
-        "SchemaViolation", ["instance: release_date: expected an ISO 8601 date, got 7"]
+        "SchemaViolation", ["instance: release_date: expected a YYYY-MM-DD date, got 7"]
     ),
     ("vscc", "release_date", "bad_value"): (
-        "SchemaViolation", ["instance: release_date: expected an ISO 8601 date, got '2021-13-01'"]
+        "SchemaViolation", ["instance: release_date: expected a YYYY-MM-DD date, got '2021-13-01'"]
     ),
     ("vscc", "-", "unknown"): ("SchemaViolation", ["instance: unknown fields: ['extra']"]),
     ("vscc", "-", "empty"): (
@@ -490,10 +490,10 @@ EXPECTED = {
     ("vacm", "release_date", "missing"): None,
     ("vacm", "release_date", "none"): None,
     ("vacm", "release_date", "wrong_type"): (
-        "SchemaViolation", ["instance: release_date: expected an ISO 8601 date, got 7"]
+        "SchemaViolation", ["instance: release_date: expected a YYYY-MM-DD date, got 7"]
     ),
     ("vacm", "release_date", "bad_value"): (
-        "SchemaViolation", ["instance: release_date: expected an ISO 8601 date, got '2021-13-01'"]
+        "SchemaViolation", ["instance: release_date: expected a YYYY-MM-DD date, got '2021-13-01'"]
     ),
     ("vacm", "-", "unknown"): ("SchemaViolation", ["instance: unknown fields: ['extra']"]),
     ("vacm", "-", "empty"): (
@@ -585,10 +585,10 @@ EXPECTED = {
     ("meta", "release_date", "missing"): None,
     ("meta", "release_date", "none"): None,
     ("meta", "release_date", "wrong_type"): (
-        "SchemaViolation", ["meta: release_date: expected an ISO 8601 date, got 7"]
+        "SchemaViolation", ["meta: release_date: expected a YYYY-MM-DD date, got 7"]
     ),
     ("meta", "release_date", "bad_value"): (
-        "SchemaViolation", ["meta: release_date: expected an ISO 8601 date, got '2021-13-01'"]
+        "SchemaViolation", ["meta: release_date: expected a YYYY-MM-DD date, got '2021-13-01'"]
     ),
     ("meta", "-", "unknown"): ("SchemaViolation", ["meta: unknown fields: ['extra']"]),
     ("meta", "-", "empty"): (
@@ -681,10 +681,10 @@ EXPECTED = {
     ("mask-token", "release_date", "missing"): None,
     ("mask-token", "release_date", "none"): None,
     ("mask-token", "release_date", "wrong_type"): (
-        "SchemaViolation", ["mask: release_date: expected an ISO 8601 date, got 7"]
+        "SchemaViolation", ["mask: release_date: expected a YYYY-MM-DD date, got 7"]
     ),
     ("mask-token", "release_date", "bad_value"): (
-        "SchemaViolation", ["mask: release_date: expected an ISO 8601 date, got '2021-13-01'"]
+        "SchemaViolation", ["mask: release_date: expected a YYYY-MM-DD date, got '2021-13-01'"]
     ),
     ("mask-token", "instance_id", "missing"): ("SchemaViolation", ["mask: instance_id: required"]),
     ("mask-token", "instance_id", "none"): ("SchemaViolation", ["mask: instance_id: required"]),
@@ -916,3 +916,11 @@ def test_decoder_outcome(kind, field, variant):
 
 def test_table_covers_every_case():
     assert set(EXPECTED) == set(cases())
+
+
+@pytest.mark.parametrize("value", ["2021-W48-3", "20211201", "2021-12-0١", "2021-12-01\n"])
+def test_release_date_is_year_month_day_on_every_python(value):
+    # date.fromisoformat takes the ISO basic and week forms on 3.11+ only
+    assert outcome("vscc", {**VSCC, "release_date": value}) == (
+        "SchemaViolation", [f"instance: release_date: expected a YYYY-MM-DD date, got {value!r}"]
+    )
