@@ -11,16 +11,15 @@ import os
 # pickle.dumps and pickle.loads are _pickle's on CPython, but importing them
 # through pickle also loads its pure-Python pickler: ~2 ms more.
 from _pickle import dumps, loads
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import NoReturn, TypeVar
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-_RECORD = 4  # bytes per item index in fan_out's work queue
-# Indices per queue write: 512 bytes, which every POSIX system writes to a
-# pipe whole, so a 4-byte read always takes one complete index.
-_BATCH = 128
+# Runs of items in fan_out's work queue, which holds one byte per run: 256
+# bytes are fewer than PIPE_BUF, so an empty pipe takes them in one write.
+_RUNS = 256
 
 
 def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
@@ -31,8 +30,10 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
     items, one child is forked per further usable core (at most one per
     item) and the calling process works beside them, each worker bound to a
     core of its own; the caller's affinity mask is restored.  The items
-    reach the children through fork; each worker takes the index of its
-    next item from a shared pipe when it is free, so a worker on a starved
+    reach the children through fork.  Before the first fork, a pipe is
+    filled with one byte per run of consecutive items (at most 256 runs, so
+    up to 256 items a run is one item) and closed for writing; each worker
+    takes its next run from it when it is free, so a worker on a starved
     core just takes fewer, and each child sends back its (index, result)
     pairs pickled.  The results are the same for any number of cores.
     Nothing that fn logs in a child is carried back, so callers log in the
@@ -59,34 +60,21 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
     open_fds = {take, feed}
     children: dict[int, int] = {}  # pid -> read end of the child's result pipe
     try:
+        os.write(feed, bytes(range(min(len(items), _RUNS))))
+        os.close(feed)
+        open_fds.remove(feed)
         for worker in range(1, workers):
             receive, send = os.pipe()
             open_fds |= {receive, send}
             pid = os.fork()
             if pid == 0:
-                os.close(feed)
                 _serve(fn, items, take, send, cores[worker])
             children[pid] = receive
             os.close(send)
             open_fds.remove(send)
         _pin({cores[0]})
-        os.set_blocking(feed, False)
-        fed = 0
-        while fed < len(items):
-            try:
-                while fed < len(items):
-                    batch = range(fed, min(fed + _BATCH, len(items)))
-                    os.write(feed, b"".join(i.to_bytes(_RECORD, "little") for i in batch))
-                    fed = batch.stop
-            except BlockingIOError:
-                # the queue is full: work on an item that it does not hold
-                results[fed] = fn(items[fed])
-                fed += 1
-        os.close(feed)
-        open_fds.remove(feed)
-        while record := os.read(take, _RECORD):
-            index = int.from_bytes(record, "little")
-            results[index] = fn(items[index])
+        for index, result in _work(fn, items, take):
+            results[index] = result
         payloads = {pid: _read_to_end(receive) for pid, receive in children.items()}
     except BaseException:
         if os.getpid() != parent:  # a child that left _serve by an exception
@@ -113,6 +101,16 @@ def fan_out(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
     return results
 
 
+def _work(fn: Callable[[_T], _R], items: Sequence[_T], take: int) -> Iterator[tuple[int, _R]]:
+    """(index, fn(item)) for each item of each run that this worker takes
+    from the queue at take, until the queue is empty."""
+    n = len(items)
+    runs = min(n, _RUNS)
+    while run := os.read(take, 1):
+        for index in range(run[0] * n // runs, (run[0] + 1) * n // runs):
+            yield index, fn(items[index])
+
+
 def _read_to_end(fd: int) -> bytes:
     chunks = []
     while chunk := os.read(fd, 1 << 16):
@@ -133,20 +131,16 @@ def _pin(cpus: set[int]) -> None:
 def _serve(
     fn: Callable[[_T], _R], items: Sequence[_T], take: int, send: int, core: int
 ) -> NoReturn:
-    """A fan_out child's whole run: fn over the items whose indices it takes
-    from the queue, until the queue is empty; then its (index, result)
-    pairs, or the BaseException that stopped it, pickled to send.  It exits
-    without returning, so it never runs the caller's code or flushes the
-    caller's stdio buffers."""
+    """A fan_out child's whole run: _work until the queue, filled before
+    the fork, is empty; then its (index, result) pairs, or the
+    BaseException that stopped it, pickled to send.  It exits without
+    returning, so it never runs the caller's code or flushes the caller's
+    stdio buffers."""
     code = 1
     try:
         try:
             _pin({core})
-            done = []
-            while record := os.read(take, _RECORD):
-                index = int.from_bytes(record, "little")
-                done.append((index, fn(items[index])))
-            payload: object = done
+            payload: object = list(_work(fn, items, take))
         except BaseException as exc:
             payload = exc
         data = memoryview(dumps(payload, -1))  # -1: the highest protocol

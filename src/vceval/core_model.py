@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from itertools import repeat
+from keyword import iskeyword
 
 from .errors import MaskSentinelMismatch, NoNumericComponent, SchemaViolation
 
@@ -142,7 +143,9 @@ def _broken_rules(known: Mapping[str, object]) -> tuple[type[SchemaViolation], l
         problems.append("id: must be non-empty")
     if "library" in known and (not known["library"] or any(map(str.isspace, known["library"]))):
         problems.append("library: must be non-empty and contain no whitespace")
-    if "core_token" in known and not IDENTIFIER_RE.fullmatch(known["core_token"] or ""):
+    # the identifier stream drops hard keywords, not soft ones such as match
+    token = known.get("core_token")
+    if "core_token" in known and (not IDENTIFIER_RE.fullmatch(token or "") or iskeyword(token)):
         problems.append("core_token: must be a single identifier")
     if "code" in known and not known["code"]:
         problems.append("code: must be non-empty")

@@ -123,6 +123,14 @@ def _read_text(path: Path) -> str:
         raise IoFailure(f"unreadable file {path}: {exc}") from exc
 
 
+def _invalid_json(where: str, exc: ValueError | RecursionError) -> SchemaViolation:
+    # json.loads raises JSONDecodeError on bad syntax, a plain ValueError on
+    # an integer past the interpreter's digit limit and RecursionError on
+    # deep nesting; a JSONDecodeError's msg leaves out the position
+    reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+    return SchemaViolation([f"{where}: invalid JSON: {reason}"])
+
+
 def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     """All (lineno, object) records of a line-delimited JSON file."""
     path = Path(path)
@@ -135,8 +143,8 @@ def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation([f"{path}:{lineno}: invalid JSON: {exc.msg}"]) from None
+        except (ValueError, RecursionError) as exc:
+            raise _invalid_json(f"{path}:{lineno}", exc) from None
         if not isinstance(obj, dict):
             raise SchemaViolation([f"{path}:{lineno}: expected a JSON object"])
         rows.append((lineno, obj))
@@ -772,8 +780,8 @@ def load_aggregates(path: str | Path) -> list[AggregateRow]:
     path = Path(path)
     try:
         payload = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation([f"{path}: invalid JSON: {exc.msg}"]) from None
+    except (ValueError, RecursionError) as exc:
+        raise _invalid_json(str(path), exc) from None
     rows = payload.get("rows") if isinstance(payload, dict) else None
     if not isinstance(rows, list):
         raise SchemaViolation([f"{path}: expected an object with a 'rows' list"])
@@ -783,6 +791,9 @@ def load_aggregates(path: str | Path) -> list[AggregateRow]:
             raise SchemaViolation([f"{path}: rows[{i}]: expected an object"])
         problems: list[str] = []
         values = _decode_record(row, _AGGREGATE_RECORD, problems)
+        for name in ("k", "instance_count"):
+            if values.get(name, 1) < 1:
+                problems.append(f"{name}: must be at least 1")
         if problems:
             raise SchemaViolation([f"{path}: rows[{i}]: {p}" for p in problems])
         out.append(AggregateRow(**values))

@@ -255,3 +255,27 @@ def write_version_tree(root: Path, package: Path) -> Path:
     (root / "2.0" / package.name / "added.py").write_bytes(b"def added(): ...\n")
     (root / "2.0" / package.name / "errors.py").unlink()
     return root
+
+
+def mixed_tree(modules: int = 12) -> dict[str, bytes]:
+    """relative path -> bytes of a corpus for byte-identity across core
+    counts: a Latin-1 file, files that do not parse, CRLF line ends,
+    byte-order marks, a long line, and as many plain modules of distinct
+    content as modules says."""
+    return {
+        "latin.py": "def caf\u00e9(): ...\n".encode("latin-1"),
+        "broken.py": b"def broken(:\n",
+        "crlf.py": b"def f():\r\n    return 1\r\n\r\nclass K:\r\n    def m(self): ...\r\n",
+        "bom.py": b"\xef\xbb\xbfdef g(): ...\n",
+        "bom_broken.py": b"\xef\xbb\xbfdef (:\n",
+        "wide.py": b"x = " + b"1" * 1200 + b"\n",
+        **{f"pkg/mod{i}.py": f"def api{i}(x):\n    return x + {i}\n".encode() for i in range(modules)},
+    }
+
+
+def write_tree(root: Path, files: dict[str, bytes]) -> Path:
+    for relative, data in files.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root

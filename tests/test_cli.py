@@ -125,6 +125,27 @@ class TestScoreCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "samples, reason",
+        [
+            # json.loads raises ValueError here, not JSONDecodeError
+            ("[" + "1" * 5000 + "]", "Exceeds the limit"),
+            # and RecursionError here
+            ("[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["long-integer", "deep-nesting"],
+    )
+    def test_json_that_does_not_decode_exits_1(self, corpus, tmp_path, capsys, samples, reason):
+        inst, samp = corpus
+        broken = tmp_path / "broken.jsonl"
+        first = samp.read_text().splitlines()[0]
+        broken.write_text(f'{first}\n{{"instance_id": "x", "samples": {samples}}}\n')
+        argv = ["score", "--instances", str(inst), "--samples", str(broken), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {broken}:2: invalid JSON: {reason}")
+        assert err.count("\n") == 1
+
     def test_join_failure_exits_1(self, corpus, tmp_path):
         inst, _ = corpus
         orphan = write_jsonl(tmp_path / "orphan.jsonl", [{"instance_id": "ghost", "samples": ["x"]}])
@@ -214,6 +235,17 @@ class TestReportCommand:
         assert main(["report", "--aggregates", str(aggregates),
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert f"unreadable file {aggregates}" in capsys.readouterr().err
+
+    def test_integer_past_the_digit_limit_exits_1(self, tmp_path, capsys):
+        aggregates = tmp_path / "aggregates.json"
+        row = '{"group_key": "all", "metric": "em", "k": %s, "value": 0.5, "instance_count": 3}'
+        aggregates.write_text('{"rows": [%s]}' % (row % ("1" * 5000)))
+        out = tmp_path / "o.csv"
+        assert main(["report", "--aggregates", str(aggregates), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {aggregates}: invalid JSON: Exceeds the limit")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_malformed_row_exits_1_and_writes_nothing(self, tmp_path, capsys):
         # a numeric group_key next to a string one once reached emit_report's

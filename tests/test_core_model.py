@@ -230,6 +230,11 @@ class TestValidateInstance:
         instance = make_vscc(reference="café", core_token="café")
         assert instance.core_token == "café"
 
+    @pytest.mark.parametrize("token", ["match", "case", "type", "_"])
+    def test_soft_keyword_core_token_accepted(self, token):
+        # only hard keywords leave the identifier stream
+        assert make_vscc(reference=f"{token}(x)", core_token=token).core_token == token
+
     @pytest.mark.parametrize(
         "make, overrides, error, message",
         [
@@ -258,6 +263,8 @@ class TestValidateInstance:
              "target_version: must differ from source_version"),
             (make_vacm, {"granularity": Granularity.TOKEN}, SchemaViolation,
              "granularity: vacm instances are block-level"),
+            (make_vscc, {"core_token": "return", "reference": "    return x"}, SchemaViolation,
+             "core_token: must be a single identifier"),
         ],
     )
     def test_each_rule_names_itself(self, make, overrides, error, message):

@@ -10,7 +10,7 @@ import pytest
 from vceval._fanout import fan_out
 from vceval.cli import main
 
-from helpers import write_score_inputs
+from helpers import mixed_tree, write_score_inputs, write_tree
 
 
 @pytest.fixture
@@ -34,25 +34,7 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-# A tree for byte-identity across core counts: decode errors, syntax errors,
-# CRLF line ends, byte-order marks, and enough plain files that forked
-# workers get some of them.
-MIXED_TREE = {
-    "latin.py": "def caf\u00e9(): ...\n".encode("latin-1"),
-    "broken.py": b"def broken(:\n",
-    "crlf.py": b"def f():\r\n    return 1\r\n\r\nclass K:\r\n    def m(self): ...\r\n",
-    "bom.py": b"\xef\xbb\xbfdef g(): ...\n",
-    "bom_broken.py": b"\xef\xbb\xbfdef (:\n",
-    "wide.py": b"x = " + b"1" * 1200 + b"\n",
-    **{f"pkg/mod{i}.py": f"def api{i}(x):\n    return x + {i}\n".encode() for i in range(12)},
-}
-
-
-def write_tree(root, files):
-    for relative, data in files.items():
-        path = root / relative
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+MIXED_TREE = mixed_tree()
 
 
 class StderrHandler(logging.StreamHandler):
@@ -192,11 +174,32 @@ class TestFanOut:
         assert fan_out(operator.neg, [1, 2, 3]) == [-1, -2, -3]
 
     def test_more_items_than_one_pipe_holds(self, cores):
-        # 20,000 4-byte indices are more than the 64 KiB a Linux pipe holds;
-        # six workers are more than most test machines have cores
+        # 20,000 items are far more than the queue's 256 runs, so each run
+        # holds 78 or 79 of them; six workers are more than most test
+        # machines have cores
         cores(6)
         items = list(range(20_000))
         assert fan_out(operator.neg, items) == [-i for i in items]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("count", [255, 256, 257, 20_000])
+    def test_each_item_is_worked_once_and_comes_back_in_order(self, cores, tmp_path, count):
+        # up to 256 items each run in the queue is one item; past that a run
+        # holds several.  Every process appends the items it works on to
+        # one file, as PidLog does
+        cores(3)
+        fd = os.open(tmp_path / "worked.txt", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def work(item):
+            os.write(fd, b"%d\n" % item)
+            return -item
+
+        try:
+            assert fan_out(work, list(range(count))) == [-i for i in range(count)]
+        finally:
+            os.close(fd)
+        worked = (tmp_path / "worked.txt").read_text().split()
+        assert sorted(map(int, worked)) == list(range(count))
         assert_no_child_left()
 
     def test_any_raising_worker_fails_the_call(self, cores):

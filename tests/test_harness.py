@@ -589,6 +589,10 @@ class TestEmitReport:
             ({"metric": None, "k": "1"}, ["k: expected an integer", "metric: required"]),
             ({"metric": 7}, ["metric: expected a string"]),
             ({"extra": 1}, ["unknown fields: ['extra']"]),
+            (
+                {"k": 0, "value": -5.0, "instance_count": -1},
+                ["instance_count: must be at least 1", "k: must be at least 1"],
+            ),
         ],
     )
     def test_load_names_every_problem_of_a_malformed_row(self, tmp_path, change, problems):
