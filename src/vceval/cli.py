@@ -140,22 +140,21 @@ def lifecycle(versions_root, out_path) -> None:
     if len(surfaces) < 2:
         raise InvalidArgs("need at least two usable version trees under --versions-root")
     records = tag_lifecycle(surfaces)
+    versions = [s.version.raw for s in surfaces]
     payload = {
-        "versions": [s.version.raw for s in surfaces],
+        "versions": versions,
         "records": [
             {
                 "api": record.api,
                 "start_index": record.start_index,
                 "end_index": record.end_index,
-                "first_version": surfaces[record.start_index].version.raw,
+                "first_version": versions[record.start_index],
                 "removed_in_version": (
-                    surfaces[record.end_index].version.raw
-                    if record.end_index is not None
-                    else None
+                    None if record.end_index is None else versions[record.end_index]
                 ),
                 "tags": {v: tag.value for v, tag in record.per_version_tag.items()},
             }
-            for record in sorted(records, key=lambda r: (r.api, r.start_index))
+            for record in records
         ],
     }
     # streamed: the encoded text is never held whole
@@ -198,26 +197,23 @@ def pair(meta_path, out_path) -> None:
     joins the two caller-supplied meta ids as "<source_id>::<target_id>", so
     a meta id may not contain "::", and the core token is the target side's.
     """
-    entries: list[tuple[str, str, MetaInstance]] = []
-    seen_ids = set()
+    entries: dict[str, tuple[str, MetaInstance]] = {}
     for lineno, obj in harness.read_jsonl(meta_path):
         where = f"{meta_path}:{lineno}"
         meta_id, core_token, meta = decode_meta_record(obj, where)
-        if meta_id in seen_ids:
+        if meta_id in entries:
             raise SchemaViolation([f"{where}: duplicate meta id {meta_id!r}"])
-        seen_ids.add(meta_id)
-        entries.append((meta_id, core_token, meta))
+        entries[meta_id] = (core_token, meta)
 
     groups: dict[tuple[str, str], list[tuple[str, str, MetaInstance]]] = {}
-    for entry in entries:
-        groups.setdefault((entry[2].library, entry[2].description), []).append(entry)
+    for meta_id, (core_token, meta) in entries.items():
+        groups.setdefault((meta.library, meta.description), []).append((meta_id, core_token, meta))
 
     rows = []
     for members in groups.values():
         for source_id, _, m_i in members:
             for target_id, target_token, m_j in members:
-                if source_id == target_id:
-                    continue
+                # equal versions; this also skips an entry paired with itself
                 if compare_versions(m_i.version, m_j.version) is Ordering.EQUAL:
                     continue
                 instance, _ = build_migration_pair(

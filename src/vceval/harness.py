@@ -71,8 +71,6 @@ EXEC_CASE_CATEGORIES = ("return_type", "normal_input", "boundary_values", "funct
 
 GROUP_DIMENSIONS = ("data_source", "lifecycle_tag", "year", "pattern", "direction")
 
-_METRIC_ORDER = (MetricName.EM, MetricName.ISM, MetricName.PM, MetricName.CDC, MetricName.PASS)
-
 
 @dataclass(frozen=True)
 class ExecReport:
@@ -467,7 +465,6 @@ def ingest(
 
     verdicts: dict[str, list[bool | None]] = {iid: [None] * len(s) for iid, s in sample_sets.items()}
     if exec_reports_path is not None:
-        seen: set[tuple[str, int]] = set()
         orphan_reports: list[str] = []
         for lineno, obj in read_jsonl(exec_reports_path):
             where = f"{exec_reports_path}:{lineno}"
@@ -475,16 +472,16 @@ def ingest(
             if report.instance_id not in instances:
                 orphan_reports.append(report.instance_id)
                 continue
-            n = len(sample_sets[report.instance_id])
+            slots = verdicts[report.instance_id]
+            n = len(slots)
             if report.sample_index >= n:
                 raise SchemaViolation(
                     [f"{where}: sample_index {report.sample_index} out of range for n={n}"]
                 )
-            key = (report.instance_id, report.sample_index)
-            if key in seen:
+            if slots[report.sample_index] is not None:  # set by an earlier report
+                key = (report.instance_id, report.sample_index)
                 raise SchemaViolation([f"{where}: duplicate exec report for {key}"])
-            seen.add(key)
-            verdicts[report.instance_id][report.sample_index] = report.passed
+            slots[report.sample_index] = report.passed
         if orphan_reports:
             raise JoinFailure(
                 f"exec reports reference unknown instance ids: {orphan_reports}", orphan_reports
@@ -532,7 +529,7 @@ def _normalize_metric_selection(metrics) -> tuple[MetricName, ...]:
             raise InvalidArgs(
                 f"unknown metric {metric!r}; choose from {[m.value for m in MetricName]}"
             ) from None
-    return tuple(m for m in _METRIC_ORDER if m in chosen)
+    return tuple(m for m in MetricName if m in chosen)
 
 
 def _normalize_ks(ks) -> tuple[int, ...]:
@@ -738,7 +735,8 @@ def run_scoring(
 
 
 def emit_report(aggregates: Sequence[AggregateRow], fmt: str, out_path: str | Path) -> Path:
-    """Write rows sorted by (group_key, metric, k) as csv or json.
+    """Write rows sorted by (group_key, metric, k) as csv or json, with
+    AggregateRow's fields as columns, the table load_aggregates reads back.
 
     Output is byte-deterministic for identical inputs; empty aggregates are
     refused.
@@ -748,28 +746,17 @@ def emit_report(aggregates: Sequence[AggregateRow], fmt: str, out_path: str | Pa
         raise InvalidArgs("refusing to emit an empty report")
     if fmt not in ("csv", "json"):
         raise InvalidArgs(f"unknown report format {fmt!r}")
+    columns = [name for name, _, _ in _AGGREGATE_RECORD]
+    table = [[getattr(row, name) for name in columns] for row in rows]
     if fmt == "json":
-        payload = {
-            "rows": [
-                {
-                    "group_key": row.group_key,
-                    "metric": row.metric,
-                    "k": row.k,
-                    "value": row.value,
-                    "instance_count": row.instance_count,
-                }
-                for row in rows
-            ]
-        }
+        payload = {"rows": [dict(zip(columns, values)) for values in table]}
         data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         import csv  # here, so that only a csv report loads it
 
+        # csv writes a float as its repr, as json does
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["group_key", "metric", "k", "value", "instance_count"])
-        for row in rows:
-            writer.writerow([row.group_key, row.metric, row.k, repr(row.value), row.instance_count])
+        csv.writer(buffer, lineterminator="\n").writerows([columns, *table])
         data = buffer.getvalue()
     return write_text(out_path, (data,), what="report ")
 

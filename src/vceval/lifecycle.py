@@ -3,6 +3,7 @@ trees, and addition/deprecation/general tagging over presence runs."""
 
 from __future__ import annotations
 
+import itertools
 import logging
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -140,7 +141,8 @@ def extract_surface(
 
 
 def tag_lifecycle(surfaces: Sequence[VersionSurface]) -> list[LifecycleRecord]:
-    """Emit one record per maximal contiguous presence run of every API.
+    """Emit one record per maximal contiguous presence run of every API, in
+    (api, start_index) order.
 
     Boundary rules: a run beginning at the first observed version is never
     tagged addition (the window is left-censored, so presence in an earlier
@@ -159,29 +161,21 @@ def tag_lifecycle(surfaces: Sequence[VersionSurface]) -> list[LifecycleRecord]:
                 f"surfaces not strictly ascending at {prev.version.raw!r} -> {curr.version.raw!r}"
             )
 
-    count = len(surfaces)
+    versions = [s.version.raw for s in surfaces]
     records: list[LifecycleRecord] = []
     for api in sorted(set().union(*(s.apis for s in surfaces))):
-        present = [api in s.apis for s in surfaces]
-        idx = 0
-        while idx < count:
-            if not present[idx]:
-                idx += 1
+        presence = [api in s.apis for s in surfaces]
+        for present, run in itertools.groupby(range(len(versions)), presence.__getitem__):
+            if not present:
                 continue
-            start = idx
-            while idx < count and present[idx]:
-                idx += 1
-            end = idx
-            closed = end < count
-            tags: dict[str, LifecycleTag] = {}
-            for pos in range(start, end):
-                raw = surfaces[pos].version.raw
-                if closed and pos == end - 1:
-                    tags[raw] = LifecycleTag.DEPRECATION
-                elif pos == start and start > 0:
-                    tags[raw] = LifecycleTag.ADDITION
-                else:
-                    tags[raw] = LifecycleTag.GENERAL
+            run = list(run)
+            start, end = run[0], run[-1] + 1
+            tags = dict.fromkeys(versions[start:end], LifecycleTag.GENERAL)
+            if start > 0:
+                tags[versions[start]] = LifecycleTag.ADDITION
+            closed = end < len(versions)
+            if closed:  # written last, so that it wins on a one-version run
+                tags[versions[end - 1]] = LifecycleTag.DEPRECATION
             records.append(LifecycleRecord(api, start, end if closed else None, tags))
     return records
 

@@ -137,10 +137,10 @@ def pm_line(generated_line: str, reference_line: str) -> float:
 
 
 def significant_lines(text: str) -> list[str]:
-    """Non-blank, non-comment lines."""
-    return [
-        line for line in text.splitlines() if line.strip() and not line.strip().startswith("#")
-    ]
+    """Non-blank, non-comment lines, ended at LF, CRLF or CR as Python ends
+    them (str.splitlines() also ends one at U+2028, U+0085, form feed, ...)."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [line for line in lines if line.strip() and not line.strip().startswith("#")]
 
 
 def block_line_average(

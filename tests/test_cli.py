@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from vceval import collect_surfaces
 from vceval.cli import main
 
 from helpers import build_fixture_corpus, write_jsonl
@@ -146,6 +147,35 @@ class TestScoreCommand:
         assert err.startswith(f"error: {broken}:2: invalid JSON: {reason}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "name, line, message",
+        [
+            (
+                "samples", '{"instance_id": "inst-000", "samples": ["x"]}',
+                "duplicate sample set for instance 'inst-000'",
+            ),
+            ("samples", "[1, 2]", "expected a JSON object"),
+            (
+                "exec", '{"instance_id": "inst-000", "sample_index": 0, "passed": false}',
+                "duplicate exec report for ('inst-000', 0)",
+            ),
+        ],
+        ids=["duplicate-sample-set", "not-an-object", "duplicate-exec-report"],
+    )
+    def test_rejected_second_line_exits_1(self, corpus, tmp_path, capsys, name, line, message):
+        inst, samp = corpus
+        exec_reports = write_jsonl(
+            tmp_path / "exec.jsonl", [{"instance_id": "inst-000", "sample_index": 0, "passed": True}]
+        )
+        bad = {"samples": samp, "exec": exec_reports}[name]
+        bad.write_text(bad.read_text().splitlines()[0] + f"\n{line}\n")
+        out = tmp_path / "r.json"
+        argv = ["score", "--instances", str(inst), "--samples", str(samp),
+                "--exec-reports", str(exec_reports), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
+        assert not out.exists()
+
     def test_join_failure_exits_1(self, corpus, tmp_path):
         inst, _ = corpus
         orphan = write_jsonl(tmp_path / "orphan.jsonl", [{"instance_id": "ghost", "samples": ["x"]}])
@@ -245,6 +275,24 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {aggregates}: invalid JSON: Exceeds the limit")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"row": []}, "expected an object with a 'rows' list"),
+            ([], "expected an object with a 'rows' list"),
+            ({"rows": {}}, "expected an object with a 'rows' list"),
+            ({"rows": ["all,em,1,0.5,3"]}, "rows[0]: expected an object"),
+        ],
+        ids=["no-rows-key", "top-level-list", "rows-not-a-list", "row-not-an-object"],
+    )
+    def test_malformed_file_exits_1_and_writes_nothing(self, tmp_path, capsys, payload, message):
+        aggregates = tmp_path / "aggregates.json"
+        aggregates.write_text(json.dumps(payload))
+        out = tmp_path / "o.csv"
+        assert main(["report", "--aggregates", str(aggregates), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {aggregates}: {message}\n"
         assert not out.exists()
 
     def test_malformed_row_exits_1_and_writes_nothing(self, tmp_path, capsys):
@@ -535,6 +583,22 @@ class TestLifecycleCommand:
         assert records["pkg.mod.keep"]["tags"] == {"1.0": "general", "2.0": "general"}
         assert records["pkg.mod.added"]["tags"] == {"2.0": "addition"}
 
+    def test_stray_file_and_py_directory_are_not_read(self, tmp_path, capsys):
+        root = tmp_path / "versions"
+        for version in ("1.0", "2.0"):
+            directory = root / version / "pkg"
+            (directory / "x.py").mkdir(parents=True)  # a directory, not a module
+            (directory / "mod.py").write_text(f"def f{version[0]}(): ...\n")
+        (root / "3.0").write_text("def f3(): ...\n")  # a file, not a version tree
+        out = tmp_path / "lifecycle.json"
+        assert main(["lifecycle", "--versions-root", str(root), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == f"tagged 2 lifecycle record(s) -> {out}\n"
+        payload = json.loads(out.read_text())
+        assert payload["versions"] == ["1.0", "2.0"]
+        assert [record["api"] for record in payload["records"]] == ["pkg.mod.f1", "pkg.mod.f2"]
+        # the directory is passed over, not counted as a skipped file
+        assert [(s.parsed_files, s.skipped_files) for s in collect_surfaces(root)] == [(1, 0)] * 2
+
     def test_single_version_exits_3(self, tmp_path):
         root = tmp_path / "versions"
         directory = root / "1.0"
@@ -646,13 +710,23 @@ class TestUsage:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
-        "extra",
-        [["--format", "xml"], ["--group-by", "month"], ["--inst", "instances.jsonl"]],
-        ids=["format", "group-by", "abbreviation"],
+        "extra, message",
+        [
+            (["--format", "xml"], "--format"),
+            (["--group-by", "month"], "--group-by"),
+            (["--inst", "instances.jsonl"], "--inst"),
+            (["--k", "1,x"], "error: --k expects a comma list of integers, got '1,x'\n"),
+            (["--k", "0"], "error: k values must be positive integers, got 0\n"),
+            (["--k", ","], "error: need at least one k value\n"),
+            (["--metrics", ","], "error: no metrics selected\n"),
+        ],
+        ids=["format", "group-by", "abbreviation", "k-not-integer", "k-zero", "no-k", "no-metric"],
     )
-    def test_rejected_option_exits_3(self, corpus, tmp_path, extra):
+    def test_rejected_option_exits_3(self, corpus, tmp_path, capsys, extra, message):
         code, out = run_score(corpus, tmp_path, *extra)
         assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not out.exists()
 
     def test_option_value_after_equals(self, corpus, tmp_path):

@@ -374,10 +374,50 @@ class TestRunScoring:
         agreement = [row for row in result.aggregates if row.metric == "pearson_em_vs_pass"]
         assert agreement[0].value == pytest.approx(1.0)
 
+    def test_year_groups_name_undated_instances_unspecified(self, tmp_path):
+        items = items_from_corpus(tmp_path, 8)
+        result = run_scoring(items, ["em"], [1], group_by="year")
+        counts = {row.group_key: row.instance_count for row in result.aggregates}
+        assert counts == {"year=2015": 2, "year=2018": 2, "year=2021": 2, "year=unspecified": 2}
+
+    def test_constant_pass_series_skips_pearson_with_a_warning(self, tmp_path, caplog):
+        exec_rows = [
+            {"instance_id": f"inst-{i:03d}", "sample_index": j, "passed": True}
+            for i in range(4)
+            for j in range(6)
+        ]
+        items = items_from_corpus(tmp_path, 4, exec_rows)
+        with caplog.at_level(logging.WARNING, logger="vceval.harness"):
+            result = run_scoring(items, ["em", "pass"], [1])
+        assert {row.metric for row in result.aggregates} == {"em", "pass"}
+        assert caplog.messages == [
+            "skipping em-vs-pass agreement at k=1: at least one of the inputs is constant"
+        ]
+
     def test_k_exceeding_n_rejected(self, tmp_path):
         items = items_from_corpus(tmp_path, 2)
         with pytest.raises(KExceedsN):
             run_scoring(items, ["em"], [7])
+
+    @pytest.mark.parametrize(
+        "metrics, ks, group_by, message",
+        [
+            (["em"], [0], None, "k values must be positive integers, got 0"),
+            (["em"], [], None, "need at least one k value"),
+            ([], [1], None, "no metrics selected"),
+            (
+                ["em"], [1], "month",
+                "unknown group-by 'month'; choose from"
+                " ['data_source', 'lifecycle_tag', 'year', 'pattern', 'direction']",
+            ),
+        ],
+        ids=["k-zero", "no-k", "no-metric", "unknown-group-by"],
+    )
+    def test_invalid_arguments_rejected(self, tmp_path, metrics, ks, group_by, message):
+        items = items_from_corpus(tmp_path, 1)
+        with pytest.raises(InvalidArgs) as caught:
+            run_scoring(items, metrics, ks, group_by=group_by)
+        assert str(caught.value) == message
 
     def test_unknown_metric_rejected(self, tmp_path):
         items = items_from_corpus(tmp_path, 1)
@@ -565,6 +605,12 @@ class TestEmitReport:
     def test_empty_refused(self, tmp_path):
         with pytest.raises(InvalidArgs):
             emit_report([], "json", tmp_path / "r.json")
+
+    def test_unknown_format_refused(self, tmp_path):
+        with pytest.raises(InvalidArgs) as caught:
+            emit_report(self.rows(), "xml", tmp_path / "r.xml")
+        assert str(caught.value) == "unknown report format 'xml'"
+        assert list(tmp_path.iterdir()) == []
 
     def test_load_round_trip(self, tmp_path):
         out = tmp_path / "r.json"

@@ -162,6 +162,8 @@ class TestTagLifecycle:
         versions = [f"{i + 1}.0" for i in range(n)]
         surfaces = surfaces_from_presence(presence, versions)
         records = tag_lifecycle(surfaces)
+        # the order the lifecycle command writes them in
+        assert records == sorted(records, key=lambda r: (r.api, r.start_index))
 
         # reconstruct presence from the emitted runs
         rebuilt = {api: [False] * n for api in presence}

@@ -265,6 +265,24 @@ class TestBlockLineAverage:
         code = "".join(f"v{i} = {i}\n" for i in range(10))
         assert block_line_average(code, code, lambda generated, reference: 0.1) == 0.1
 
+    @pytest.mark.parametrize(
+        "separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+    )
+    def test_a_separator_inside_a_string_does_not_end_a_line(self, separator):
+        # two lines of Python; str.splitlines() would also break at separator
+        reference = f's = "a{separator}b"\nt = f(x, y)'
+        generated = f's = "a{separator}b"\nt = g(x, y)'
+        assert block_line_average(generated, reference, ism_line) == (1 + 1 / 4) / 2
+        assert block_line_average(generated, reference, pm_line) == (1 + 4 / 11) / 2
+
+    @pytest.mark.parametrize("line_metric", [ism_line, pm_line], ids=["ism", "pm"])
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_lines_match_their_lf_form(self, line_metric, newline):
+        code = "a = 1\n\n# comment\nb = f(a, key=2)\n"
+        other = code.replace("\n", newline)
+        assert block_line_average(other, code, line_metric) == 1.0
+        assert block_line_average(code, other, line_metric) == 1.0
+
 
 def verdict_tuple(v: CdcVerdict):
     return (v.rule1_core_token, v.rule2_valid, v.rule3_arg_count, v.rule4_with, v.rule5_keywords)
