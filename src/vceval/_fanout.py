@@ -1,7 +1,8 @@
 """Map a function over items on every core that this process may run on,
-in forked worker processes; filter and lifecycle compile corpus files this
-way, and score scores its instances.  Imported by its callers when they
-run, so that commands which do not use it neither compile nor load it.
+in forked worker processes.  filter compiles its corpus files this way,
+lifecycle the distinct files of all its versions in one call, and score
+scores its instances.  Imported by its callers when they run, so that
+commands which do not use it neither compile nor load it.
 """
 
 from __future__ import annotations

@@ -438,7 +438,7 @@ def ingest(
         instances[inst.id] = inst
 
     sample_sets: dict[str, tuple[str, ...]] = {}
-    orphan_samples: list[str] = []
+    orphan_samples: dict[str, None] = {}  # each unknown id once, in input order
     for lineno, obj in read_jsonl(samples_path):
         where = f"{samples_path}:{lineno}"
         iid = obj.get("instance_id")
@@ -450,27 +450,26 @@ def ingest(
         if iid in sample_sets:
             raise SchemaViolation([f"{where}: duplicate sample set for instance {iid!r}"])
         if iid not in instances:
-            orphan_samples.append(iid)
+            orphan_samples[iid] = None
             continue
         if not samples:
             raise SchemaViolation([f"{where}: samples: need at least one generated sample"])
         sample_sets[iid] = tuple(samples)
     if orphan_samples:
-        raise JoinFailure(
-            f"sample sets reference unknown instance ids: {orphan_samples}", orphan_samples
-        )
+        orphans = list(orphan_samples)
+        raise JoinFailure(f"sample sets reference unknown instance ids: {orphans}", orphans)
     missing_samples = [iid for iid in instances if iid not in sample_sets]
     if missing_samples:
         raise JoinFailure(f"instances lack sample sets: {missing_samples}", missing_samples)
 
     verdicts: dict[str, list[bool | None]] = {iid: [None] * len(s) for iid, s in sample_sets.items()}
     if exec_reports_path is not None:
-        orphan_reports: list[str] = []
+        orphan_reports: dict[str, None] = {}
         for lineno, obj in read_jsonl(exec_reports_path):
             where = f"{exec_reports_path}:{lineno}"
             report = decode_exec_report(obj, where)
             if report.instance_id not in instances:
-                orphan_reports.append(report.instance_id)
+                orphan_reports[report.instance_id] = None
                 continue
             slots = verdicts[report.instance_id]
             n = len(slots)
@@ -483,9 +482,8 @@ def ingest(
                 raise SchemaViolation([f"{where}: duplicate exec report for {key}"])
             slots[report.sample_index] = report.passed
         if orphan_reports:
-            raise JoinFailure(
-                f"exec reports reference unknown instance ids: {orphan_reports}", orphan_reports
-            )
+            orphans = list(orphan_reports)
+            raise JoinFailure(f"exec reports reference unknown instance ids: {orphans}", orphans)
 
     return [EvaluationItem(i, sample_sets[i.id], tuple(verdicts[i.id])) for i in instances.values()]
 

@@ -48,24 +48,33 @@ class LifecycleRecord:
     per_version_tag: Mapping[str, LifecycleTag]
 
 
-def scan_api_definitions(
-    tree_root: str | Path, *, memo: dict[bytes, frozenset[str] | None] | None = None
-) -> tuple[frozenset[str], int, int]:
+def scan_api_definitions(tree_root: str | Path) -> tuple[frozenset[str], int, int]:
     """Collect public qualified definition names from every .py file under
     tree_root; returns (names, parsed_files, skipped_files).
 
     Files that cannot be decoded or parsed are skipped and counted.  Names
     whose terminal segment starts with an underscore are excluded; a file
     pkg/a.py defining f contributes "pkg.a.f", and __init__.py maps to its
-    package.
-
-    memo maps a digest of a file's bytes to that file's local definition
-    names (None for a skipped file), and a file whose bytes are already in
-    it is not parsed again.  Scans of several versions that share one memo
-    parse each distinct file content once; without one, the memo lasts for
-    this call.  The contents not in memo are parsed on every usable core
-    (see _fanout.fan_out).
+    package.  Each distinct file content is parsed once, on every usable
+    core; collect_surfaces scans the trees of all its versions in one such
+    pass (see _scan_trees).
     """
+    root = Path(tree_root)
+    if not root.is_dir():
+        raise IoFailure(f"not a readable directory: {root}")
+    return _scan_trees([root])[0]
+
+
+def _scan_trees(roots: Sequence[Path]) -> list[tuple[frozenset[str], int, int]]:
+    """scan_api_definitions of each root, in one fan_out over the distinct
+    file contents of them all.
+
+    This process reads each file to take its digest and keeps the digest
+    and size, not the bytes.  One path per distinct digest is compiled in a
+    worker, largest file first, so that no core ends on a large file alone.
+    The worker reads the file again; one that lost its digest or can no
+    longer be read stops the run with IoFailure, so names always come from
+    the digested bytes."""
     # hashlib.blake2b is _blake2.blake2b on CPython 3.10-3.13, but importing
     # it through hashlib also loads OpenSSL's _hashlib: ~3 ms and ~4 MB of
     # resident memory.  Imported here, so that no other command loads it.
@@ -73,45 +82,63 @@ def scan_api_definitions(
 
     from ._fanout import fan_out  # see its module docstring
 
-    root = Path(tree_root)
-    if not root.is_dir():
-        raise IoFailure(f"not a readable directory: {root}")
-    if memo is None:
-        memo = {}
-    files: list[tuple[Path, bytes]] = []
-    unseen: dict[bytes, bytes] = {}  # digest -> bytes of a content not in memo
-    skipped = 0
-    for path in sorted(root.rglob("*.py")):
-        if not path.is_file():
-            continue
-        try:
-            data = path.read_bytes()
-        except OSError:
-            skipped += 1
-            continue
-        key = blake2b(data).digest()
-        if key not in memo:
-            unseen[key] = data
-        files.append((path, key))
-    memo.update(zip(unseen, fan_out(_file_definitions, list(unseen.values()))))
+    trees: list[list[tuple[Path, bytes | None]]] = []  # None: a file not read
+    distinct: dict[bytes, tuple[int, Path]] = {}  # digest -> (size, first path)
+    for root in roots:
+        files = []
+        for path in sorted(root.rglob("*.py")):
+            if not path.is_file():
+                continue
+            try:
+                data = path.read_bytes()
+            except OSError:
+                files.append((path, None))
+                continue
+            key = blake2b(data).digest()
+            distinct.setdefault(key, (len(data), path))
+            files.append((path, key))
+        trees.append(files)
+    # sorted is stable: files of one size stay in first-seen order
+    order = sorted(distinct.items(), key=lambda item: -item[1][0])
+    local_names = dict(zip((key for key, _ in order), fan_out(_path_definitions, order)))
 
-    names: set[str] = set()
-    parsed = 0
-    for path, key in files:
-        local = memo[key]
-        if local is None:
-            skipped += 1
-            continue
-        parsed += 1
-        parts = list(path.relative_to(root).with_suffix("").parts)
-        if parts[-1] == "__init__":
-            parts.pop()
-        module = ".".join(parts)
-        for name in local:
-            qualified = f"{module}.{name}" if module else name
-            if not qualified.rsplit(".", 1)[-1].startswith("_"):
-                names.add(qualified)
-    return frozenset(names), parsed, skipped
+    scans = []
+    for root, files in zip(roots, trees):
+        names: set[str] = set()
+        parsed = skipped = 0
+        for path, key in files:
+            local = local_names.get(key)
+            if isinstance(local, IoFailure):
+                raise local
+            if local is None:
+                skipped += 1
+                continue
+            parsed += 1
+            parts = list(path.relative_to(root).with_suffix("").parts)
+            if parts[-1] == "__init__":
+                parts.pop()
+            module = ".".join(parts)
+            for name in local:
+                qualified = f"{module}.{name}" if module else name
+                if not qualified.rsplit(".", 1)[-1].startswith("_"):
+                    names.add(qualified)
+        scans.append((frozenset(names), parsed, skipped))
+    return scans
+
+
+def _path_definitions(item: tuple[bytes, tuple[int, Path]]) -> frozenset[str] | IoFailure | None:
+    """_file_definitions of the bytes at item's path if they still have its
+    digest, else an IoFailure for the caller to raise in its own order."""
+    from _blake2 import blake2b
+
+    key, (_, path) = item
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        return IoFailure(f"unreadable file {path}: {exc}")
+    if blake2b(data).digest() != key:
+        return IoFailure(f"file changed during the run: {path}")
+    return _file_definitions(data)
 
 
 def _file_definitions(data: bytes) -> frozenset[str] | None:
@@ -126,18 +153,10 @@ def _file_definitions(data: bytes) -> frozenset[str] | None:
     return definition_names(source.replace("\r\n", "\n").replace("\r", "\n"))
 
 
-def extract_surface(
-    version: VersionId,
-    tree_root: str | Path,
-    *,
-    memo: dict[bytes, frozenset[str] | None] | None = None,
-) -> VersionSurface:
-    """Scan one version tree for its public API names.
-
-    memo is passed on to scan_api_definitions; share one across the versions
-    of a run so that files repeated between versions are parsed once.
-    """
-    return VersionSurface(version, *scan_api_definitions(tree_root, memo=memo))
+def extract_surface(version: VersionId, tree_root: str | Path) -> VersionSurface:
+    """Scan one version tree for its public API names (see
+    scan_api_definitions); collect_surfaces scans all its versions at once."""
+    return VersionSurface(version, *scan_api_definitions(tree_root))
 
 
 def tag_lifecycle(surfaces: Sequence[VersionSurface]) -> list[LifecycleRecord]:
@@ -185,8 +204,10 @@ def collect_surfaces(versions_root: str | Path) -> list[VersionSurface]:
 
     Subdirectories whose names do not parse as versions are skipped with a
     warning, as are versions contributing zero parseable files (dropping them
-    beats reporting a mass deprecation for a broken source drop).  Each
-    distinct file content is parsed once across all versions.
+    beats reporting a mass deprecation for a broken source drop).  The trees
+    of all versions are scanned in one pass: each distinct file content is
+    parsed once, on every usable core, and a file that changes during the
+    run stops it with IoFailure (see _scan_trees).
     """
     root = Path(versions_root)
     if not root.is_dir():
@@ -204,9 +225,8 @@ def collect_surfaces(versions_root: str | Path) -> list[VersionSurface]:
     entries.sort(key=lambda pair: version_sort_key(pair[0]))
 
     surfaces = []
-    memo: dict[bytes, frozenset[str] | None] = {}
-    for version, child in entries:
-        surface = extract_surface(version, child, memo=memo)
+    for (version, _), scan in zip(entries, _scan_trees([child for _, child in entries])):
+        surface = VersionSurface(version, *scan)
         if surface.parsed_files == 0:
             log.warning("dropping version %s: no parseable source files", version.raw)
             continue

@@ -1,3 +1,4 @@
+import json
 import logging
 import operator
 import os
@@ -299,6 +300,37 @@ class TestFanOut:
             (*_, err), = outputs
             assert "token normalization reduced" in err
             assert "a sample normalized to nothing" in err
+        assert_no_child_left()
+
+    def test_lifecycle_over_many_files_does_not_depend_on_the_core_count(
+        self, cores, tmp_path, capfd, cli_log
+    ):
+        # 307 distinct contents over two versions, more than fan_out's 256
+        # runs, so that runs hold several files; padded so that sizes do not
+        # follow path order, and largest first is another order than the paths'
+        many = {
+            path: data + b"#" * (index * 89 % 300) + b"\n"
+            for index, (path, data) in enumerate(mixed_tree(300).items())
+        }
+        changed = {path: data for path, data in many.items() if not path.endswith("7.py")}
+        write_tree(tmp_path / "versions" / "1.0", many)
+        write_tree(tmp_path / "versions" / "2.0", {**changed, "pkg/new.py": b"def new(): ...\n"})
+        write_tree(tmp_path / "versions" / "notes", {"a.py": b""})
+        write_tree(tmp_path / "versions" / "3.0", {"broken.py": b"def broken(:\n"})
+        out = tmp_path / "out.json"
+        args = ["lifecycle", "--versions-root", str(tmp_path / "versions"), "--out", str(out)]
+        outputs = set()
+        for count in (1, 2, 3):
+            cores(count)
+            assert main(args) == 0
+            outputs.add((out.read_bytes(), capfd.readouterr().err))
+        (report, err), = outputs
+        assert "directory name is not a version" in err
+        assert "dropping version 3.0" in err
+        tags = {record["api"]: record["tags"] for record in json.loads(report)["records"]}
+        assert tags["pkg.mod7.api7"] == {"1.0": "deprecation"}
+        assert tags["pkg.mod299.api299"] == {"1.0": "general", "2.0": "general"}
+        assert tags["pkg.new.new"] == {"2.0": "addition"}
         assert_no_child_left()
 
     @pytest.mark.parametrize("command", ["filter", "lifecycle", "score"])

@@ -191,6 +191,20 @@ class TestIngest:
             ingest(inst_path, bad)
         assert "ghost" in str(excinfo.value)
 
+    def test_unknown_sample_instance_ids_are_named_once_in_input_order(self, tmp_path):
+        inst_path, _ = self.write_corpus(tmp_path, 1)
+        bad = write_jsonl(
+            tmp_path / "bad_samples.jsonl",
+            [{"instance_id": iid, "samples": ["x"]}
+             for iid in ("ghost", "phantom", "ghost", "inst-000", "ghost")],
+        )
+        with pytest.raises(JoinFailure) as excinfo:
+            ingest(inst_path, bad)
+        assert excinfo.value.orphans == ["ghost", "phantom"]
+        assert str(excinfo.value) == (
+            "sample sets reference unknown instance ids: ['ghost', 'phantom']"
+        )
+
     def test_instance_without_samples(self, tmp_path):
         inst_path, _ = self.write_corpus(tmp_path, 2)
         partial = write_jsonl(
@@ -245,6 +259,22 @@ class TestIngest:
         )
         with pytest.raises(JoinFailure):
             ingest(inst_path, samp_path, exec_path)
+
+    def test_unknown_exec_report_instance_ids_are_named_once_in_input_order(self, tmp_path):
+        inst_path, samp_path = self.write_corpus(tmp_path, 1)
+        exec_path = write_jsonl(
+            tmp_path / "exec.jsonl",
+            [{"instance_id": iid, "sample_index": index, "passed": True}
+             for iid, index in (
+                 ("phantom", 0), ("ghost", 0), ("inst-000", 0), ("phantom", 1), ("ghost", 0)
+             )],
+        )
+        with pytest.raises(JoinFailure) as excinfo:
+            ingest(inst_path, samp_path, exec_path)
+        assert excinfo.value.orphans == ["phantom", "ghost"]
+        assert str(excinfo.value) == (
+            "exec reports reference unknown instance ids: ['phantom', 'ghost']"
+        )
 
     def test_missing_file_is_io_failure(self, tmp_path):
         inst_path, samp_path = self.write_corpus(tmp_path, 1)

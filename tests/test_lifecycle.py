@@ -1,9 +1,11 @@
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vceval._fanout
 import vceval.lifecycle
 from vceval import (
     LifecycleTag,
@@ -14,6 +16,7 @@ from vceval import (
     scan_api_definitions,
     tag_lifecycle,
 )
+from vceval.cli import main
 from vceval.errors import InvalidArgs, IoFailure, UnsortedVersions
 
 ADD = LifecycleTag.ADDITION
@@ -317,19 +320,96 @@ class TestParseOncePerContent:
         ]
         assert [(s.parsed_files, s.skipped_files) for s in surfaces] == [(2, 1), (2, 0), (2, 1)]
 
-    def test_scan_without_memo_matches_memoized_scans(self, tmp_path):
+    def test_identical_files_in_one_tree_are_compiled_once(self, tmp_path, monkeypatch):
         write_versions(
             tmp_path,
             {"1.0": {"pkg/a.py": self.CODE, "pkg/b.py": self.CODE, "pkg/bad.py": b"def (:\n"}},
         )
-        root = tmp_path / "1.0"
-        plain = scan_api_definitions(root)
-        memo = {}
-        assert scan_api_definitions(root, memo=memo) == plain
-        assert len(memo) == 2
-        assert scan_api_definitions(root, memo=memo) == plain
-        assert plain == (
+        compiled = []
+        original = vceval.lifecycle.definition_names
+
+        def counting(code):
+            compiled.append(code)
+            return original(code)
+
+        monkeypatch.setattr(vceval.lifecycle, "definition_names", counting)
+        # one core: every file is compiled in this process, where it is counted
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert scan_api_definitions(tmp_path / "1.0") == (
             frozenset({"pkg.a.f", "pkg.a.C", "pkg.a.C.m", "pkg.b.f", "pkg.b.C", "pkg.b.C.m"}),
             2,
             1,
         )
+        assert sorted(compiled) == sorted([self.CODE.decode(), "def (:\n"])
+
+
+class TestOnePass:
+    """collect_surfaces scans every version in one fan_out over the distinct
+    file contents, and takes names only from the bytes it digested."""
+
+    VERSIONS = {
+        version: {"pkg/a.py": b"def f(): ...\n", "pkg/b.py": f"def g{i}(): ...\n".encode()}
+        for i, version in enumerate(("1.0", "2.0", "3.0"))
+    }
+
+    def test_a_run_forks_once_whatever_its_version_count(self, tmp_path, monkeypatch):
+        write_versions(tmp_path, self.VERSIONS)
+        calls = []
+        original = vceval._fanout.fan_out
+
+        def recording(fn, items):
+            calls.append(len(items))
+            return original(fn, items)
+
+        monkeypatch.setattr(vceval._fanout, "fan_out", recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        surfaces = collect_surfaces(tmp_path)
+        assert [s.apis for s in surfaces] == [
+            frozenset({"pkg.a.f", f"pkg.b.g{i}"}) for i in range(3)
+        ]
+        assert calls == [4]  # one call, over the 4 distinct contents
+
+    def test_files_are_compiled_largest_first_ties_in_first_seen_order(self, tmp_path, monkeypatch):
+        files = {
+            "a.py": b"x = 1\n", "b.py": b"x = 1234\n", "c.py": b"x = 12\n", "d.py": b"y = 12\n"
+        }
+        write_versions(tmp_path, {"1.0": files, "2.0": {**files, "e.py": b"z = 123\n"}})
+        compiled = []
+        original = vceval.lifecycle.definition_names
+
+        def recording(code):
+            compiled.append(code)
+            return original(code)
+
+        monkeypatch.setattr(vceval.lifecycle, "definition_names", recording)
+        # one core: every file is compiled in this process, in queue order
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        collect_surfaces(tmp_path)
+        assert compiled == ["x = 1234\n", "z = 123\n", "x = 12\n", "y = 12\n", "x = 1\n"]
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    @pytest.mark.parametrize("change", ["rewrite", "delete"])
+    def test_a_file_that_changes_before_its_worker_reads_it_stops_the_run(
+        self, tmp_path, monkeypatch, capsys, cores, change
+    ):
+        write_versions(tmp_path, self.VERSIONS)
+        target = tmp_path / "2.0" / "pkg" / "b.py"
+        original = vceval._fanout.fan_out
+
+        def changing(fn, items):
+            # after the caller has read and digested every file
+            if change == "rewrite":
+                target.write_bytes(b"def h(): ...\n")
+            else:
+                target.unlink()
+            return original(fn, items)
+
+        monkeypatch.setattr(vceval._fanout, "fan_out", changing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        with pytest.raises(IoFailure, match=re.escape(str(target))):
+            collect_surfaces(tmp_path)
+        write_versions(tmp_path, self.VERSIONS)
+        out = tmp_path / "out.json"
+        assert main(["lifecycle", "--versions-root", str(tmp_path), "--out", str(out)]) == 2
+        assert str(target) in capsys.readouterr().err
+        assert not out.exists()
