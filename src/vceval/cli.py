@@ -1,4 +1,4 @@
-"""Command-line interface: score, lifecycle, mask, pair, filter, report.
+"""Command-line interface: score, lifecycle, mask, pair, filter.
 
 Exit codes: 0 success, 1 schema/join failure, 2 I/O failure, 3 invalid
 arguments.
@@ -24,7 +24,6 @@ from .harness import (
     decode_meta_record,
     emit_report,
     ingest,
-    load_aggregates,
     run_scoring,
 )
 from .lifecycle import collect_surfaces, tag_lifecycle
@@ -239,17 +238,6 @@ def filter_cmd(root_path, out_path) -> None:
     harness.write_jsonl(out_path, rows)
     kept = sum(1 for _, verdict in results if verdict.keep)
     print(f"kept {kept}/{len(results)} file(s) -> {out_path}", file=sys.stderr)
-
-
-@_command(
-    _option("--aggregates", "aggregates_path", required=True),
-    _option("--format", "fmt", choices=["csv", "json"], default="json"),
-    _option("--out", "out_path", required=True),
-)
-def report(aggregates_path, fmt, out_path) -> None:
-    """Re-emit a scoring aggregates file in the chosen format."""
-    emit_report(load_aggregates(aggregates_path), fmt, out_path)
-    print(f"report -> {out_path}", file=sys.stderr)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

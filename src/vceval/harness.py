@@ -17,7 +17,6 @@ import math
 import os
 import re
 import stat
-import sys
 import textwrap
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields
@@ -211,20 +210,6 @@ def _decode_str(value) -> str:
     return value
 
 
-def _decode_int(value) -> int:
-    if not _is_int(value):
-        raise ValueError("expected an integer")
-    return value
-
-
-def _decode_float(value) -> float:
-    # the comparison is exact for an int of any size, and false for NaN
-    if _is_int(value) or isinstance(value, float):
-        if -sys.float_info.max <= value <= sys.float_info.max:
-            return float(value)
-    raise ValueError("expected a finite number")
-
-
 def _decode_version(value) -> VersionId:
     if not isinstance(value, str):
         raise ValueError("expected a version string")
@@ -254,8 +239,6 @@ def _enum_codec(enum_cls):
 # raises ValueError carrying the violation text.
 _CODECS = {
     str: (_decode_str, lambda text: text),
-    int: (_decode_int, int),
-    float: (_decode_float, float),
     VersionId: (_decode_version, lambda version: version.raw),
     date: (_decode_date, date.isoformat),
     **{cls: _enum_codec(cls) for cls in (TaskKind, Granularity, DataSource, LifecycleTag)},
@@ -275,7 +258,6 @@ def _record_fields(cls) -> tuple[tuple[str, type, bool], ...]:
 
 
 _INSTANCE_RECORD = _record_fields(TaskInstance)
-_AGGREGATE_RECORD = _record_fields(AggregateRow)
 # a meta record carries its caller-supplied id and core token beside the
 # MetaInstance fields
 _META_RECORD = (("id", str, True), ("core_token", str, True)) + _record_fields(MetaInstance)
@@ -734,7 +716,7 @@ def run_scoring(
 
 def emit_report(aggregates: Sequence[AggregateRow], fmt: str, out_path: str | Path) -> Path:
     """Write rows sorted by (group_key, metric, k) as csv or json, with
-    AggregateRow's fields as columns, the table load_aggregates reads back.
+    AggregateRow's fields as columns.
 
     Output is byte-deterministic for identical inputs; empty aggregates are
     refused.
@@ -744,7 +726,7 @@ def emit_report(aggregates: Sequence[AggregateRow], fmt: str, out_path: str | Pa
         raise InvalidArgs("refusing to emit an empty report")
     if fmt not in ("csv", "json"):
         raise InvalidArgs(f"unknown report format {fmt!r}")
-    columns = [name for name, _, _ in _AGGREGATE_RECORD]
+    columns = [field.name for field in fields(AggregateRow)]
     table = [[getattr(row, name) for name in columns] for row in rows]
     if fmt == "json":
         payload = {"rows": [dict(zip(columns, values)) for values in table]}
@@ -757,32 +739,6 @@ def emit_report(aggregates: Sequence[AggregateRow], fmt: str, out_path: str | Pa
         csv.writer(buffer, lineterminator="\n").writerows([columns, *table])
         data = buffer.getvalue()
     return write_text(out_path, (data,), what="report ")
-
-
-def load_aggregates(path: str | Path) -> list[AggregateRow]:
-    """Read back a JSON report produced by emit_report; the first row that
-    is not an AggregateRow raises one error naming all its problems."""
-    path = Path(path)
-    try:
-        payload = json.loads(_read_text(path))
-    except (ValueError, RecursionError) as exc:
-        raise _invalid_json(str(path), exc) from None
-    rows = payload.get("rows") if isinstance(payload, dict) else None
-    if not isinstance(rows, list):
-        raise SchemaViolation([f"{path}: expected an object with a 'rows' list"])
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise SchemaViolation([f"{path}: rows[{i}]: expected an object"])
-        problems: list[str] = []
-        values = _decode_record(row, _AGGREGATE_RECORD, problems)
-        for name in ("k", "instance_count"):
-            if values.get(name, 1) < 1:
-                problems.append(f"{name}: must be at least 1")
-        if problems:
-            raise SchemaViolation([f"{path}: rows[{i}]: {p}" for p in problems])
-        out.append(AggregateRow(**values))
-    return out
 
 
 def write_score_vectors(result: ScoringResult, out_path: str | Path) -> Path:

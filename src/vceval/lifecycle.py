@@ -204,10 +204,12 @@ def collect_surfaces(versions_root: str | Path) -> list[VersionSurface]:
 
     Subdirectories whose names do not parse as versions are skipped with a
     warning, as are versions contributing zero parseable files (dropping them
-    beats reporting a mass deprecation for a broken source drop).  The trees
-    of all versions are scanned in one pass: each distinct file content is
-    parsed once, on every usable core, and a file that changes during the
-    run stops it with IoFailure (see _scan_trees).
+    beats reporting a mass deprecation for a broken source drop).  Two
+    directories that name the same version, such as 1.0 and 1.0.0, raise
+    UnsortedVersions before any tree is scanned.  The trees of all versions
+    are scanned in one pass: each distinct file content is parsed once, on
+    every usable core, and a file that changes during the run stops it with
+    IoFailure (see _scan_trees).
     """
     root = Path(versions_root)
     if not root.is_dir():
@@ -223,6 +225,9 @@ def collect_surfaces(versions_root: str | Path) -> list[VersionSurface]:
             continue
         entries.append((version, child))
     entries.sort(key=lambda pair: version_sort_key(pair[0]))
+    for (prev, prev_dir), (curr, curr_dir) in zip(entries, entries[1:]):
+        if compare_versions(prev, curr) is Ordering.EQUAL:
+            raise UnsortedVersions(f"{prev_dir} and {curr_dir} name the same version")
 
     surfaces = []
     for (version, _), scan in zip(entries, _scan_trees([child for _, child in entries])):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 from vceval import collect_surfaces
 from vceval.cli import main
+from vceval.harness import AggregateRow
 
 from helpers import build_fixture_corpus, write_jsonl
 
@@ -111,6 +113,24 @@ class TestScoreCommand:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("option", ["--instances", "--samples", "--exec-reports"])
+    def test_non_utf8_input_exits_2_and_writes_nothing(self, corpus, tmp_path, capsys, option):
+        inst, samp = corpus
+        exec_reports = write_jsonl(
+            tmp_path / "exec.jsonl", [{"instance_id": "inst-000", "sample_index": 0, "passed": True}]
+        )
+        broken = tmp_path / "broken.jsonl"
+        broken.write_bytes(b"\xff\xfe{}\n")
+        out = tmp_path / "r.json"
+        argv = ["score", "--instances", str(inst), "--samples", str(samp),
+                "--exec-reports", str(exec_reports), "--out", str(out)]
+        argv[argv.index(option) + 1] = str(broken)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: unreadable file {broken}: 'utf-8' codec can't decode byte 0xff"
+        )
+        assert not out.exists()
 
     def test_schema_violation_exits_1(self, corpus, tmp_path):
         _, samp = corpus
@@ -231,6 +251,31 @@ class TestScoreCommand:
         )
         assert code == 3
 
+    def test_csv_and_json_carry_the_same_table(self, corpus, tmp_path):
+        inst, samp = corpus
+        # pass verdicts that follow no static metric closely: the Pearson
+        # rows take values of either sign
+        exec_reports = write_jsonl(tmp_path / "exec.jsonl", [
+            {"instance_id": f"inst-{i:03d}", "sample_index": j, "passed": j < i % 4}
+            for i in range(8) for j in range(6)
+        ])
+        tables = {}
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"report.{fmt}"
+            argv = ["score", "--instances", str(inst), "--samples", str(samp),
+                    "--exec-reports", str(exec_reports), "--metrics", "em,ism,pm,cdc,pass",
+                    "--k", "1,3", "--group-by", "data_source", "--format", fmt, "--out", str(out)]
+            assert main(argv) == 0
+            tables[fmt] = out.read_text()
+        columns = [field.name for field in dataclasses.fields(AggregateRow)]
+        header, *lines = tables["csv"].splitlines()
+        assert header == ",".join(columns)
+        rows = json.loads(tables["json"])["rows"]
+        assert len(lines) == len(rows)
+        assert any(row["metric"].startswith("pearson_") for row in rows)
+        for line, row in zip(lines, rows):
+            assert line.split(",") == [str(row[name]) for name in columns]
+
     def test_csv_format(self, corpus, tmp_path):
         inst, samp = corpus
         out = tmp_path / "report.csv"
@@ -245,68 +290,6 @@ class TestScoreCommand:
         )
         assert code == 0
         assert out.read_text().startswith("group_key,metric,k,value,instance_count")
-
-
-class TestReportCommand:
-    def test_json_to_csv(self, corpus, tmp_path):
-        code, out = run_score(corpus, tmp_path)
-        assert code == 0
-        csv_out = tmp_path / "report.csv"
-        assert main(["report", "--aggregates", str(out), "--format", "csv", "--out", str(csv_out)]) == 0
-        assert csv_out.read_text().splitlines()[0] == "group_key,metric,k,value,instance_count"
-
-    def test_missing_aggregates_exits_2(self, tmp_path):
-        assert main(["report", "--aggregates", str(tmp_path / "none.json"),
-                     "--out", str(tmp_path / "o.csv")]) == 2
-
-    def test_non_utf8_aggregates_exits_2(self, tmp_path, capsys):
-        aggregates = tmp_path / "aggregates.json"
-        aggregates.write_bytes(b"\xff\xfe{}")
-        assert main(["report", "--aggregates", str(aggregates),
-                     "--out", str(tmp_path / "o.csv")]) == 2
-        assert f"unreadable file {aggregates}" in capsys.readouterr().err
-
-    def test_integer_past_the_digit_limit_exits_1(self, tmp_path, capsys):
-        aggregates = tmp_path / "aggregates.json"
-        row = '{"group_key": "all", "metric": "em", "k": %s, "value": 0.5, "instance_count": 3}'
-        aggregates.write_text('{"rows": [%s]}' % (row % ("1" * 5000)))
-        out = tmp_path / "o.csv"
-        assert main(["report", "--aggregates", str(aggregates), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {aggregates}: invalid JSON: Exceeds the limit")
-        assert err.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "payload, message",
-        [
-            ({"row": []}, "expected an object with a 'rows' list"),
-            ([], "expected an object with a 'rows' list"),
-            ({"rows": {}}, "expected an object with a 'rows' list"),
-            ({"rows": ["all,em,1,0.5,3"]}, "rows[0]: expected an object"),
-        ],
-        ids=["no-rows-key", "top-level-list", "rows-not-a-list", "row-not-an-object"],
-    )
-    def test_malformed_file_exits_1_and_writes_nothing(self, tmp_path, capsys, payload, message):
-        aggregates = tmp_path / "aggregates.json"
-        aggregates.write_text(json.dumps(payload))
-        out = tmp_path / "o.csv"
-        assert main(["report", "--aggregates", str(aggregates), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {aggregates}: {message}\n"
-        assert not out.exists()
-
-    def test_malformed_row_exits_1_and_writes_nothing(self, tmp_path, capsys):
-        # a numeric group_key next to a string one once reached emit_report's
-        # sort and raised TypeError
-        aggregates = tmp_path / "aggregates.json"
-        row = {"group_key": "all", "metric": "em", "k": 1, "value": 0.5, "instance_count": 3}
-        aggregates.write_text(json.dumps({"rows": [row, {**row, "group_key": 2019}]}))
-        out = tmp_path / "o.csv"
-        assert main(["report", "--aggregates", str(aggregates), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {aggregates}: rows[1]: group_key: expected a string\n"
-        )
-        assert not out.exists()
 
 
 class TestMaskCommand:
@@ -690,8 +673,12 @@ class TestHelp:
     def test_top_level_help_lists_every_command(self, capsys):
         assert main(["--help"]) == 0
         text = capsys.readouterr().out
-        for command in ["score", "lifecycle", "mask", "pair", "filter", "report"]:
+        for command in ["score", "lifecycle", "mask", "pair", "filter"]:
             assert f"\n    {command}" in text
+        assert "\n    report" not in text
+        # score --format csv writes the table that report once re-emitted
+        assert main(["report", "--aggregates", "report.json", "--format", "csv"]) == 3
+        assert "invalid choice: 'report'" in capsys.readouterr().err
 
 
 class TestUsage:

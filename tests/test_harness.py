@@ -39,7 +39,6 @@ from vceval.harness import (
     decode_meta_record,
     emit_report,
     encode_instance,
-    load_aggregates,
     write_score_vectors,
     write_text,
 )
@@ -641,56 +640,6 @@ class TestEmitReport:
             emit_report(self.rows(), "xml", tmp_path / "r.xml")
         assert str(caught.value) == "unknown report format 'xml'"
         assert list(tmp_path.iterdir()) == []
-
-    def test_load_round_trip(self, tmp_path):
-        out = tmp_path / "r.json"
-        emit_report(self.rows(), "json", out)
-        assert load_aggregates(out) == sorted(
-            self.rows(), key=lambda r: (r.group_key, r.metric, r.k)
-        )
-
-    @pytest.mark.parametrize(
-        "change, problems",
-        [
-            ({"k": 1.7}, ["k: expected an integer"]),
-            ({"k": True}, ["k: expected an integer"]),
-            ({"instance_count": True}, ["instance_count: expected an integer"]),
-            ({"value": "nan"}, ["value: expected a finite number"]),
-            ({"value": float("nan")}, ["value: expected a finite number"]),
-            ({"value": float("inf")}, ["value: expected a finite number"]),
-            ({"value": 10**400}, ["value: expected a finite number"]),
-            ({"value": False}, ["value: expected a finite number"]),
-            ({"group_key": ["all"]}, ["group_key: expected a string"]),
-            ({"group_key": None}, ["group_key: required"]),
-            ({"metric": None, "k": "1"}, ["k: expected an integer", "metric: required"]),
-            ({"metric": 7}, ["metric: expected a string"]),
-            ({"extra": 1}, ["unknown fields: ['extra']"]),
-            (
-                {"k": 0, "value": -5.0, "instance_count": -1},
-                ["instance_count: must be at least 1", "k: must be at least 1"],
-            ),
-        ],
-    )
-    def test_load_names_every_problem_of_a_malformed_row(self, tmp_path, change, problems):
-        good = {"group_key": "all", "metric": "em", "k": 1, "value": 0.5, "instance_count": 3}
-        row = {**good, **change}
-        path = tmp_path / "r.json"
-        # json.dumps writes NaN and Infinity bare, as emit_report would have
-        path.write_text(json.dumps({"rows": [good, row]}))
-        with pytest.raises(SchemaViolation) as caught:
-            load_aggregates(path)
-        assert sorted(caught.value.violations) == sorted(
-            f"{path}: rows[1]: {problem}" for problem in problems
-        )
-
-    def test_load_takes_an_integral_value_as_a_float(self, tmp_path):
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps({"rows": [
-            {"group_key": "all", "metric": "em", "k": 1, "value": 1, "instance_count": 3}
-        ]}))
-        (row,) = load_aggregates(path)
-        assert row == AggregateRow("all", "em", 1, 1.0, 3)
-        assert type(row.value) is float
 
     def test_pipe_is_written_not_replaced(self, tmp_path):
         fifo = tmp_path / "out.fifo"

@@ -223,6 +223,18 @@ class TestCollectSurfaces:
         with pytest.raises(IoFailure):
             collect_surfaces(tmp_path / "nope")
 
+    def test_two_directories_naming_one_version_stop_before_any_scan(self, tmp_path, monkeypatch):
+        for version in ("1.0", "1.0.0", "2.0"):
+            self._make_version(tmp_path, version, {"a.py": "def f(): ...\n"})
+
+        def scan(roots):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(vceval.lifecycle, "_scan_trees", scan)
+        with pytest.raises(UnsortedVersions) as caught:
+            collect_surfaces(tmp_path)
+        assert str(caught.value) == f"{tmp_path / '1.0'} and {tmp_path / '1.0.0'} name the same version"
+
     def test_too_deeply_nested_file_is_skipped(self, tmp_path):
         # the parser raises MemoryError on this file; it is skipped, not fatal
         deep = "def h(): ...\n" + "-" * 10000 + "1\n"
