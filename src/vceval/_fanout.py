@@ -1,8 +1,9 @@
 """Map a function over items on every core that this process may run on,
 in forked worker processes.  filter compiles its corpus files this way,
 lifecycle the distinct files of all its versions in one call, and score
-scores its instances.  Imported by its callers when they run, so that
-commands which do not use it neither compile nor load it.
+scores its instances and encodes their per-instance rows, so that only
+those rows and the @k values come back.  Imported by its callers when they
+run, so that commands which do not use it neither compile nor load it.
 """
 
 from __future__ import annotations

@@ -7,9 +7,11 @@ arguments.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import logging
+import os
 import sys
 import textwrap
 from collections.abc import Callable, Sequence
@@ -106,6 +108,14 @@ def _parse_ks(raw: str) -> list[int]:
         raise InvalidArgs(f"--k expects a comma list of integers, got {raw!r}") from None
 
 
+def _same_file(first: str, second: str) -> bool:
+    """Whether two paths name one file: os.path.samefile when both exist,
+    otherwise the same path once symlinks and relative parts are resolved."""
+    with contextlib.suppress(OSError):
+        return os.path.samefile(first, second)
+    return os.path.realpath(first) == os.path.realpath(second)
+
+
 @_command(
     _option("--instances", "instances_path", required=True),
     _option("--samples", "samples_path", required=True),
@@ -121,8 +131,15 @@ def _parse_ks(raw: str) -> list[int]:
 def score(instances_path, samples_path, exec_reports_path, metrics, k_spec, group_by,
           fmt, out_path, per_instance_path) -> None:
     """Score generated samples against instances and write aggregate rows."""
+    if per_instance_path and _same_file(out_path, per_instance_path):
+        raise InvalidArgs(
+            f"--out {out_path} and --per-instance {per_instance_path} name the same file"
+        )
     items = ingest(instances_path, samples_path, exec_reports_path)
-    result = run_scoring(items, _parse_list(metrics), _parse_ks(k_spec), group_by=group_by)
+    result = run_scoring(
+        items, _parse_list(metrics), _parse_ks(k_spec), group_by=group_by,
+        per_instance=bool(per_instance_path),
+    )
     if per_instance_path:
         harness.write_score_vectors(result, per_instance_path)
     emit_report(result.aggregates, fmt, out_path)

@@ -2,9 +2,11 @@
 orchestration, grouped aggregation, and report emission.
 
 Only the calling process logs: scoring normalizes every item's samples and
-logs their warnings in input order, then scores the items on every core and
-takes up their results and errors in input order, so the same inputs always
-give the same output bytes, whatever the core count.
+logs their warnings in input order, then scores the items on every core.
+The workers also encode each item's per-instance rows, when they are asked
+for, and send back only that text and the item's @k values; the caller takes
+up results and errors in input order, so the same inputs always give the
+same output bytes, whatever the core count.
 """
 
 from __future__ import annotations
@@ -104,9 +106,14 @@ class EvaluationItem:
 
 @dataclass(frozen=True)
 class ScoringResult:
-    """Per-instance score vectors, with their @k values, and group aggregates."""
+    """Group aggregates and each instance's per-instance rows.
 
-    score_vectors: tuple[ScoreVector, ...]
+    per_instance holds one JSONL text per instance, in input order, with
+    one row per selected metric (see write_score_vectors); it is empty
+    unless run_scoring was called with per_instance=True.
+    """
+
+    per_instance: tuple[str, ...]
     aggregates: tuple[AggregateRow, ...]
 
 
@@ -196,8 +203,12 @@ def write_text(path: str | Path, chunks: Iterable[str], what: str = "") -> Path:
     return path
 
 
+def _jsonl_line(row: Mapping) -> str:
+    return json.dumps(row, sort_keys=True) + "\n"
+
+
 def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> Path:
-    return write_text(path, (json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    return write_text(path, map(_jsonl_line, rows))
 
 
 def _is_int(value) -> bool:
@@ -571,17 +582,21 @@ def _score_item(
     normalized: Mapping[str, str | None],
     metrics: Sequence[MetricName],
     ks: Sequence[int],
-) -> dict[MetricName, ScoreVector] | EvalError:
-    """Score one instance from its _normalized map, or return the error
-    that stopped it.  Each distinct normalized text is scored once per
-    static metric; pass stays per sample index because it follows each
-    sample's exec verdict.  A sample that normalized to nothing scores 0."""
+    per_instance: bool,
+) -> tuple[dict[MetricName, Mapping[int, float]], str] | EvalError:
+    """Score one instance from its _normalized map: its @k values per
+    metric, and the JSONL text of its per-instance rows when per_instance
+    is set ("" otherwise); or return the error that stopped it.  Each
+    distinct normalized text is scored once per static metric; pass stays
+    per sample index because it follows each sample's exec verdict.  A
+    sample that normalized to nothing scores 0."""
     instance = item.instance
     texts = [normalized[raw] for raw in item.samples]
     distinct = [text for text in dict.fromkeys(texts) if text is not None]
 
     n = len(item.samples)
-    result = {}
+    at_k_values = {}
+    rows = []
     for metric in metrics:
         if metric is MetricName.PASS:
             per_sample = tuple(1.0 if passed else 0.0 for passed in item.exec_passed)
@@ -597,8 +612,19 @@ def _score_item(
             at_k = {k: estimate_at_k(n, correct, k) for k in ks}
         else:
             at_k = {k: score_at_k(per_sample, k) for k in ks}
-        result[metric] = ScoreVector(instance.id, metric, per_sample, at_k)
-    return result
+        vector = ScoreVector(instance.id, metric, per_sample, at_k)  # checks [0, 1]
+        at_k_values[metric] = at_k
+        if per_instance:
+            row = {
+                "instance_id": instance.id,
+                "metric": metric.value,
+                "n": n,
+                "correct_count": vector.correct_count,
+                "per_sample": list(per_sample),
+                "at_k": {str(k): value for k, value in at_k.items()},
+            }
+            rows.append(_jsonl_line(row))
+    return at_k_values, "".join(rows)
 
 
 def _group_key(instance: TaskInstance, group_by: str | None) -> str:
@@ -625,6 +651,8 @@ def run_scoring(
     metrics: Sequence[MetricName | str],
     ks: Sequence[int],
     group_by: str | None = None,
+    *,
+    per_instance: bool = False,
 ) -> ScoringResult:
     """Score every item, estimate @k per requested k, and aggregate unweighted
     per-group means.
@@ -634,7 +662,9 @@ def run_scoring(
     every instance's warnings first.  Items are then scored on every usable
     core (see _fanout.fan_out), and the first error in input order is
     raised, so the result, the log and the error do not depend on the core
-    count.
+    count.  The workers send back only each item's @k values, which the
+    aggregates and Pearson rows are computed from, and, with per_instance,
+    the item's encoded per-instance rows; a run without it encodes none.
 
     When both pass and a static metric are selected, a Pearson agreement row
     (metric "pearson_<m>_vs_pass") over the per-instance @k series is emitted
@@ -670,10 +700,11 @@ def run_scoring(
     from ._fanout import fan_out  # see its module docstring
 
     work = [(item, _normalized(item)) for item in items]
-    scored = fan_out(lambda pair: _score_item(*pair, metric_sel, ks), work)
+    scored = fan_out(lambda pair: _score_item(*pair, metric_sel, ks, per_instance), work)
     for result in scored:
         if isinstance(result, EvalError):
             raise result
+    at_k = [values for values, _ in scored]
 
     groups: dict[str, list[int]] = {}
     for idx, item in enumerate(items):
@@ -684,18 +715,16 @@ def run_scoring(
         indexes = groups[key]
         for metric in metric_sel:
             for k in ks:
-                mean = math.fsum(scored[i][metric].at_k[k] for i in indexes) / len(indexes)
+                mean = math.fsum(at_k[i][metric][k] for i in indexes) / len(indexes)
                 rows.append(AggregateRow(key, metric.value, k, mean, len(indexes)))
 
     if MetricName.PASS in metric_sel and len(items) >= 2:
-        pass_series = {
-            k: [scored[i][MetricName.PASS].at_k[k] for i in range(len(items))] for k in ks
-        }
+        pass_series = {k: [values[MetricName.PASS][k] for values in at_k] for k in ks}
         for metric in metric_sel:
             if metric is MetricName.PASS:
                 continue
             for k in ks:
-                series = [scored[i][metric].at_k[k] for i in range(len(items))]
+                series = [values[metric][k] for values in at_k]
                 try:
                     coefficient = pearson(series, pass_series[k])
                 except DegenerateSeries as exc:
@@ -710,8 +739,8 @@ def run_scoring(
                 )
 
     rows.sort(key=lambda row: (row.group_key, row.metric, row.k))
-    vectors = tuple(vector for per_item in scored for vector in per_item.values())
-    return ScoringResult(vectors, tuple(rows))
+    texts = tuple(text for _, text in scored) if per_instance else ()
+    return ScoringResult(texts, tuple(rows))
 
 
 def emit_report(aggregates: Sequence[AggregateRow], fmt: str, out_path: str | Path) -> Path:
@@ -742,16 +771,9 @@ def emit_report(aggregates: Sequence[AggregateRow], fmt: str, out_path: str | Pa
 
 
 def write_score_vectors(result: ScoringResult, out_path: str | Path) -> Path:
-    """Dump per-instance score vectors (with their @k values) as JSONL."""
-    rows = (
-        {
-            "instance_id": vector.instance_id,
-            "metric": vector.metric.value,
-            "n": len(vector.per_sample),
-            "correct_count": vector.correct_count,
-            "per_sample": list(vector.per_sample),
-            "at_k": {str(k): value for k, value in vector.at_k.items()},
-        }
-        for vector in result.score_vectors
-    )
-    return write_jsonl(out_path, rows)
+    """Write result's per-instance rows as JSONL: per instance in input
+    order, one row per metric with its instance_id, n, correct_count,
+    per_sample scores and at_k values.  The workers of
+    run_scoring(..., per_instance=True) encoded them; a result from a run
+    without per_instance has none, and gives an empty file."""
+    return write_text(out_path, result.per_instance)

@@ -67,6 +67,42 @@ class TestScoreCommand:
         assert sum(row["instance_count"] for row in rows) == 8
         assert len(vectors.read_text().splitlines()) == 8
 
+    @pytest.mark.parametrize(
+        "out, per_instance, setup",
+        [
+            ("report.json", "report.json", None),
+            ("report.json", "{tmp}/report.json", None),
+            ("./sub/../report.json", "report.json", "dir"),
+            ("link.json", "report.json", "link"),
+            ("link.json", "report.json", "link-to-file"),
+        ],
+        ids=["same", "relative-and-absolute", "dot-dot", "dangling-symlink", "symlink"],
+    )
+    def test_out_and_per_instance_on_one_file_exit_3(
+        self, tmp_path, monkeypatch, capsys, out, per_instance, setup
+    ):
+        # refused before any input is read: the instances file does not exist
+        monkeypatch.chdir(tmp_path)
+        if setup == "dir":
+            (tmp_path / "sub").mkdir()
+        if setup and setup.startswith("link"):
+            (tmp_path / "link.json").symlink_to(tmp_path / "report.json")
+        if setup == "link-to-file":
+            (tmp_path / "report.json").write_text("previous\n")
+        before = sorted(tmp_path.iterdir())
+        per_instance = per_instance.format(tmp=tmp_path)
+        code = main(
+            [
+                "score", "--instances", "missing.jsonl", "--samples", "missing.jsonl",
+                "--out", out, "--per-instance", per_instance,
+            ]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: --out {out} and --per-instance {per_instance} name the same file\n"
+        )
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_failed_write_keeps_previous_output(self, corpus, tmp_path, monkeypatch):
         out = tmp_path / "report.json"
         out.write_text("previous\n")

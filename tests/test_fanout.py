@@ -11,7 +11,7 @@ import pytest
 from vceval._fanout import fan_out
 from vceval.cli import main
 
-from helpers import mixed_tree, write_score_inputs, write_tree
+from helpers import mixed_tree, write_jsonl, write_score_inputs, write_tree
 
 
 @pytest.fixture
@@ -93,7 +93,9 @@ def test_importing_fan_out_loads_neither_pickle_nor_signal():
 def command_inputs(tmp_path, command, count=40):
     """(argv without --out, [the --out path, and any other output file])
     for a run of command on inputs written under tmp_path; the score
-    inputs hold count instances."""
+    inputs hold count token, line, block and migration instances, with
+    exec reports that pass a sample when it is its reference, so that the
+    report holds Pearson rows."""
     outs = [tmp_path / "out"]
     if command == "filter":
         write_tree(tmp_path / "corpus", MIXED_TREE)
@@ -108,10 +110,23 @@ def command_inputs(tmp_path, command, count=40):
         write_tree(tmp_path / "versions" / "3.0", {"broken.py": b"def broken(:\n"})
         return ["lifecycle", "--versions-root", str(tmp_path / "versions")], outs
     instances, samples = write_score_inputs(tmp_path, count=count)
+    references = {
+        row["id"]: row["reference"] for row in map(json.loads, instances.read_text().splitlines())
+    }
+    exec_reports = write_jsonl(
+        tmp_path / "exec.jsonl",
+        (
+            {"instance_id": row["instance_id"], "sample_index": index,
+             "passed": text == references[row["instance_id"]]}
+            for row in map(json.loads, samples.read_text().splitlines())
+            for index, text in enumerate(row["samples"])
+        ),
+    )
     outs.append(tmp_path / "vectors.jsonl")
     args = [
         "score", "--instances", str(instances), "--samples", str(samples),
-        "--metrics", "em,ism,pm,cdc", "--k", "1,3", "--group-by", "data_source",
+        "--exec-reports", str(exec_reports),
+        "--metrics", "em,ism,pm,cdc,pass", "--k", "1,3", "--group-by", "data_source",
         "--per-instance", str(outs[1]),
     ]
     return args, outs
@@ -297,9 +312,16 @@ class TestFanOut:
             outputs.add((*(out.read_bytes() for out in outs), capfd.readouterr().err))
         assert len(outputs) == 1
         if command == "score":
-            (*_, err), = outputs
+            (report, vectors, err), = outputs
             assert "token normalization reduced" in err
             assert "a sample normalized to nothing" in err
+            assert b'"pearson_cdc_vs_pass"' in report
+            instances = (tmp_path / "instances.jsonl").read_text().splitlines()
+            kinds = {(row["task"], row["granularity"]) for row in map(json.loads, instances)}
+            assert kinds == {
+                ("vscc", "token"), ("vscc", "line"), ("vscc", "block"), ("vacm", "block")
+            }
+            assert len(vectors.splitlines()) == 40 * 5
         assert_no_child_left()
 
     def test_lifecycle_over_many_files_does_not_depend_on_the_core_count(

@@ -310,6 +310,12 @@ class TestIngest:
             ingest(broken, samp_path)
 
 
+def per_instance_rows(result):
+    """The per-instance rows of a run_scoring(..., per_instance=True) result,
+    decoded, in the order they are written."""
+    return [json.loads(line) for text in result.per_instance for line in text.splitlines()]
+
+
 def items_from_corpus(tmp_path, count, exec_rows=None):
     instances, samples = build_fixture_corpus(count)
     inst_path = write_jsonl(tmp_path / "instances.jsonl", instances)
@@ -324,9 +330,9 @@ class TestRunScoring:
     def test_cdc_at_one_matches_estimator(self, tmp_path):
         # instance 3 of the fixture corpus has 3 correct samples out of 6
         items = items_from_corpus(tmp_path, 4)
-        result = run_scoring(items[3:], ["cdc"], [1])
-        (vector,) = result.score_vectors
-        assert vector.at_k == {1: pytest.approx(0.5)}
+        result = run_scoring(items[3:], ["cdc"], [1], per_instance=True)
+        (row,) = per_instance_rows(result)
+        assert row["at_k"] == {"1": pytest.approx(0.5)}
 
     def test_perfect_em_aggregates_to_one(self, tmp_path):
         items = items_from_corpus(tmp_path, 8)
@@ -455,10 +461,27 @@ class TestRunScoring:
 
     def test_deterministic_across_runs(self, tmp_path):
         items = items_from_corpus(tmp_path, 10)
-        first = run_scoring(items, ["em", "cdc"], [1, 3], group_by="data_source")
-        second = run_scoring(items, ["em", "cdc"], [1, 3], group_by="data_source")
+        first, second = (
+            run_scoring(items, ["em", "cdc"], [1, 3], group_by="data_source", per_instance=True)
+            for _ in range(2)
+        )
         assert first.aggregates == second.aggregates
-        assert first.score_vectors == second.score_vectors
+        assert first.per_instance == second.per_instance
+
+    def test_a_run_without_rows_encodes_none_and_aggregates_the_same(self, tmp_path):
+        exec_rows = [
+            {"instance_id": f"inst-{i:03d}", "sample_index": j, "passed": j < i % 5}
+            for i in range(8)
+            for j in range(6)
+        ]
+        items = items_from_corpus(tmp_path, 8, exec_rows)
+        metrics = ["em", "ism", "pm", "cdc", "pass"]
+        with_rows = run_scoring(items, metrics, [1, 3], group_by="pattern", per_instance=True)
+        without = run_scoring(items, metrics, [1, 3], group_by="pattern")
+        assert without.per_instance == ()
+        assert without.aggregates == with_rows.aggregates
+        assert any(row.metric.startswith("pearson_") for row in without.aggregates)
+        assert len(per_instance_rows(with_rows)) == 8 * len(metrics)
 
 
 def _correct_sample(instance: TaskInstance) -> str:
@@ -517,10 +540,13 @@ class TestScoreDistinctTexts:
         pool = _sample_pool(instance)
         samples = tuple(pool[i] for i in picks)
         item = EvaluationItem(instance, samples, (None,) * len(samples))
-        result = run_scoring([item], ["em", "ism", "pm", "cdc"], [1])
-        for vector in result.score_vectors:
-            expected = tuple(_independent_score(vector.metric, instance, raw) for raw in samples)
-            assert vector.per_sample == expected
+        result = run_scoring([item], ["em", "ism", "pm", "cdc"], [1], per_instance=True)
+        rows = per_instance_rows(result)
+        assert [row["metric"] for row in rows] == ["em", "ism", "pm", "cdc"]
+        for row in rows:
+            metric = MetricName(row["metric"])
+            expected = [_independent_score(metric, instance, raw) for raw in samples]
+            assert row["per_sample"] == expected
 
     def test_each_distinct_text_is_parsed_once(self, monkeypatch):
         instance = _KINDS[2]
@@ -534,10 +560,10 @@ class TestScoreDistinctTexts:
         texts = (instance.reference, "result = unrelated(x)", "x = 1", "   ")
         samples = tuple(texts[i % 4] for i in range(100))
         item = EvaluationItem(instance, samples, (None,) * 100)
-        (vector,) = run_scoring([item], ["cdc"], [1]).score_vectors
+        (row,) = per_instance_rows(run_scoring([item], ["cdc"], [1], per_instance=True))
         assert len(calls) == 3
-        assert vector.per_sample[:4] == (1.0, 0.0, 0.0, 0.0)
-        assert vector.correct_count == 25
+        assert row["per_sample"][:4] == [1.0, 0.0, 0.0, 0.0]
+        assert row["correct_count"] == 25
 
     def test_each_distinct_text_is_parsed_and_lexed_once(self, monkeypatch):
         # cdc parses the reference for every sample and rule 1, block em and
@@ -589,10 +615,9 @@ class TestScoreDistinctTexts:
         instance = _KINDS[1]
         samples = (instance.reference, instance.reference)
         item = EvaluationItem(instance, samples, (True, False))
-        result = run_scoring([item], ["em", "pass"], [1])
-        per_sample = {vector.metric: vector.per_sample for vector in result.score_vectors}
-        assert per_sample[MetricName.EM] == (1.0, 1.0)
-        assert per_sample[MetricName.PASS] == (1.0, 0.0)
+        result = run_scoring([item], ["em", "pass"], [1], per_instance=True)
+        per_sample = {row["metric"]: row["per_sample"] for row in per_instance_rows(result)}
+        assert per_sample == {"em": [1.0, 1.0], "pass": [1.0, 0.0]}
 
     def test_warnings_once_per_distinct_text(self, caplog):
         instance = _KINDS[0]
@@ -701,7 +726,7 @@ class TestEmitReport:
 
     def test_write_score_vectors(self, tmp_path):
         items = items_from_corpus(tmp_path, 2)
-        result = run_scoring(items, ["em"], [1])
+        result = run_scoring(items, ["em"], [1], per_instance=True)
         out = write_score_vectors(result, tmp_path / "vectors.jsonl")
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(rows) == 2
