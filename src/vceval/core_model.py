@@ -6,16 +6,14 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-import operator
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from itertools import repeat
 from keyword import iskeyword
 
-from .errors import MaskSentinelMismatch, NoNumericComponent, SchemaViolation
+from .errors import NoNumericComponent, SchemaViolation
 
 
 class TaskKind(str, Enum):
@@ -130,12 +128,11 @@ def classify_version_pattern(v: VersionId) -> VersionPattern:
     return VersionPattern.MINOR
 
 
-def _broken_rules(known: Mapping[str, object]) -> tuple[type[SchemaViolation], list[str]]:
-    """The error type and messages of the meta and task instance rules that
-    the field values in known break.  A rule is judged only when known holds
-    every field it reads; an optional field that is None there is absent."""
+def _broken_rules(known: Mapping[str, object]) -> list[str]:
+    """The messages of the meta and task instance rules that the field
+    values in known break.  A rule is judged only when known holds every
+    field it reads; an optional field that is None there is absent."""
     problems: list[str] = []
-    sentinel_problems: list[str] = []
     given = {name for name, value in known.items() if value is not None}
     unset = known.keys() - given
 
@@ -162,14 +159,12 @@ def _broken_rules(known: Mapping[str, object]) -> tuple[type[SchemaViolation], l
             sentinel = MASK_SENTINELS[known["granularity"]]
             count = known["masked_code"].count(sentinel)
             if count != 1:
-                sentinel_problems.append(
-                    f"masked_code: expected exactly one {sentinel!r}, found {count}"
-                )
+                problems.append(f"masked_code: expected exactly one {sentinel!r}, found {count}")
             elif "reference" in known:
                 restored = known["masked_code"].replace(sentinel, known["reference"], 1)
                 leftover = [s for s in MASK_SENTINELS.values() if s in restored]
                 if leftover:
-                    sentinel_problems.append(
+                    problems.append(
                         f"masked_code: sentinels {leftover} remain after substituting the reference"
                     )
     elif "task" in known:
@@ -185,19 +180,17 @@ def _broken_rules(known: Mapping[str, object]) -> tuple[type[SchemaViolation], l
             problems.append("target_version: must differ from source_version")
         if "granularity" in known and known["granularity"] is not Granularity.BLOCK:
             problems.append("granularity: vacm instances are block-level")
-
-    if sentinel_problems:
-        return MaskSentinelMismatch, problems + sentinel_problems
-    return SchemaViolation, problems
+    return problems
 
 
 class _SelfChecked:
-    """A record whose construction raises the error that _broken_rules gives."""
+    """A record whose construction raises SchemaViolation listing the rules
+    that _broken_rules finds broken."""
 
     def __post_init__(self) -> None:
-        error, problems = _broken_rules(vars(self))
+        problems = _broken_rules(vars(self))
         if problems:
-            raise error(problems)
+            raise SchemaViolation(problems)
 
 
 @dataclass(frozen=True)
@@ -219,9 +212,8 @@ class MetaInstance(_SelfChecked):
 class TaskInstance(_SelfChecked):
     """One evaluation item, either a masked completion or a migration pair.
 
-    Construction raises MaskSentinelMismatch when mask sentinel rules are
-    broken and SchemaViolation when other rules are; either way the error
-    lists every broken rule.
+    Construction raises SchemaViolation listing every broken rule, the mask
+    sentinel rules among them.
     """
 
     id: str
@@ -239,29 +231,3 @@ class TaskInstance(_SelfChecked):
     lifecycle_tag: LifecycleTag | None = None
     release_date: date | None = None
 
-
-def in_unit_interval(values: Sequence[float]) -> bool:
-    """True iff every value lies in [0, 1]; a NaN does not.  The comparisons
-    run in C."""
-    return all(map(operator.le, repeat(0.0), values)) and all(
-        map(operator.ge, repeat(1.0), values)
-    )
-
-
-@dataclass(frozen=True)
-class ScoreVector:
-    """Per-sample outcomes of one metric on one instance, and their @k values."""
-
-    instance_id: str
-    metric: MetricName
-    per_sample: tuple[float, ...]
-    at_k: Mapping[int, float]
-
-    def __post_init__(self) -> None:
-        if not in_unit_interval(self.per_sample):
-            raise SchemaViolation(["per_sample: scores must lie in [0, 1]"])
-
-    @property
-    def correct_count(self) -> int:
-        """The number of samples that scored exactly 1."""
-        return self.per_sample.count(1.0)

@@ -20,13 +20,7 @@ from .core_model import (
     classify_version_pattern,
     compare_versions,
 )
-from .errors import (
-    InvalidArgs,
-    IoFailure,
-    PairingViolation,
-    SentinelCollision,
-    SpanUnresolvable,
-)
+from .errors import EvalError, InvalidArgs, IoFailure, SchemaViolation
 from .syntax import check_syntax, contains_core_token, identifier_spans
 
 
@@ -48,24 +42,26 @@ class MaskSpec:
     line_span: tuple[int, int] | None = None
 
 
+_LINE_END_RE = re.compile(r"\r\n|\r|\n")
+
+
 def _line_offsets(code: str) -> list[tuple[int, int]]:
-    # (start, end) character offsets per line, end excluding the newline
+    # (start, end) character offsets per line, end excluding the line
+    # terminator; a line ends at LF, CRLF or CR, as Python ends one
     offsets = []
     start = 0
-    while True:
-        newline = code.find("\n", start)
-        if newline == -1:
-            offsets.append((start, len(code)))
-            return offsets
-        offsets.append((start, newline))
-        start = newline + 1
+    for terminator in _LINE_END_RE.finditer(code):
+        offsets.append((start, terminator.start()))
+        start = terminator.end()
+    offsets.append((start, len(code)))
+    return offsets
 
 
 def _resolve_span(code: str, spec: MaskSpec) -> tuple[int, int]:
     if spec.granularity is Granularity.TOKEN:
         hits = [(s, e) for name, s, e in identifier_spans(code) if name == spec.core_token]
         if not 0 <= spec.occurrence < len(hits):
-            raise SpanUnresolvable(
+            raise EvalError(
                 f"occurrence {spec.occurrence} of {spec.core_token!r} not found"
                 f" ({len(hits)} occurrence(s) present)"
             )
@@ -73,13 +69,13 @@ def _resolve_span(code: str, spec: MaskSpec) -> tuple[int, int]:
     lines = _line_offsets(code)
     if spec.granularity is Granularity.LINE:
         if spec.line_index is None or not 0 <= spec.line_index < len(lines):
-            raise SpanUnresolvable(f"line {spec.line_index} outside 0..{len(lines) - 1}")
+            raise EvalError(f"line {spec.line_index} outside 0..{len(lines) - 1}")
         return lines[spec.line_index]
     if spec.line_span is None:
-        raise SpanUnresolvable("block masking needs a line_span")
+        raise EvalError("block masking needs a line_span")
     first, last = spec.line_span
     if not 0 <= first <= last < len(lines):
-        raise SpanUnresolvable(f"line span {spec.line_span} outside 0..{len(lines) - 1}")
+        raise EvalError(f"line span {spec.line_span} outside 0..{len(lines) - 1}")
     return lines[first][0], lines[last][1]
 
 
@@ -88,15 +84,18 @@ def mask_instance(meta: MetaInstance, spec: MaskSpec) -> TaskInstance:
 
     The masked code holds exactly one sentinel and the reference is the
     removed span verbatim, so substituting it back restores the original
-    byte-for-byte.  The span must hold the core token as a whole identifier
-    (not in a string or comment), so that a sample equal to the reference
-    can score 1; SpanUnresolvable otherwise.
+    byte-for-byte.  Lines end at LF, CRLF or CR, and a line or block span
+    takes no terminator after its last line.  The span must hold the core
+    token as a whole identifier (not in a string or comment), so that a
+    sample equal to the reference can score 1.  Code that does not compile
+    raises InvalidArgs; code holding a literal sentinel, or a span that
+    cannot be resolved or lacks the core token, raises EvalError.
     """
     if not check_syntax(meta.code):
         raise InvalidArgs("meta.code must be syntactically valid before masking")
     for sentinel in MASK_SENTINELS.values():
         if sentinel in meta.code:
-            raise SentinelCollision(f"code already contains the literal sentinel {sentinel!r}")
+            raise EvalError(f"code already contains the literal sentinel {sentinel!r}")
 
     start, end = _resolve_span(meta.code, spec)
     instance = TaskInstance(
@@ -114,7 +113,7 @@ def mask_instance(meta: MetaInstance, spec: MaskSpec) -> TaskInstance:
         release_date=meta.release_date,
     )
     if not contains_core_token(instance.reference, spec.core_token):
-        raise SpanUnresolvable(
+        raise EvalError(
             f"instance {spec.instance_id!r}: span {instance.reference!r}"
             f" does not hold the core token {spec.core_token!r}"
         )
@@ -143,7 +142,7 @@ def categorize_migration(source: VersionId, target: VersionId) -> MigrationCateg
     """Direction from the version order, pattern from the endpoint classifications."""
     order = compare_versions(source, target)
     if order is Ordering.EQUAL:
-        raise PairingViolation(["versions must differ"])
+        raise SchemaViolation(["versions must differ"])
     direction = (
         MigrationDirection.OLD_TO_NEW if order is Ordering.LESS else MigrationDirection.NEW_TO_OLD
     )
@@ -161,7 +160,8 @@ def build_migration_pair(
 
     Provenance tags (data source, lifecycle tag, release date) come from the
     target side m_j, whose code is the graded reference; that code must hold
-    core_token as a whole identifier, or PairingViolation is raised.
+    core_token as a whole identifier.  SchemaViolation lists whatever keeps
+    the two from pairing.
     """
     problems = []
     if m_i.library != m_j.library:
@@ -171,7 +171,7 @@ def build_migration_pair(
     if compare_versions(m_i.version, m_j.version) is Ordering.EQUAL:
         problems.append(f"versions must differ, both compare equal to {m_i.version.raw!r}")
     if problems:
-        raise PairingViolation(problems)
+        raise SchemaViolation(problems)
 
     category = categorize_migration(m_i.version, m_j.version)
     instance = TaskInstance(
@@ -190,7 +190,7 @@ def build_migration_pair(
         release_date=m_j.release_date,
     )
     if not contains_core_token(m_j.code, core_token):
-        raise PairingViolation(
+        raise SchemaViolation(
             [f"instance {instance_id!r}: target code does not hold the core token {core_token!r}"]
         )
     return instance, category

@@ -1,4 +1,9 @@
-"""Exception taxonomy for the toolkit; the CLI maps these onto exit codes."""
+"""Exception taxonomy for the toolkit; the CLI maps these onto exit codes.
+
+A class exists only where code tells it apart: by catching it, by reading
+what it carries, or by the exit code it maps to.  Any other failure raises
+its nearest such class, with a message that says what went wrong.
+"""
 
 from __future__ import annotations
 
@@ -6,37 +11,15 @@ from collections.abc import Sequence
 
 
 class EvalError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; the CLI exits 1 on it."""
 
 
-class ViolationError(EvalError):
-    """An error carrying the full list of violated rules."""
+class SchemaViolation(EvalError):
+    """A record breaks one or more rules; .violations lists each of them."""
 
-    def __init__(self, violations: Sequence[str] | str):
-        if isinstance(violations, str):
-            violations = [violations]
+    def __init__(self, violations: Sequence[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-
-class SchemaViolation(ViolationError):
-    """A record breaks one or more schema invariants."""
-
-
-class MaskSentinelMismatch(SchemaViolation):
-    """A completion instance's mask sentinel rules are violated."""
-
-
-class PairingViolation(ViolationError):
-    """Two meta-instances cannot form a migration pair."""
-
-
-class JoinFailure(EvalError):
-    """Line-delimited inputs could not be joined; .orphans lists the bad keys."""
-
-    def __init__(self, message: str, orphans: Sequence = ()):
-        self.orphans = list(orphans)
-        super().__init__(message)
 
 
 class IoFailure(EvalError):
@@ -47,32 +30,12 @@ class InvalidArgs(EvalError, ValueError):
     """An operation was invoked with out-of-contract arguments."""
 
 
-class KExceedsN(InvalidArgs):
-    """A requested k exceeds the available sample count n."""
-
-
-class MissingExecReports(InvalidArgs):
-    """The pass metric was requested without complete execution verdicts."""
-
-
 class DegenerateSeries(InvalidArgs):
     """Correlation is undefined: series too short or constant."""
 
 
 class NoNumericComponent(EvalError, ValueError):
     """A version string has no leading integer segment."""
-
-
-class UnsortedVersions(EvalError):
-    """A surface sequence is not strictly ascending by version."""
-
-
-class SpanUnresolvable(EvalError):
-    """A mask target does not resolve to a span in the subject code."""
-
-
-class SentinelCollision(EvalError):
-    """Subject code already contains a literal mask sentinel."""
 
 
 class InvalidReference(EvalError):

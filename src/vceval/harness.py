@@ -33,7 +33,6 @@ from .core_model import (
     LifecycleTag,
     MetaInstance,
     MetricName,
-    ScoreVector,
     TaskInstance,
     TaskKind,
     VersionId,
@@ -48,9 +47,6 @@ from .errors import (
     InvalidArgs,
     InvalidReference,
     IoFailure,
-    JoinFailure,
-    KExceedsN,
-    MissingExecReports,
     SchemaViolation,
 )
 from .metrics import (
@@ -309,9 +305,9 @@ def _decode_record(obj: dict, record: tuple, problems: list[str]) -> dict:
 def _check(values: dict, problems: list[str], where: str) -> None:
     """Raise one error naming the decode problems and every record rule that
     the decoded values break, if there is any."""
-    error, broken = _broken_rules(values)
+    broken = _broken_rules(values)
     if problems or broken:
-        raise error([f"{where}: {p}" for p in problems + broken])
+        raise SchemaViolation([f"{where}: {p}" for p in problems + broken])
 
 
 def decode_instance(obj: dict, where: str = "instance") -> TaskInstance:
@@ -449,11 +445,10 @@ def ingest(
             raise SchemaViolation([f"{where}: samples: need at least one generated sample"])
         sample_sets[iid] = tuple(samples)
     if orphan_samples:
-        orphans = list(orphan_samples)
-        raise JoinFailure(f"sample sets reference unknown instance ids: {orphans}", orphans)
+        raise EvalError(f"sample sets reference unknown instance ids: {list(orphan_samples)}")
     missing_samples = [iid for iid in instances if iid not in sample_sets]
     if missing_samples:
-        raise JoinFailure(f"instances lack sample sets: {missing_samples}", missing_samples)
+        raise EvalError(f"instances lack sample sets: {missing_samples}")
 
     verdicts: dict[str, list[bool | None]] = {iid: [None] * len(s) for iid, s in sample_sets.items()}
     if exec_reports_path is not None:
@@ -475,8 +470,7 @@ def ingest(
                 raise SchemaViolation([f"{where}: duplicate exec report for {key}"])
             slots[report.sample_index] = report.passed
         if orphan_reports:
-            orphans = list(orphan_reports)
-            raise JoinFailure(f"exec reports reference unknown instance ids: {orphans}", orphans)
+            raise EvalError(f"exec reports reference unknown instance ids: {list(orphan_reports)}")
 
     return [EvaluationItem(i, sample_sets[i.id], tuple(verdicts[i.id])) for i in instances.values()]
 
@@ -534,6 +528,11 @@ def _normalize_ks(ks) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def _dedent(code: str) -> str:
+    # textwrap.dedent ends lines only at LF, the compiler at LF, CRLF and CR
+    return textwrap.dedent(code.replace("\r\n", "\n").replace("\r", "\n"))
+
+
 def _score_text(metric: MetricName, instance: TaskInstance, text: str) -> float:
     """One static metric (em, ism, pm or cdc) of one normalized generation."""
     reference = instance.reference
@@ -552,9 +551,7 @@ def _score_text(metric: MetricName, instance: TaskInstance, text: str) -> float:
         return pm_line(text, reference)
     # cdc; dedent both sides so an indented masked span judges as a unit
     try:
-        return cdc_check(
-            textwrap.dedent(text), textwrap.dedent(reference), instance.core_token
-        ).score
+        return cdc_check(_dedent(text), _dedent(reference), instance.core_token).score
     except InvalidReference as exc:
         raise InvalidReference(f"instance {instance.id!r}: {exc}") from None
 
@@ -607,19 +604,18 @@ def _score_item(
                 return exc
             scores[None] = 0.0
             per_sample = tuple(scores[text] for text in texts)
+        correct = per_sample.count(1.0)
         if metric in (MetricName.EM, MetricName.CDC, MetricName.PASS):
-            correct = per_sample.count(1.0)
             at_k = {k: estimate_at_k(n, correct, k) for k in ks}
-        else:
+        else:  # score_at_k checks that the scores lie in [0, 1]
             at_k = {k: score_at_k(per_sample, k) for k in ks}
-        vector = ScoreVector(instance.id, metric, per_sample, at_k)  # checks [0, 1]
         at_k_values[metric] = at_k
         if per_instance:
             row = {
                 "instance_id": instance.id,
                 "metric": metric.value,
                 "n": n,
-                "correct_count": vector.correct_count,
+                "correct_count": correct,
                 "per_sample": list(per_sample),
                 "at_k": {str(k): value for k, value in at_k.items()},
             }
@@ -681,7 +677,7 @@ def run_scoring(
     for item in items:
         for k in ks:
             if k > len(item.samples):
-                raise KExceedsN(
+                raise InvalidArgs(
                     f"k={k} exceeds n={len(item.samples)} for instance {item.instance.id!r}"
                 )
     if MetricName.PASS in metric_sel:
@@ -692,7 +688,7 @@ def run_scoring(
             if verdict is None
         ]
         if missing:
-            raise MissingExecReports(
+            raise InvalidArgs(
                 f"pass metric requested but {len(missing)} sample(s) lack execution verdicts,"
                 f" first: {missing[: 3]}"
             )

@@ -17,7 +17,7 @@ from .core_model import (
     parse_version,
     version_sort_key,
 )
-from .errors import InvalidArgs, IoFailure, NoNumericComponent, UnsortedVersions
+from .errors import EvalError, InvalidArgs, IoFailure, NoNumericComponent
 from .syntax import definition_names
 
 log = logging.getLogger(__name__)
@@ -176,7 +176,7 @@ def tag_lifecycle(surfaces: Sequence[VersionSurface]) -> list[LifecycleRecord]:
         raise InvalidArgs("need at least two version surfaces")
     for prev, curr in zip(surfaces, surfaces[1:]):
         if compare_versions(prev.version, curr.version) is not Ordering.LESS:
-            raise UnsortedVersions(
+            raise EvalError(
                 f"surfaces not strictly ascending at {prev.version.raw!r} -> {curr.version.raw!r}"
             )
 
@@ -206,7 +206,7 @@ def collect_surfaces(versions_root: str | Path) -> list[VersionSurface]:
     warning, as are versions contributing zero parseable files (dropping them
     beats reporting a mass deprecation for a broken source drop).  Two
     directories that name the same version, such as 1.0 and 1.0.0, raise
-    UnsortedVersions before any tree is scanned.  The trees of all versions
+    EvalError before any tree is scanned.  The trees of all versions
     are scanned in one pass: each distinct file content is parsed once, on
     every usable core, and a file that changes during the run stops it with
     IoFailure (see _scan_trees).
@@ -227,7 +227,7 @@ def collect_surfaces(versions_root: str | Path) -> list[VersionSurface]:
     entries.sort(key=lambda pair: version_sort_key(pair[0]))
     for (prev, prev_dir), (curr, curr_dir) in zip(entries, entries[1:]):
         if compare_versions(prev, curr) is Ordering.EQUAL:
-            raise UnsortedVersions(f"{prev_dir} and {curr_dir} name the same version")
+            raise EvalError(f"{prev_dir} and {curr_dir} name the same version")
 
     surfaces = []
     for (version, _), scan in zip(entries, _scan_trees([child for _, child in entries])):

@@ -16,8 +16,7 @@ from enum import Enum
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .core_model import in_unit_interval
-from .errors import DegenerateSeries, InvalidArgs, InvalidReference, KExceedsN
+from .errors import DegenerateSeries, InvalidArgs, InvalidReference
 from .syntax import contains_core_token, extract_facts, identifier_tokens
 
 if TYPE_CHECKING:
@@ -33,7 +32,7 @@ def estimate_at_k(n: int, correct: int, k: int) -> float:
     is exactly c/n.
     """
     if k > n:
-        raise KExceedsN(f"k={k} exceeds sample count n={n}")
+        raise InvalidArgs(f"k={k} exceeds sample count n={n}")
     if n < 1 or k < 1 or not 0 <= correct <= n:
         raise InvalidArgs(
             f"need 1 <= k <= n and 0 <= correct <= n, got n={n} correct={correct} k={k}"
@@ -52,10 +51,13 @@ def score_at_k(per_sample: Sequence[float], k: int) -> float:
     """
     n = len(per_sample)
     if k > n:
-        raise KExceedsN(f"k={k} exceeds sample count n={n}")
+        raise InvalidArgs(f"k={k} exceeds sample count n={n}")
     if n < 1 or k < 1:
         raise InvalidArgs(f"need 1 <= k <= n, got n={n} k={k}")
-    if not in_unit_interval(per_sample):
+    # all in [0, 1], and no NaN; the comparisons run in C
+    if not all(map(operator.le, repeat(0.0), per_sample)) or not all(
+        map(operator.ge, repeat(1.0), per_sample)
+    ):
         raise InvalidArgs("scores must lie in [0, 1]")
     ordered = sorted(per_sample)
     try:
@@ -132,8 +134,9 @@ def ism_line(generated_line: str, reference_line: str) -> float:
 
 def pm_line(generated_line: str, reference_line: str) -> float:
     """Common character prefix over the reference length, both sides stripped
-    of leading indentation; empty reference handled as in ism_line."""
-    return _prefix_share(generated_line.lstrip(), reference_line.lstrip())
+    of surrounding whitespace (indentation, trailing blanks, a line
+    terminator); empty reference handled as in ism_line."""
+    return _prefix_share(generated_line.strip(), reference_line.strip())
 
 
 def significant_lines(text: str) -> list[str]:

@@ -36,14 +36,15 @@ _STRING_PREFIX = r"[rRbBuUfF]{0,3}"
 
 # Unterminated strings are consumed to end of line (single quotes) or end of
 # input (triple quotes) so their contents stay out of the identifier stream
-# whenever the opening boundary is recognizable.
+# whenever the opening boundary is recognizable.  A line ends at LF, CRLF or
+# CR, as Python ends one.
 _LEX_RE = re.compile(
-    r"(?P<comment>\#[^\n]*)"
+    r"(?P<comment>\#[^\r\n]*)"
     r"|(?P<string>" + _STRING_PREFIX + r"(?:"
     r"'''(?:[^'\\]|\\.|'(?!''))*(?:'''|\Z)"
     r'|"""(?:[^"\\]|\\.|"(?!""))*(?:"""|\Z)'
-    r"|'(?:[^'\\\n]|\\.)*(?:'|(?=\n)|\Z)"
-    r'|"(?:[^"\\\n]|\\.)*(?:"|(?=\n)|\Z)'
+    r"|'(?:[^'\\\r\n]|\\\r\n|\\.)*(?:'|(?=[\r\n])|\Z)"
+    r'|"(?:[^"\\\r\n]|\\\r\n|\\.)*(?:"|(?=[\r\n])|\Z)'
     r"))"
     r"|(?P<name>" + IDENTIFIER_RE.pattern + r")",
     re.DOTALL,

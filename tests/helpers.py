@@ -4,6 +4,7 @@ corpus generators."""
 from __future__ import annotations
 
 import ast
+import contextlib
 import json
 import random
 import shutil
@@ -11,6 +12,19 @@ import sys
 import warnings
 from itertools import combinations
 from pathlib import Path
+
+import pytest
+
+
+@contextlib.contextmanager
+def raises_exactly(error: type[BaseException], message: str):
+    """pytest.raises for an error of exactly this class, not a subclass (the
+    CLI maps EvalError's subclasses onto other exit codes), and exactly this
+    message."""
+    with pytest.raises(error) as caught:
+        yield caught
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def brute_force_at_k(n: int, correct: int, k: int) -> float:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vceval import (
+    MASK_SENTINELS,
     DataSource,
     EvaluationItem,
     FilterVerdict,
@@ -35,14 +36,9 @@ from vceval.datagen import (
     FILTER_MAX_LINE_LENGTH,
     FILTER_SYNTAX_ERROR,
 )
-from vceval.errors import (
-    InvalidArgs,
-    PairingViolation,
-    SentinelCollision,
-    SpanUnresolvable,
-)
+from vceval.errors import EvalError, InvalidArgs, SchemaViolation
 
-from helpers import make_reference_snippet
+from helpers import make_reference_snippet, raises_exactly
 
 
 def meta(code: str, version: str = "1.3.5", description: str = "demo") -> MetaInstance:
@@ -120,19 +116,19 @@ class TestMaskInstance:
         assert dataclasses.replace(instance) == instance  # rebuilt, so re-checked
 
     def test_unresolvable_targets(self):
-        with pytest.raises(SpanUnresolvable):
+        with raises_exactly(EvalError, "occurrence 0 of 'missing' not found (0 occurrence(s) present)"):
             mask_instance(meta("x = 1"), MaskSpec(Granularity.TOKEN, "i", "missing"))
-        with pytest.raises(SpanUnresolvable):
+        with raises_exactly(EvalError, "occurrence 5 of 'x' not found (1 occurrence(s) present)"):
             mask_instance(
                 meta("x = 1"), MaskSpec(Granularity.TOKEN, "i", "x", occurrence=5)
             )
-        with pytest.raises(SpanUnresolvable):
+        with raises_exactly(EvalError, "line 4 outside 0..0"):
             mask_instance(meta("x = 1"), MaskSpec(Granularity.LINE, "i", "x", line_index=4))
-        with pytest.raises(SpanUnresolvable):
+        with raises_exactly(EvalError, "line span (0, 9) outside 0..0"):
             mask_instance(meta("x = 1"), MaskSpec(Granularity.BLOCK, "i", "x", line_span=(0, 9)))
 
     def test_sentinel_collision(self):
-        with pytest.raises(SentinelCollision):
+        with raises_exactly(EvalError, "code already contains the literal sentinel '[token-mask]'"):
             mask_instance(
                 meta("s = '[token-mask]'\nx = 1"), MaskSpec(Granularity.LINE, "i", "x", line_index=1)
             )
@@ -179,7 +175,7 @@ class TestBuildMigrationPair:
 
     def test_same_version_rejected(self):
         m = meta("a()", version="1.0")
-        with pytest.raises(PairingViolation):
+        with raises_exactly(SchemaViolation, "versions must differ, both compare equal to '1.0'"):
             build_migration_pair(m, m, "m1", "a")
 
     def test_mismatched_library_and_description_listed(self):
@@ -191,10 +187,12 @@ class TestBuildMigrationPair:
             code="b()",
             data_source=DataSource.LIBRARY_SOURCE,
         )
-        with pytest.raises(PairingViolation) as excinfo:
+        with pytest.raises(SchemaViolation) as excinfo:
             build_migration_pair(m_i, m_j, "m1", "b")
-        joined = " ".join(excinfo.value.violations)
-        assert "library" in joined and "description" in joined
+        assert excinfo.value.violations == [
+            "library mismatch: 'pandas' vs 'numpy'",
+            "description mismatch",
+        ]
 
     def test_provenance_comes_from_target(self):
         m_i = meta("a()", version="1.0", description="d")
@@ -222,10 +220,10 @@ def nested_snippet(seed: int, header: str | None) -> tuple[str, str]:
     return code, token
 
 
-def reference_scores(instance) -> dict[str, float]:
-    """Aggregate em, ism and pm of the one sample equal to the reference."""
+def reference_scores(instance, metrics=("em", "ism", "pm")) -> dict[str, float]:
+    """Aggregate metrics of the one sample equal to the reference."""
     item = EvaluationItem(instance, (instance.reference,), (None,))
-    result = run_scoring([item], ["em", "ism", "pm"], [1])
+    result = run_scoring([item], metrics, [1])
     return {row.metric: row.value for row in result.aggregates}
 
 
@@ -261,7 +259,8 @@ class TestBuiltInstancesScore:
             span = "\n".join(lines[first : last + 1])
         try:
             instance = mask_instance(meta(code), spec)
-        except SpanUnresolvable:
+        except EvalError as exc:
+            assert str(exc).endswith(f"does not hold the core token {token!r}")
             assert not contains_core_token(span, token)
             return
         assert instance.reference == span
@@ -280,10 +279,61 @@ class TestBuiltInstancesScore:
         m_j = meta(target, version="2.0.0", description="shared")
         try:
             instance, _ = build_migration_pair(m_i, m_j, "p", core_token)
-        except PairingViolation:
+        except SchemaViolation as exc:
+            assert exc.violations == [
+                f"instance 'p': target code does not hold the core token {core_token!r}"
+            ]
             assert not contains_core_token(target, core_token)
             return
         assert reference_scores(instance) == {"em": 1.0, "ism": 1.0, "pm": 1.0}
+
+
+# module-level lines, so that cdc judges the masked span whole; the masked
+# line ends in blanks and the block's last line in a tab
+_TERMINATED_LINES = ["import pandas as pd", "", "out = df.explode('A')  ", "print(out)\t", ""]
+
+
+class TestLineTerminators:
+    """Masking ends lines at LF, CRLF or CR, as Python does: the reference
+    of a line or block span carries no terminator, the masked code keeps
+    every one, and a sample equal to the reference scores 1."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "granularity, kwargs, first, last",
+        [
+            (Granularity.LINE, {"line_index": 2}, 2, 2),
+            (Granularity.BLOCK, {"line_span": (2, 3)}, 2, 3),
+        ],
+        ids=["line", "block"],
+    )
+    def test_mask_restores_code_and_scores_one(self, newline, granularity, kwargs, first, last):
+        code = newline.join(_TERMINATED_LINES)
+        instance = mask_instance(meta(code), MaskSpec(granularity, "i", "explode", **kwargs))
+        sentinel = MASK_SENTINELS[granularity]
+        assert instance.reference == newline.join(_TERMINATED_LINES[first : last + 1])
+        assert instance.masked_code == newline.join(
+            [*_TERMINATED_LINES[:first], sentinel, *_TERMINATED_LINES[last + 1 :]]
+        )
+        assert instance.masked_code.replace(sentinel, instance.reference, 1) == code
+        metrics = ("em", "ism", "pm", "cdc")
+        assert reference_scores(instance, metrics) == dict.fromkeys(metrics, 1.0)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_indented_block_scores_as_its_lf_form(self, newline):
+        lines = ["def f(df):", "    out = df.explode('A')", "    print(out)", ""]
+        spec = MaskSpec(Granularity.BLOCK, "i", "explode", line_span=(1, 2))
+        metrics = ("em", "ism", "pm", "cdc")
+        lf, other = (
+            reference_scores(mask_instance(meta(nl.join(lines)), spec), metrics)
+            for nl in ("\n", newline)
+        )
+        assert other == lf
+
+    def test_token_after_a_cr_ended_comment_is_maskable(self):
+        code = "# c\rout = df.explode('A')\r"
+        instance = mask_instance(meta(code), MaskSpec(Granularity.TOKEN, "i", "explode"))
+        assert instance.masked_code == "# c\rout = df.[token-mask]('A')\r"
 
 
 class TestCategorizeMigration:

@@ -17,7 +17,9 @@ from vceval import (
     tag_lifecycle,
 )
 from vceval.cli import main
-from vceval.errors import InvalidArgs, IoFailure, UnsortedVersions
+from vceval.errors import EvalError, InvalidArgs, IoFailure
+
+from helpers import raises_exactly
 
 ADD = LifecycleTag.ADDITION
 DEP = LifecycleTag.DEPRECATION
@@ -142,7 +144,7 @@ class TestTagLifecycle:
         assert (second.start_index, second.end_index) == (2, None)
 
     def test_unsorted_versions_rejected(self):
-        with pytest.raises(UnsortedVersions):
+        with raises_exactly(EvalError, "surfaces not strictly ascending at '2.0' -> '1.0'"):
             tag_lifecycle([surface("2.0", {"f"}), surface("1.0", {"f"})])
 
     def test_needs_two_surfaces(self):
@@ -231,9 +233,9 @@ class TestCollectSurfaces:
             raise AssertionError("scanned")
 
         monkeypatch.setattr(vceval.lifecycle, "_scan_trees", scan)
-        with pytest.raises(UnsortedVersions) as caught:
+        same = f"{tmp_path / '1.0'} and {tmp_path / '1.0.0'} name the same version"
+        with raises_exactly(EvalError, same):
             collect_surfaces(tmp_path)
-        assert str(caught.value) == f"{tmp_path / '1.0'} and {tmp_path / '1.0.0'} name the same version"
 
     def test_too_deeply_nested_file_is_skipped(self, tmp_path):
         # the parser raises MemoryError on this file; it is skipped, not fatal

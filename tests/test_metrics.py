@@ -22,9 +22,15 @@ from vceval import (
     score_at_k,
     strip_code_fences,
 )
-from vceval.errors import DegenerateSeries, InvalidArgs, InvalidReference, KExceedsN
+from vceval.errors import DegenerateSeries, InvalidArgs, InvalidReference
 
-from helpers import brute_force_at_k, brute_force_subset_max, make_reference_snippet, perturb_generation
+from helpers import (
+    brute_force_at_k,
+    brute_force_subset_max,
+    make_reference_snippet,
+    perturb_generation,
+    raises_exactly,
+)
 
 PASS = RuleResult.PASS
 FAIL = RuleResult.FAIL
@@ -58,7 +64,7 @@ class TestEstimateAtK:
                     assert estimate_at_k(n, c + 1, k) >= estimate_at_k(n, c, k)
 
     def test_invalid_args(self):
-        with pytest.raises(KExceedsN):
+        with raises_exactly(InvalidArgs, "k=4 exceeds sample count n=3"):
             estimate_at_k(3, 1, 4)
         with pytest.raises(InvalidArgs):
             estimate_at_k(3, 4, 1)
@@ -113,7 +119,7 @@ class TestScoreAtK:
         assert score_at_k([0.1] * 10, 1) == 0.1
 
     def test_invalid_args(self):
-        with pytest.raises(KExceedsN):
+        with raises_exactly(InvalidArgs, "k=2 exceeds sample count n=1"):
             score_at_k([1.0], 2)
         with pytest.raises(InvalidArgs):
             score_at_k([1.2], 1)
@@ -229,6 +235,20 @@ class TestPmLine:
 
     def test_indentation_ignored(self):
         assert pm_line("    x = 1", "x = 1") == 1.0
+
+    @pytest.mark.parametrize(
+        "reference",
+        ["x = 1  ", "x = 1\t", "x = 1\r", "  x = 1 \r\n"],
+        ids=["blanks", "tab", "cr", "indented-crlf"],
+    )
+    def test_surrounding_whitespace_ignored(self, reference):
+        # normalization strips a generation, so a reference line that ends
+        # in blanks or a terminator must not cost a reference-equal sample
+        assert pm_line("x = 1", reference) == 1.0
+        assert pm_line(reference, "x = 1") == 1.0
+
+    def test_inner_whitespace_counts(self):
+        assert pm_line("x  = 1", "x = 1 ") == pytest.approx(0.4)
 
     def test_empty_reference(self):
         assert pm_line("", "   ") == 1.0

@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "MigrationPattern",
     "Ordering",
     "RuleResult",
-    "ScoreVector",
     "ScoringResult",
     "TaskInstance",
     "TaskKind",

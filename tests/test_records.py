@@ -277,7 +277,7 @@ EXPECTED = {
         "SchemaViolation", ["instance: masked_code: expected a string"]
     ),
     ("vscc", "masked_code", "bad_value"): (
-        "MaskSentinelMismatch",
+        "SchemaViolation",
         [
             "instance: masked_code: expected exactly one '[token-mask]', found 0",
         ],
@@ -356,7 +356,7 @@ EXPECTED = {
         ],
     ),
     ("vscc", "-", "several"): (
-        "MaskSentinelMismatch",
+        "SchemaViolation",
         [
             "instance: library: must be non-empty and contain no whitespace",
             "instance: masked_code: expected exactly one '[token-mask]', found 0",

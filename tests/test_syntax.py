@@ -326,6 +326,23 @@ class TestIdentifierStream:
         code = "x = 'oops\nnext_line = 1\n"
         assert identifier_tokens(code) == ["x", "next_line"]
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_comments_and_strings_end_at_every_line_terminator(self, newline):
+        code = newline.join(["# c", "foo(x)", "s = 'unterminated", "bar = 1", ""])
+        assert identifier_tokens(code) == ["foo", "x", "s", "bar"]
+
+    def test_comment_ended_by_cr_hides_no_code(self):
+        code = "# c\rfoo(x)\r"
+        assert check_syntax(code)
+        assert [site.callee_name for site in extract_facts(code).call_sites] == ["foo"]
+        assert identifier_tokens(code) == ["foo", "x"]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_backslash_newline_continues_a_string(self, newline):
+        code = f"s = 'a\\{newline}b'; c = 1"
+        assert check_syntax(code)
+        assert identifier_tokens(code) == ["s", "c"]
+
     def test_string_prefixes_not_mistaken_for_identifiers(self):
         assert identifier_tokens("data = rb'abc'") == ["data"]
 
