@@ -21,7 +21,14 @@ from .core_model import (
     compare_versions,
 )
 from .errors import EvalError, InvalidArgs, IoFailure, SchemaViolation
-from .syntax import check_syntax, contains_core_token, identifier_spans
+from .syntax import (
+    check_syntax,
+    contains_core_token,
+    decode_source,
+    identifier_spans,
+    line_offsets,
+    universal_newlines,
+)
 
 
 @dataclass(frozen=True)
@@ -42,21 +49,6 @@ class MaskSpec:
     line_span: tuple[int, int] | None = None
 
 
-_LINE_END_RE = re.compile(r"\r\n|\r|\n")
-
-
-def _line_offsets(code: str) -> list[tuple[int, int]]:
-    # (start, end) character offsets per line, end excluding the line
-    # terminator; a line ends at LF, CRLF or CR, as Python ends one
-    offsets = []
-    start = 0
-    for terminator in _LINE_END_RE.finditer(code):
-        offsets.append((start, terminator.start()))
-        start = terminator.end()
-    offsets.append((start, len(code)))
-    return offsets
-
-
 def _resolve_span(code: str, spec: MaskSpec) -> tuple[int, int]:
     if spec.granularity is Granularity.TOKEN:
         hits = [(s, e) for name, s, e in identifier_spans(code) if name == spec.core_token]
@@ -66,7 +58,7 @@ def _resolve_span(code: str, spec: MaskSpec) -> tuple[int, int]:
                 f" ({len(hits)} occurrence(s) present)"
             )
         return hits[spec.occurrence]
-    lines = _line_offsets(code)
+    lines = line_offsets(code)
     if spec.granularity is Granularity.LINE:
         if spec.line_index is None or not 0 <= spec.line_index < len(lines):
             raise EvalError(f"line {spec.line_index} outside 0..{len(lines) - 1}")
@@ -230,25 +222,22 @@ def filter_corpus_file(content: str) -> FilterVerdict:
     Rejection reasons list every rule the file trips: mean line length over
     100, any line over 1000 characters, letter fraction under 0.25, or a
     syntax error.  Thresholds are strict, so the boundary values themselves
-    keep.  Line terminators are excluded from line lengths and from the
+    keep.  A line ends at LF, CRLF or CR, so the three forms of one file get
+    one verdict, and line ends count in neither line lengths nor the
     letter-fraction denominator; an empty file keeps.
     """
-    lines = content.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-
+    text = universal_newlines(content)
+    # no line follows a last line end; an empty file is one empty line
+    lengths = list(map(len, text.removesuffix("\n").split("\n")))
     reasons: list[str] = []
-    if lines:
-        lengths = [len(line) for line in lines]
-        if sum(lengths) / len(lengths) > 100:
-            reasons.append(FILTER_AVG_LINE_LENGTH)
-        if max(lengths) > 1000:
-            reasons.append(FILTER_MAX_LINE_LENGTH)
-    body_length = len(content) - content.count("\n") - content.count("\r")
-    if body_length and _letter_count(content) / body_length < 0.25:
+    if sum(lengths) / len(lengths) > 100:
+        reasons.append(FILTER_AVG_LINE_LENGTH)
+    if max(lengths) > 1000:
+        reasons.append(FILTER_MAX_LINE_LENGTH)
+    body_length = sum(lengths)
+    if body_length and _letter_count(text) / body_length < 0.25:
         reasons.append(FILTER_ALPHABETIC_RATIO)
-    if not check_syntax(content):
+    if not check_syntax(text):
         reasons.append(FILTER_SYNTAX_ERROR)
     return FilterVerdict(tuple(reasons))
 
@@ -256,9 +245,9 @@ def filter_corpus_file(content: str) -> FilterVerdict:
 def filter_tree(root: str | Path) -> list[tuple[str, FilterVerdict]]:
     """Judge every .py file under root; paths are root-relative POSIX strings.
 
-    Files that cannot be decoded are rejected with the decode_error reason.
-    A leading UTF-8 byte-order mark is not part of the judged text.  Files
-    are judged on every usable core (see _fanout.fan_out).
+    Each file's text is what syntax.decode_source reads from its bytes; a
+    file that cannot be read or decoded is rejected with the decode_error
+    reason.  Files are judged on every usable core (see _fanout.fan_out).
     """
     base = Path(root)
     if not base.is_dir():
@@ -272,7 +261,7 @@ def filter_tree(root: str | Path) -> list[tuple[str, FilterVerdict]]:
 
 def _filter_path(path: Path) -> FilterVerdict:
     try:
-        content = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError):
-        return FilterVerdict((FILTER_DECODE_ERROR,))
-    return filter_corpus_file(content)
+        content = decode_source(path.read_bytes())
+    except OSError:
+        content = None
+    return FilterVerdict((FILTER_DECODE_ERROR,)) if content is None else filter_corpus_file(content)

@@ -61,6 +61,7 @@ from .metrics import (
     score_at_k,
     strip_code_fences,
 )
+from .syntax import universal_newlines
 
 log = logging.getLogger(__name__)
 
@@ -528,11 +529,6 @@ def _normalize_ks(ks) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _dedent(code: str) -> str:
-    # textwrap.dedent ends lines only at LF, the compiler at LF, CRLF and CR
-    return textwrap.dedent(code.replace("\r\n", "\n").replace("\r", "\n"))
-
-
 def _score_text(metric: MetricName, instance: TaskInstance, text: str) -> float:
     """One static metric (em, ism, pm or cdc) of one normalized generation."""
     reference = instance.reference
@@ -549,9 +545,10 @@ def _score_text(metric: MetricName, instance: TaskInstance, text: str) -> float:
         if granularity is Granularity.BLOCK:
             return block_line_average(text, reference, pm_line)
         return pm_line(text, reference)
-    # cdc; dedent both sides so an indented masked span judges as a unit
+    # cdc; both sides LF-ended, as textwrap.dedent needs, and dedented to judge a span whole
+    sample, reference = (textwrap.dedent(universal_newlines(t)) for t in (text, reference))
     try:
-        return cdc_check(_dedent(text), _dedent(reference), instance.core_token).score
+        return cdc_check(sample, reference, instance.core_token).score
     except InvalidReference as exc:
         raise InvalidReference(f"instance {instance.id!r}: {exc}") from None
 

@@ -18,7 +18,7 @@ from .core_model import (
     version_sort_key,
 )
 from .errors import EvalError, InvalidArgs, IoFailure, NoNumericComponent
-from .syntax import definition_names
+from .syntax import decode_source, definition_names
 
 log = logging.getLogger(__name__)
 
@@ -127,8 +127,9 @@ def _scan_trees(roots: Sequence[Path]) -> list[tuple[frozenset[str], int, int]]:
 
 
 def _path_definitions(item: tuple[bytes, tuple[int, Path]]) -> frozenset[str] | IoFailure | None:
-    """_file_definitions of the bytes at item's path if they still have its
-    digest, else an IoFailure for the caller to raise in its own order."""
+    """Local definition names of the bytes at item's path (None if they do not
+    decode or compile) if they still have its digest, else an IoFailure for
+    the caller to raise in its own order."""
     from _blake2 import blake2b
 
     key, (_, path) = item
@@ -138,19 +139,8 @@ def _path_definitions(item: tuple[bytes, tuple[int, Path]]) -> frozenset[str] | 
         return IoFailure(f"unreadable file {path}: {exc}")
     if blake2b(data).digest() != key:
         return IoFailure(f"file changed during the run: {path}")
-    return _file_definitions(data)
-
-
-def _file_definitions(data: bytes) -> frozenset[str] | None:
-    """Local definition names of one file's bytes; None when they are not
-    UTF-8 or do not parse and compile.  A leading byte-order mark is dropped,
-    as Python's own import does."""
-    try:
-        source = data.decode("utf-8-sig")
-    except UnicodeDecodeError:
-        return None
-    # the universal-newline translation of a text-mode read
-    return definition_names(source.replace("\r\n", "\n").replace("\r", "\n"))
+    source = decode_source(data)
+    return None if source is None else definition_names(source)
 
 
 def extract_surface(version: VersionId, tree_root: str | Path) -> VersionSurface:

@@ -17,7 +17,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateSeries, InvalidArgs, InvalidReference
-from .syntax import contains_core_token, extract_facts, identifier_tokens
+from .syntax import contains_core_token, extract_facts, identifier_tokens, universal_newlines
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -140,9 +140,8 @@ def pm_line(generated_line: str, reference_line: str) -> float:
 
 
 def significant_lines(text: str) -> list[str]:
-    """Non-blank, non-comment lines, ended at LF, CRLF or CR as Python ends
-    them (str.splitlines() also ends one at U+2028, U+0085, form feed, ...)."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    """Non-blank, non-comment lines, ended at LF, CRLF or CR only, as Python ends them."""
+    lines = universal_newlines(text).split("\n")
     return [line for line in lines if line.strip() and not line.strip().startswith("#")]
 
 
@@ -157,11 +156,8 @@ def block_line_average(
     gen_lines = significant_lines(generated)
     if not ref_lines:
         return 1.0 if not gen_lines else 0.0
-    scores = [
-        line_metric(gen_lines[i], ref_lines[i]) if i < len(gen_lines) else 0.0
-        for i in range(len(ref_lines))
-    ]
-    return math.fsum(scores) / len(ref_lines)
+    # a missing generated line adds 0 to the sum
+    return math.fsum(map(line_metric, gen_lines, ref_lines)) / len(ref_lines)
 
 
 class RuleResult(str, Enum):

@@ -126,6 +126,8 @@ class TestMaskInstance:
             mask_instance(meta("x = 1"), MaskSpec(Granularity.LINE, "i", "x", line_index=4))
         with raises_exactly(EvalError, "line span (0, 9) outside 0..0"):
             mask_instance(meta("x = 1"), MaskSpec(Granularity.BLOCK, "i", "x", line_span=(0, 9)))
+        with raises_exactly(EvalError, "block masking needs a line_span"):
+            mask_instance(meta("x = 1"), MaskSpec(Granularity.BLOCK, "i", "x"))
 
     def test_sentinel_collision(self):
         with raises_exactly(EvalError, "code already contains the literal sentinel '[token-mask]'"):
@@ -352,6 +354,10 @@ class TestCategorizeMigration:
         assert category.direction.value == direction
         assert category.pattern.value == pattern
 
+    def test_equal_versions_rejected(self):
+        with raises_exactly(SchemaViolation, "versions must differ"):
+            categorize_migration(parse_version("1.0"), parse_version("1.0.0"))
+
 
 class TestFilterCorpusFile:
     def test_plain_file_keeps(self):
@@ -391,6 +397,15 @@ class TestFilterCorpusFile:
 
     def test_empty_file_keeps(self):
         assert filter_corpus_file("").keep
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends_give_the_lf_verdict(self, newline):
+        # each line alone is short, but the twenty as one line would be
+        # 1,499 characters long
+        lines = [f"v{i:02d} = '{'x' * 66}'" for i in range(20)]
+        assert {len(line) for line in lines} == {74}
+        verdict = filter_corpus_file(newline.join(lines) + newline)
+        assert verdict == filter_corpus_file("\n".join(lines) + "\n") == FilterVerdict(())
 
     @pytest.mark.parametrize("code", ["def f():\n    x: (y := 1)\n", "def f():\n    x: (yield)\n"])
     def test_judged_without_the_toolkits_future_flags(self, code):

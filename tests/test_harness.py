@@ -214,6 +214,23 @@ class TestIngest:
         with pytest.raises(SchemaViolation):
             ingest(inst_path, samp_path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"samples": ["x"]},
+            {"instance_id": 0, "samples": ["x"]},
+            {"instance_id": "inst-000", "samples": "x"},
+            {"instance_id": "inst-000", "samples": ["x", 1]},
+        ],
+        ids=["no-id", "int-id", "str-samples", "int-sample"],
+    )
+    def test_malformed_sample_set_rejected(self, tmp_path, record):
+        inst_path, _ = self.write_corpus(tmp_path, 1)
+        samp_path = write_jsonl(tmp_path / "samples.jsonl", [record])
+        expected = f"{samp_path}:1: expected {{instance_id, samples: [text, ...]}}"
+        with raises_exactly(SchemaViolation, expected):
+            ingest(inst_path, samp_path)
+
     def test_empty_sample_list_rejected(self, tmp_path):
         inst_path, _ = self.write_corpus(tmp_path, 1)
         samp_path = write_jsonl(

@@ -1,5 +1,6 @@
 import os
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,23 @@ class TestExtractApiDefinitions:
         (tmp_path / "good.py").write_text("def g(): ...\n")
         (tmp_path / "bad.py").write_text("def broken(:\n")
         assert scan_api_definitions(tmp_path) == (frozenset({"good.g"}), 1, 1)
+
+    def test_unreadable_file_skipped_and_counted(self, tmp_path, monkeypatch):
+        # the digest pass cannot read a.py; the scan goes on past it
+        unreadable = tmp_path / "a.py"
+        unreadable.write_text("def lost(): ...\n")
+        (tmp_path / "b.py").write_text("def g(): ...\n")
+        read_bytes = Path.read_bytes
+
+        def failing(path):
+            if path == unreadable:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", failing)
+        # one usable core: fan_out compiles in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert scan_api_definitions(tmp_path) == (frozenset({"b.g"}), 1, 1)
 
     def test_deterministic(self, tmp_path):
         (tmp_path / "a.py").write_text("def one(): ...\nclass Two: ...\n")

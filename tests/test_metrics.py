@@ -121,6 +121,10 @@ class TestScoreAtK:
     def test_invalid_args(self):
         with raises_exactly(InvalidArgs, "k=2 exceeds sample count n=1"):
             score_at_k([1.0], 2)
+        with raises_exactly(InvalidArgs, "need 1 <= k <= n, got n=0 k=0"):
+            score_at_k([], 0)
+        with raises_exactly(InvalidArgs, "need 1 <= k <= n, got n=2 k=0"):
+            score_at_k([1.0, 0.0], 0)
         with pytest.raises(InvalidArgs):
             score_at_k([1.2], 1)
         with pytest.raises(InvalidArgs):

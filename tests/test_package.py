@@ -1,5 +1,9 @@
 """The package's public surface, pinned: adding or removing a public name
-means editing this list, so the change shows in review."""
+means editing this list, so the change shows in review.  Also pinned: which
+module spells how Python source is read."""
+
+import re
+from pathlib import Path
 
 import vceval
 
@@ -75,3 +79,19 @@ def test_public_names_are_unique_and_resolve():
 
 def test_public_names_are_pinned():
     assert sorted(vceval.__all__) == PUBLIC_NAMES
+
+
+def test_only_syntax_spells_how_source_is_read():
+    # How a .py file decodes and where its lines end is syntax.py's to say,
+    # so no other module writes a CR escape or the BOM-dropping codec.
+    modules = sorted((Path(__file__).resolve().parents[1] / "src" / "vceval").glob("*.py"))
+    assert "syntax.py" in [path.name for path in modules]
+    spelled = re.compile(r"\\r|utf[-_]?8[-_]sig", re.IGNORECASE)
+    offenders = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in modules
+        if path.name != "syntax.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1)
+        if spelled.search(line)
+    ]
+    assert offenders == []
