@@ -23,6 +23,7 @@ import textwrap
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields
 from datetime import date
+from itertools import repeat
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -315,8 +316,12 @@ def decode_instance(obj: dict, where: str = "instance") -> TaskInstance:
     """Decode one instance record; every problem with it is raised at once."""
     problems: list[str] = []
     values = _decode_record(obj, _INSTANCE_RECORD, problems)
-    _check(values, problems, where)
-    return TaskInstance(**values)
+    if problems:
+        _check(values, problems, where)
+    try:  # with every field decoded, construction judges the record rules
+        return TaskInstance(**values)
+    except SchemaViolation as exc:
+        raise SchemaViolation([f"{where}: {p}" for p in exc.violations]) from None
 
 
 def encode_instance(instance: TaskInstance) -> dict:
@@ -433,9 +438,8 @@ def ingest(
         where = f"{samples_path}:{lineno}"
         iid = obj.get("instance_id")
         samples = obj.get("samples")
-        if not isinstance(iid, str) or not isinstance(samples, list) or not all(
-            isinstance(s, str) for s in samples
-        ):
+        text_list = isinstance(samples, list) and all(map(isinstance, samples, repeat(str)))
+        if not isinstance(iid, str) or not text_list:
             raise SchemaViolation([f"{where}: expected {{instance_id, samples: [text, ...]}}"])
         if iid in sample_sets:
             raise SchemaViolation([f"{where}: duplicate sample set for instance {iid!r}"])
@@ -559,15 +563,12 @@ def _normalized(item: EvaluationItem) -> dict[str, str | None]:
     repeat heavily at large n, so each distinct text is normalized, and its
     warnings logged, once."""
     instance = item.instance
-    normalized: dict[str, str | None] = {}
-    for raw in item.samples:
-        if raw in normalized:
-            continue
+    normalized: dict[str, str | None] = dict.fromkeys(item.samples)
+    for raw in normalized:
         try:
             normalized[raw] = normalize_generation(raw, instance.granularity)
         except EmptyAfterNormalization:
             log.warning("instance %s: a sample normalized to nothing, scoring it 0", instance.id)
-            normalized[raw] = None
     return normalized
 
 
@@ -585,7 +586,7 @@ def _score_item(
     per sample index because it follows each sample's exec verdict.  A
     sample that normalized to nothing scores 0."""
     instance = item.instance
-    texts = [normalized[raw] for raw in item.samples]
+    texts = list(map(normalized.__getitem__, item.samples))
     distinct = [text for text in dict.fromkeys(texts) if text is not None]
 
     n = len(item.samples)
@@ -593,19 +594,20 @@ def _score_item(
     rows = []
     for metric in metrics:
         if metric is MetricName.PASS:
-            per_sample = tuple(1.0 if passed else 0.0 for passed in item.exec_passed)
+            per_sample = tuple(map(float, item.exec_passed))
         else:
             try:
                 scores = {text: _score_text(metric, instance, text) for text in distinct}
             except EvalError as exc:
                 return exc
             scores[None] = 0.0
-            per_sample = tuple(scores[text] for text in texts)
+            per_sample = tuple(map(scores.__getitem__, texts))
         correct = per_sample.count(1.0)
         if metric in (MetricName.EM, MetricName.CDC, MetricName.PASS):
             at_k = {k: estimate_at_k(n, correct, k) for k in ks}
         else:  # score_at_k checks that the scores lie in [0, 1]
-            at_k = {k: score_at_k(per_sample, k) for k in ks}
+            ordered = sorted(per_sample)  # once: score_at_k sorts sorted input in one pass
+            at_k = {k: score_at_k(ordered, k) for k in ks}
         at_k_values[metric] = at_k
         if per_instance:
             row = {

@@ -54,10 +54,9 @@ def score_at_k(per_sample: Sequence[float], k: int) -> float:
         raise InvalidArgs(f"k={k} exceeds sample count n={n}")
     if n < 1 or k < 1:
         raise InvalidArgs(f"need 1 <= k <= n, got n={n} k={k}")
-    # all in [0, 1], and no NaN; the comparisons run in C
-    if not all(map(operator.le, repeat(0.0), per_sample)) or not all(
-        map(operator.ge, repeat(1.0), per_sample)
-    ):
+    # all in [0, 1]; a NaN hashes by identity, so each NaN stays in the set and fails
+    distinct = set(per_sample)
+    if not all(map(operator.le, repeat(0.0), distinct)) or max(distinct) > 1.0:
         raise InvalidArgs("scores must lie in [0, 1]")
     ordered = sorted(per_sample)
     try:

@@ -7,8 +7,8 @@ identifier stream comes from a lexical scanner that skips string literals
 and comments, so it works on unparseable text too; f-string interiors count
 as string content.  Identifiers are Unicode (a letter or underscore, then
 word characters) and hard keywords are dropped from the stream.  Every
-module reads source by Python's rules, spelled here once: a .py file is
-UTF-8 with an optional byte-order mark, and a line ends at LF, CRLF or CR.
+module reads source by Python's rules, spelled here once: a .py file
+decodes as tokenize decodes it, and a line ends at LF, CRLF or CR.
 
 Facts and identifier streams are memoized by text in bounded per-process
 caches.  Scoring takes each distinct sample text once per metric, yet asks
@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import ast
 import functools
+import io
 import keyword
 import re
+import tokenize  # loaded already: dataclasses imports inspect, which imports it
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -52,11 +54,13 @@ def line_offsets(text: str) -> list[tuple[int, int]]:
 
 
 def decode_source(data: bytes) -> str | None:
-    """A .py file's text: UTF-8, less a leading byte-order mark (as import
-    drops it), with universal newlines; None if the bytes are not UTF-8."""
+    """A .py file's text as tokenize.detect_encoding decodes it (PEP 263: the
+    declared codec, else UTF-8 less a byte-order mark), with universal
+    newlines; None if tokenize refuses the file or the bytes do not decode."""
     try:
-        return universal_newlines(data.decode("utf-8-sig"))
-    except UnicodeDecodeError:
+        codec, _ = tokenize.detect_encoding(io.BytesIO(data).readline)
+        return universal_newlines(data.decode(codec))
+    except (SyntaxError, LookupError, ValueError):  # LookupError: not a text codec
         return None
 
 

@@ -287,6 +287,21 @@ def mixed_tree(modules: int = 12) -> dict[str, bytes]:
     }
 
 
+# relative path -> bytes of .py files that name their codec in a coding
+# declaration (PEP 263), on line 1 or below a comment, and use a letter
+# outside ASCII in it
+DECLARED_CODECS = {
+    "pkg/latin1.py": "# -*- coding: latin-1 -*-\ndef caf\u00e9(): ...\n".encode("latin-1"),
+    "pkg/koi8_r.py": "#!/bin/python\n# coding: koi8-r\ndef \u043c\u0438\u0440(): ...\n".encode("koi8-r"),
+}
+# ... and of two whose declaration tokenize refuses: a codec other than UTF-8
+# after a byte-order mark, and an unknown codec
+REFUSED_DECLARATIONS = {
+    "pkg/bom_latin1.py": b"\xef\xbb\xbf" + DECLARED_CODECS["pkg/latin1.py"],
+    "pkg/nosuch.py": b"# coding: nosuch\ndef nosuch(): ...\n",
+}
+
+
 def write_tree(root: Path, files: dict[str, bytes]) -> Path:
     for relative, data in files.items():
         path = root / relative

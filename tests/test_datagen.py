@@ -38,7 +38,13 @@ from vceval.datagen import (
 )
 from vceval.errors import EvalError, InvalidArgs, SchemaViolation
 
-from helpers import make_reference_snippet, raises_exactly
+from helpers import (
+    DECLARED_CODECS,
+    REFUSED_DECLARATIONS,
+    make_reference_snippet,
+    raises_exactly,
+    write_tree,
+)
 
 
 def meta(code: str, version: str = "1.3.5", description: str = "demo") -> MetaInstance:
@@ -467,3 +473,13 @@ class TestFilterTree:
         (tmp_path / "binary.py").write_bytes(b"\xff\xfe\x00bad")
         ((rel, verdict),) = filter_tree(tmp_path)
         assert verdict.reasons == (FILTER_DECODE_ERROR,)
+
+    def test_files_are_read_in_their_declared_codec(self, tmp_path):
+        write_tree(tmp_path, {**DECLARED_CODECS, **REFUSED_DECLARATIONS})
+        verdicts = {rel: verdict.reasons for rel, verdict in filter_tree(tmp_path)}
+        assert verdicts == {
+            "pkg/bom_latin1.py": (FILTER_DECODE_ERROR,),
+            "pkg/koi8_r.py": (),
+            "pkg/latin1.py": (),
+            "pkg/nosuch.py": (FILTER_DECODE_ERROR,),
+        }

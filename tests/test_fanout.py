@@ -8,8 +8,10 @@ import time
 
 import pytest
 
+from vceval import EvaluationItem, run_scoring
 from vceval._fanout import fan_out
 from vceval.cli import main
+from vceval.harness import decode_instance
 
 from helpers import mixed_tree, write_jsonl, write_score_inputs, write_tree
 
@@ -406,6 +408,33 @@ class TestFanOut:
             "".join(warnings)
             + "error: instance 'inst-005': reference code must be syntactically valid\n",
         )}
+        assert_no_child_left()
+
+    def test_normalization_warnings_keep_first_occurrence_order(self, cores, caplog):
+        # every sample is reduced, so each distinct text warns once, where
+        # it first occurs; a second instance gives the workers two items
+        row = {
+            "id": "tok", "task": "vscc", "granularity": "token", "library": "pandas",
+            "source_version": "1.3.5", "description": "d", "masked_code": "df.[token-mask]()",
+            "reference": "to_numpy", "core_token": "to_numpy", "data_source": "library_source",
+        }
+        b, a, c = "`b_tok`", "a_tok it is", "c_tok()"
+        items = [
+            EvaluationItem(decode_instance(row), (b, a, b, c, a), (None,) * 5),
+            EvaluationItem(decode_instance(dict(row, id="other")), ("to_numpy",) * 5, (None,) * 5),
+        ]
+        logged = []
+        for count in (1, 3):
+            cores(count)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="vceval.harness"):
+                run_scoring(items, ["em", "pm"], [1, 3])
+            logged.append(caplog.messages)
+        assert logged[0] == logged[1] == [
+            "token normalization reduced '`b_tok`' to 'b_tok'",
+            "token normalization reduced 'a_tok it is' to 'a_tok'",
+            "token normalization reduced 'c_tok()' to 'c_tok'",
+        ]
         assert_no_child_left()
 
     def test_score_names_the_first_bad_reference_on_any_core_count(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import vceval.core_model
 import vceval.harness
 import vceval.syntax
 
@@ -100,6 +101,20 @@ class TestDecodeInstance:
     def test_round_trip(self):
         instance = decode_instance(self.base_row())
         assert decode_instance(encode_instance(instance)) == instance
+
+    def test_a_valid_record_is_judged_once(self, monkeypatch):
+        calls = []
+
+        def counting(known):
+            calls.append(known)
+            return broken_rules(known)
+
+        # harness imports the name too, so both references are replaced
+        broken_rules = vceval.core_model._broken_rules
+        monkeypatch.setattr(vceval.core_model, "_broken_rules", counting)
+        monkeypatch.setattr(vceval.harness, "_broken_rules", counting)
+        decode_instance(self.base_row())
+        assert len(calls) == 1
 
     def test_unknown_field_rejected(self):
         row = self.base_row()

@@ -20,7 +20,7 @@ from vceval import (
 from vceval.cli import main
 from vceval.errors import EvalError, InvalidArgs, IoFailure
 
-from helpers import raises_exactly
+from helpers import DECLARED_CODECS, REFUSED_DECLARATIONS, raises_exactly
 
 ADD = LifecycleTag.ADDITION
 DEP = LifecycleTag.DEPRECATION
@@ -317,6 +317,13 @@ class TestParseOncePerContent:
         for surface in collect_surfaces(tmp_path):
             assert surface.apis == frozenset({"bom.g", "crlf.f", "crlf.K", "crlf.K.m"})
             assert (surface.parsed_files, surface.skipped_files) == (2, 0)
+
+    def test_files_are_read_in_their_declared_codec(self, tmp_path):
+        files = {**DECLARED_CODECS, **REFUSED_DECLARATIONS}
+        write_versions(tmp_path, {"1.0": files, "2.0": files})
+        for surface in collect_surfaces(tmp_path):
+            assert surface.apis == frozenset({"pkg.latin1.caf\u00e9", "pkg.koi8_r.\u043c\u0438\u0440"})
+            assert (surface.parsed_files, surface.skipped_files) == (2, 2)
 
     def test_parses_each_distinct_content_once(self, tmp_path, monkeypatch):
         shared, changed = b"def s(): ...\n", b"def c(): ...\n"

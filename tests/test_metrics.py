@@ -132,6 +132,17 @@ class TestScoreAtK:
         for bad in (-0.1, float("nan"), float("inf")):
             with pytest.raises(InvalidArgs):
                 score_at_k([0.5, bad], 1)
+        # the range is judged on the distinct scores: one bad value among
+        # many equal ones, and each of two NaN objects, is still seen
+        first, second = float("nan"), float("nan")
+        assert first is not second
+        for scores in (
+            *([0.5] * 99 + [bad] for bad in (float("nan"), -0.5, 1.5, float("inf"))),
+            [first, 0.5, second],
+            [first, second],
+        ):
+            with raises_exactly(InvalidArgs, "scores must lie in [0, 1]"):
+                score_at_k(scores, 1)
 
     @staticmethod
     def unmemoized(per_sample, k):
@@ -147,6 +158,19 @@ class TestScoreAtK:
         except OverflowError:
             exact = sum(Fraction(s) * math.comb(i, k - 1) for i, s in enumerate(ordered))
             return float(exact / math.comb(n, k))
+
+    @given(
+        st.lists(st.floats(0, 1) | st.sampled_from([-0.0, 0.0, 1.0]), min_size=1, max_size=8)
+        .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=200)),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_input_keeps_every_bit(self, scores, data):
+        # scoring sorts its per-sample scores once and passes the sorted list
+        # for every k; -0.0 and 0.0 keep their order through both sorts
+        k = data.draw(st.integers(1, len(scores)))
+        expected = self.unmemoized(scores, k).hex()
+        assert score_at_k(scores, k).hex() == score_at_k(sorted(scores), k).hex() == expected
 
     def test_memoized_weights_keep_every_bit(self):
         rng = random.Random(11)

@@ -16,7 +16,7 @@ from vceval import (
     identifier_tokens,
 )
 from vceval.errors import InvalidArgs
-from vceval.syntax import definition_names
+from vceval.syntax import decode_source, definition_names
 
 from helpers import reference_definition_names
 
@@ -381,6 +381,48 @@ class TestTextMemo:
             assert extract_facts(code) == first
         assert first.is_valid is True
         assert caught == []
+
+
+class TestDecodeSource:
+    # a coding declaration (PEP 263) counts in a comment on line 1, or on
+    # line 2 below a blank or comment line 1, as tokenize.detect_encoding reads it
+    @pytest.mark.parametrize(
+        "data, text",
+        [
+            pytest.param(
+                b"# -*- coding: latin-1 -*-\nx = '\xe9'\n",
+                "# -*- coding: latin-1 -*-\nx = '\u00e9'\n",
+                id="latin-1",
+            ),
+            pytest.param(
+                b"#!/bin/python\n# vim: set fileencoding=koi8-r :\r\nx = '\xd0'\r\n",
+                "#!/bin/python\n# vim: set fileencoding=koi8-r :\nx = '\u043f'\n",
+                id="koi8-r-on-line-2",
+            ),
+            pytest.param(
+                b"\n# coding: latin-1\nx = '\xe9'\n",
+                "\n# coding: latin-1\nx = '\u00e9'\n",
+                id="below-a-blank-line",
+            ),
+            pytest.param(
+                b"# coding: utf-8\n# coding: latin-1\nx = '\xc3\xa9'\n",
+                "# coding: utf-8\n# coding: latin-1\nx = '\u00e9'\n",
+                id="the-first-wins",
+            ),
+            pytest.param(
+                b"\xef\xbb\xbf# coding: utf-8\nx = 1\n", "# coding: utf-8\nx = 1\n", id="bom-utf-8"
+            ),
+            # below code or on line 3 it is a comment, and the file is UTF-8,
+            # which a lone \xe9 is not
+            pytest.param(b"x = 1\n# coding: latin-1\nx = '\xe9'\n", None, id="below-code"),
+            pytest.param(b"#\n#\n# coding: latin-1\nx = '\xe9'\n", None, id="on-line-3"),
+            pytest.param(b"\xef\xbb\xbf# coding: latin-1\nx = 1\n", None, id="bom-latin-1"),
+            pytest.param(b"# coding: nosuch\nx = 1\n", None, id="unknown-codec"),
+            pytest.param(b"# coding: hex\nx = 1\n", None, id="not-a-text-codec"),
+        ],
+    )
+    def test_coding_declarations(self, data, text):
+        assert decode_source(data) == text
 
 
 class TestContainsCoreToken:
