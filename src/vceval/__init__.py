@@ -4,142 +4,14 @@ Scores model outputs with exact-match, identifier/prefix-match, and
 critical-diff-check metrics under unbiased @k estimation, and builds
 benchmark instances via API lifecycle diffing, multi-granularity masking,
 migration pairing, and corpus filtering.
+
+The root exports the four names of the README's library quick start; every
+other name is imported from the module that defines it.
 """
 
-from . import errors
-from .core_model import (
-    IDENTIFIER_RE,
-    MASK_SENTINELS,
-    DataSource,
-    Granularity,
-    LifecycleTag,
-    MetaInstance,
-    MetricName,
-    Ordering,
-    TaskInstance,
-    TaskKind,
-    VersionId,
-    VersionPattern,
-    classify_version_pattern,
-    compare_versions,
-    parse_version,
-    version_sort_key,
-)
-from .datagen import (
-    FilterVerdict,
-    MaskSpec,
-    MigrationCategory,
-    MigrationDirection,
-    MigrationPattern,
-    build_migration_pair,
-    categorize_migration,
-    filter_corpus_file,
-    filter_tree,
-    mask_instance,
-)
-from .harness import (
-    AggregateRow,
-    EvaluationItem,
-    ExecReport,
-    ScoringResult,
-    emit_report,
-    ingest,
-    normalize_generation,
-    run_scoring,
-)
-from .lifecycle import (
-    LifecycleRecord,
-    VersionSurface,
-    collect_surfaces,
-    extract_surface,
-    scan_api_definitions,
-    tag_lifecycle,
-)
-from .metrics import (
-    CdcVerdict,
-    RuleResult,
-    block_line_average,
-    cdc_check,
-    em_block,
-    em_token,
-    estimate_at_k,
-    ism_line,
-    pearson,
-    pm_line,
-    score_at_k,
-    strip_code_fences,
-)
-from .syntax import (
-    CallSiteInfo,
-    CodeFacts,
-    check_syntax,
-    contains_core_token,
-    extract_facts,
-    identifier_spans,
-    identifier_tokens,
-)
+from .harness import ingest, run_scoring
+from .metrics import cdc_check, estimate_at_k
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregateRow",
-    "CallSiteInfo",
-    "CdcVerdict",
-    "CodeFacts",
-    "DataSource",
-    "EvaluationItem",
-    "ExecReport",
-    "FilterVerdict",
-    "Granularity",
-    "IDENTIFIER_RE",
-    "LifecycleRecord",
-    "LifecycleTag",
-    "MASK_SENTINELS",
-    "MaskSpec",
-    "MetaInstance",
-    "MetricName",
-    "MigrationCategory",
-    "MigrationDirection",
-    "MigrationPattern",
-    "Ordering",
-    "RuleResult",
-    "ScoringResult",
-    "TaskInstance",
-    "TaskKind",
-    "VersionId",
-    "VersionPattern",
-    "VersionSurface",
-    "block_line_average",
-    "build_migration_pair",
-    "categorize_migration",
-    "cdc_check",
-    "check_syntax",
-    "classify_version_pattern",
-    "collect_surfaces",
-    "compare_versions",
-    "contains_core_token",
-    "em_block",
-    "em_token",
-    "emit_report",
-    "errors",
-    "estimate_at_k",
-    "extract_facts",
-    "extract_surface",
-    "filter_corpus_file",
-    "filter_tree",
-    "identifier_spans",
-    "identifier_tokens",
-    "ingest",
-    "ism_line",
-    "mask_instance",
-    "normalize_generation",
-    "parse_version",
-    "pearson",
-    "pm_line",
-    "run_scoring",
-    "scan_api_definitions",
-    "score_at_k",
-    "strip_code_fences",
-    "tag_lifecycle",
-    "version_sort_key",
-]
+__all__ = ["cdc_check", "estimate_at_k", "ingest", "run_scoring"]

@@ -18,7 +18,7 @@ from .core_model import (
     version_sort_key,
 )
 from .errors import EvalError, InvalidArgs, IoFailure, NoNumericComponent
-from .syntax import decode_source, definition_names
+from .syntax import definition_names
 
 log = logging.getLogger(__name__)
 
@@ -128,8 +128,9 @@ def _scan_trees(roots: Sequence[Path]) -> list[tuple[frozenset[str], int, int]]:
 
 def _path_definitions(item: tuple[bytes, tuple[int, Path]]) -> frozenset[str] | IoFailure | None:
     """Local definition names of the bytes at item's path (None if they do not
-    decode or compile) if they still have its digest, else an IoFailure for
-    the caller to raise in its own order."""
+    compile) if they still have its digest, else an IoFailure for the caller
+    to raise in its own order.  The bytes go to compile() undecoded, which
+    reads them as the interpreter reads a module (see syntax's docstring)."""
     from _blake2 import blake2b
 
     key, (_, path) = item
@@ -139,8 +140,7 @@ def _path_definitions(item: tuple[bytes, tuple[int, Path]]) -> frozenset[str] | 
         return IoFailure(f"unreadable file {path}: {exc}")
     if blake2b(data).digest() != key:
         return IoFailure(f"file changed during the run: {path}")
-    source = decode_source(data)
-    return None if source is None else definition_names(source)
+    return definition_names(data)
 
 
 def extract_surface(version: VersionId, tree_root: str | Path) -> VersionSurface:

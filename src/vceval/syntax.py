@@ -7,8 +7,12 @@ identifier stream comes from a lexical scanner that skips string literals
 and comments, so it works on unparseable text too; f-string interiors count
 as string content.  Identifiers are Unicode (a letter or underscore, then
 word characters) and hard keywords are dropped from the stream.  Every
-module reads source by Python's rules, spelled here once: a .py file
-decodes as tokenize decodes it, and a line ends at LF, CRLF or CR.
+module reads source by Python's rules, spelled here once: a line ends at LF,
+CRLF or CR, and a .py file that must become text (filter's) decodes as
+tokenize decodes it.  lifecycle hands a file's bytes to compile() instead,
+which also decodes by PEP 263 but accepts two files that tokenize refuses:
+a line 1 that is not UTF-8 above a line-2 coding declaration, and CR-only
+line ends before the declaration; filter gives those decode_error.
 
 Facts and identifier streams are memoized by text in bounded per-process
 caches.  Scoring takes each distinct sample text once per metric, yet asks
@@ -134,8 +138,8 @@ def _compiled(build: Callable[[], _T]) -> _T | None:
         return None
 
 
-def _compile(code: str) -> CodeType | None:
-    # Compiled from the text, so no syntax tree is built.  optimize=0 keeps
+def _compile(code: str | bytes) -> CodeType | None:
+    # Compiled from the source, so no syntax tree is built.  optimize=0 keeps
     # the subject's "if __debug__:" blocks under "python -O", whose level
     # compile() would otherwise inherit.
     return _compiled(
@@ -216,9 +220,9 @@ def _definitions(body: CodeType) -> Iterator[CodeType]:
             yield const
 
 
-def definition_names(code: str) -> frozenset[str] | None:
-    """Local names of the definitions in a module's text; None when the
-    text does not compile.
+def definition_names(code: str | bytes) -> frozenset[str] | None:
+    """Local names of the definitions in a module's source; None when it
+    does not compile.  Bytes are decoded by the compiler itself (PEP 263).
 
     Counted are the functions and classes defined in the module body and
     the functions defined in each such class body, as "Class.method",
@@ -227,7 +231,7 @@ def definition_names(code: str) -> frozenset[str] | None:
     Nested classes, lambdas and comprehensions are not counted.  On 3.12+ a
     generic "def f[T]" counts as "f" (not "T"), "type X = ..." counts as
     the definition "X", and a definition that the compiler drops as
-    unreachable (under "if False:") is not counted.  The text is compiled
+    unreachable (under "if False:") is not counted.  The source is compiled
     once and no syntax tree is built.
     """
     module = _compile(code)

@@ -300,6 +300,12 @@ REFUSED_DECLARATIONS = {
     "pkg/bom_latin1.py": b"\xef\xbb\xbf" + DECLARED_CODECS["pkg/latin1.py"],
     "pkg/nosuch.py": b"# coding: nosuch\ndef nosuch(): ...\n",
 }
+# ... and of two that compile() reads in their declared codec but tokenize
+# refuses: a line 1 that is not UTF-8, and lines that end in CR alone
+COMPILER_ONLY_DECLARATIONS = {
+    "pkg/shebang.py": b"#!/bin/python \xe9\n# coding: latin-1\ndef f(): pass\n",
+    "pkg/cr.py": b"# a\r# coding: latin-1\rx='\xe9'\rdef g(): pass\r",
+}
 
 
 def write_tree(root: Path, files: dict[str, bytes]) -> Path:

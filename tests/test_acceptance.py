@@ -10,34 +10,29 @@ import time
 
 import pytest
 
-from vceval import (
+from vceval.cli import main
+from vceval.core_model import (
+    MASK_SENTINELS,
+    DataSource,
     Granularity,
     LifecycleTag,
-    MaskSpec,
     MetaInstance,
     Ordering,
-    RuleResult,
-    cdc_check,
     classify_version_pattern,
-    collect_surfaces,
     compare_versions,
-    em_block,
-    estimate_at_k,
-    filter_corpus_file,
-    mask_instance,
     parse_version,
-    pearson,
-    score_at_k,
-    tag_lifecycle,
 )
-from vceval.cli import main
-from vceval.core_model import MASK_SENTINELS, DataSource
 from vceval.datagen import (
     FILTER_ALPHABETIC_RATIO,
     FILTER_AVG_LINE_LENGTH,
     FILTER_MAX_LINE_LENGTH,
     FILTER_SYNTAX_ERROR,
+    MaskSpec,
+    filter_corpus_file,
+    mask_instance,
 )
+from vceval.lifecycle import collect_surfaces, tag_lifecycle
+from vceval.metrics import RuleResult, cdc_check, em_block, estimate_at_k, pearson, score_at_k
 
 from helpers import (
     brute_force_at_k,

@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from vceval import collect_surfaces
 from vceval.cli import main
 from vceval.harness import AggregateRow
+from vceval.lifecycle import collect_surfaces
 
 from helpers import build_fixture_corpus, write_jsonl
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vceval import (
+from vceval.core_model import (
     DataSource,
     Granularity,
     LifecycleTag,

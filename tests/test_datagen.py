@@ -7,27 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vceval import (
+from vceval.core_model import (
     MASK_SENTINELS,
     DataSource,
-    EvaluationItem,
-    FilterVerdict,
     Granularity,
     LifecycleTag,
-    MaskSpec,
     MetaInstance,
-    MigrationDirection,
-    MigrationPattern,
     TaskKind,
-    build_migration_pair,
-    categorize_migration,
-    contains_core_token,
-    filter_corpus_file,
-    filter_tree,
-    mask_instance,
-    identifier_tokens,
     parse_version,
-    run_scoring,
 )
 from vceval.datagen import (
     FILTER_ALPHABETIC_RATIO,
@@ -35,10 +22,22 @@ from vceval.datagen import (
     FILTER_DECODE_ERROR,
     FILTER_MAX_LINE_LENGTH,
     FILTER_SYNTAX_ERROR,
+    FilterVerdict,
+    MaskSpec,
+    MigrationDirection,
+    MigrationPattern,
+    build_migration_pair,
+    categorize_migration,
+    filter_corpus_file,
+    filter_tree,
+    mask_instance,
 )
 from vceval.errors import EvalError, InvalidArgs, SchemaViolation
+from vceval.harness import EvaluationItem, run_scoring
+from vceval.syntax import contains_core_token, identifier_tokens
 
 from helpers import (
+    COMPILER_ONLY_DECLARATIONS,
     DECLARED_CODECS,
     REFUSED_DECLARATIONS,
     make_reference_snippet,
@@ -475,11 +474,15 @@ class TestFilterTree:
         assert verdict.reasons == (FILTER_DECODE_ERROR,)
 
     def test_files_are_read_in_their_declared_codec(self, tmp_path):
-        write_tree(tmp_path, {**DECLARED_CODECS, **REFUSED_DECLARATIONS})
+        # filter needs text, so it decodes as tokenize does and refuses the
+        # two files that only compile() reads (lifecycle reads them)
+        write_tree(tmp_path, {**DECLARED_CODECS, **REFUSED_DECLARATIONS, **COMPILER_ONLY_DECLARATIONS})
         verdicts = {rel: verdict.reasons for rel, verdict in filter_tree(tmp_path)}
         assert verdicts == {
             "pkg/bom_latin1.py": (FILTER_DECODE_ERROR,),
+            "pkg/cr.py": (FILTER_DECODE_ERROR,),
             "pkg/koi8_r.py": (),
             "pkg/latin1.py": (),
             "pkg/nosuch.py": (FILTER_DECODE_ERROR,),
+            "pkg/shebang.py": (FILTER_DECODE_ERROR,),
         }

@@ -8,10 +8,9 @@ import time
 
 import pytest
 
-from vceval import EvaluationItem, run_scoring
 from vceval._fanout import fan_out
 from vceval.cli import main
-from vceval.harness import decode_instance
+from vceval.harness import EvaluationItem, decode_instance, run_scoring
 
 from helpers import mixed_tree, write_jsonl, write_score_inputs, write_tree
 

@@ -14,16 +14,7 @@ import vceval.core_model
 import vceval.harness
 import vceval.syntax
 
-from vceval import (
-    EvaluationItem,
-    ExecReport,
-    Granularity,
-    MetricName,
-    TaskInstance,
-    ingest,
-    normalize_generation,
-    run_scoring,
-)
+from vceval.core_model import Granularity, MetricName, TaskInstance
 from vceval.errors import (
     EmptyAfterNormalization,
     EvalError,
@@ -33,11 +24,16 @@ from vceval.errors import (
 )
 from vceval.harness import (
     AggregateRow,
+    EvaluationItem,
+    ExecReport,
     decode_exec_report,
     decode_instance,
     decode_meta_record,
     emit_report,
     encode_instance,
+    ingest,
+    normalize_generation,
+    run_scoring,
     write_score_vectors,
     write_text,
 )

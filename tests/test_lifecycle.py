@@ -8,19 +8,23 @@ from hypothesis import strategies as st
 
 import vceval._fanout
 import vceval.lifecycle
-from vceval import (
-    LifecycleTag,
+from vceval.cli import main
+from vceval.core_model import LifecycleTag, parse_version
+from vceval.errors import EvalError, InvalidArgs, IoFailure
+from vceval.lifecycle import (
     VersionSurface,
     collect_surfaces,
     extract_surface,
-    parse_version,
     scan_api_definitions,
     tag_lifecycle,
 )
-from vceval.cli import main
-from vceval.errors import EvalError, InvalidArgs, IoFailure
 
-from helpers import DECLARED_CODECS, REFUSED_DECLARATIONS, raises_exactly
+from helpers import (
+    COMPILER_ONLY_DECLARATIONS,
+    DECLARED_CODECS,
+    REFUSED_DECLARATIONS,
+    raises_exactly,
+)
 
 ADD = LifecycleTag.ADDITION
 DEP = LifecycleTag.DEPRECATION
@@ -319,11 +323,15 @@ class TestParseOncePerContent:
             assert (surface.parsed_files, surface.skipped_files) == (2, 0)
 
     def test_files_are_read_in_their_declared_codec(self, tmp_path):
-        files = {**DECLARED_CODECS, **REFUSED_DECLARATIONS}
+        # the bytes go to compile(), which also reads the two files that
+        # tokenize refuses (filter gives them decode_error)
+        files = {**DECLARED_CODECS, **REFUSED_DECLARATIONS, **COMPILER_ONLY_DECLARATIONS}
         write_versions(tmp_path, {"1.0": files, "2.0": files})
         for surface in collect_surfaces(tmp_path):
-            assert surface.apis == frozenset({"pkg.latin1.caf\u00e9", "pkg.koi8_r.\u043c\u0438\u0440"})
-            assert (surface.parsed_files, surface.skipped_files) == (2, 2)
+            assert surface.apis == frozenset(
+                {"pkg.latin1.caf\u00e9", "pkg.koi8_r.\u043c\u0438\u0440", "pkg.shebang.f", "pkg.cr.g"}
+            )
+            assert (surface.parsed_files, surface.skipped_files) == (4, 2)
 
     def test_parses_each_distinct_content_once(self, tmp_path, monkeypatch):
         shared, changed = b"def s(): ...\n", b"def c(): ...\n"
@@ -350,7 +358,7 @@ class TestParseOncePerContent:
         surfaces = collect_surfaces(tmp_path / "versions")
         calls = log.read_text(encoding="utf-8").splitlines()
         assert sorted(calls) == sorted(
-            repr(code.decode()) for code in (shared, changed, b"def (:\n", changed + b"def d(): ...\n")
+            repr(code) for code in (shared, changed, b"def (:\n", changed + b"def d(): ...\n")
         )
         assert [s.apis for s in surfaces] == [
             frozenset({"pkg.s.s", "pkg.c.c"}),
@@ -379,7 +387,7 @@ class TestParseOncePerContent:
             2,
             1,
         )
-        assert sorted(compiled) == sorted([self.CODE.decode(), "def (:\n"])
+        assert sorted(compiled) == sorted([self.CODE, b"def (:\n"])
 
 
 class TestOnePass:
@@ -424,7 +432,7 @@ class TestOnePass:
         # one core: every file is compiled in this process, in queue order
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         collect_surfaces(tmp_path)
-        assert compiled == ["x = 1234\n", "z = 123\n", "x = 12\n", "y = 12\n", "x = 1\n"]
+        assert compiled == [b"x = 1234\n", b"z = 123\n", b"x = 12\n", b"y = 12\n", b"x = 1\n"]
 
     @pytest.mark.parametrize("cores", [1, 3])
     @pytest.mark.parametrize("change", ["rewrite", "delete"])

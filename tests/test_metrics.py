@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vceval import (
+from vceval.errors import DegenerateSeries, InvalidArgs, InvalidReference
+from vceval.metrics import (
     CdcVerdict,
     RuleResult,
     block_line_average,
@@ -22,7 +23,6 @@ from vceval import (
     score_at_k,
     strip_code_fences,
 )
-from vceval.errors import DegenerateSeries, InvalidArgs, InvalidReference
 
 from helpers import (
     brute_force_at_k,

@@ -1,74 +1,22 @@
 """The package's public surface, pinned: adding or removing a public name
-means editing this list, so the change shows in review.  Also pinned: which
-module spells how Python source is read."""
+means editing this list, so the change shows in review; and the README's
+library quick start, which uses those names, runs as written.  Also pinned:
+which module spells how Python source is read."""
 
+import ast
+import json
 import re
 from pathlib import Path
 
 import vceval
+from vceval.harness import AggregateRow
+from vceval.metrics import RuleResult
 
-PUBLIC_NAMES = [
-    "AggregateRow",
-    "CallSiteInfo",
-    "CdcVerdict",
-    "CodeFacts",
-    "DataSource",
-    "EvaluationItem",
-    "ExecReport",
-    "FilterVerdict",
-    "Granularity",
-    "IDENTIFIER_RE",
-    "LifecycleRecord",
-    "LifecycleTag",
-    "MASK_SENTINELS",
-    "MaskSpec",
-    "MetaInstance",
-    "MetricName",
-    "MigrationCategory",
-    "MigrationDirection",
-    "MigrationPattern",
-    "Ordering",
-    "RuleResult",
-    "ScoringResult",
-    "TaskInstance",
-    "TaskKind",
-    "VersionId",
-    "VersionPattern",
-    "VersionSurface",
-    "block_line_average",
-    "build_migration_pair",
-    "categorize_migration",
-    "cdc_check",
-    "check_syntax",
-    "classify_version_pattern",
-    "collect_surfaces",
-    "compare_versions",
-    "contains_core_token",
-    "em_block",
-    "em_token",
-    "emit_report",
-    "errors",
-    "estimate_at_k",
-    "extract_facts",
-    "extract_surface",
-    "filter_corpus_file",
-    "filter_tree",
-    "identifier_spans",
-    "identifier_tokens",
-    "ingest",
-    "ism_line",
-    "mask_instance",
-    "normalize_generation",
-    "parse_version",
-    "pearson",
-    "pm_line",
-    "run_scoring",
-    "scan_api_definitions",
-    "score_at_k",
-    "strip_code_fences",
-    "tag_lifecycle",
-    "version_sort_key",
-]
+from helpers import write_score_inputs
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC_NAMES = ["cdc_check", "estimate_at_k", "ingest", "run_scoring"]
 
 
 def test_public_names_are_unique_and_resolve():
@@ -81,10 +29,39 @@ def test_public_names_are_pinned():
     assert sorted(vceval.__all__) == PUBLIC_NAMES
 
 
+def quick_start_block() -> str:
+    """The first python block under the README's "Quick start (library)"."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start (library)\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_quick_start_runs_as_its_comments_say(tmp_path, monkeypatch):
+    write_score_inputs(tmp_path, count=8)  # 6 samples each, as ks=[1, 3] needs
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    shown = []  # the value of each bare expression, whose comment says what it is
+    for statement in ast.parse(quick_start_block()).body:
+        if isinstance(statement, ast.Expr):
+            expression = compile(ast.Expression(statement.value), "README.md", "eval")
+            shown.append(eval(expression, namespace))
+        else:
+            exec(compile(ast.Module([statement], type_ignores=[]), "README.md", "exec"), namespace)
+    at_1, at_3, rule3, rule5, overall, aggregates, first_rows = shown
+    assert (at_1, at_3) == (0.5, 0.95)
+    assert (rule3, rule5, overall) == (RuleResult.FAIL, RuleResult.FAIL, False)
+    assert isinstance(aggregates, tuple) and aggregates
+    assert all(isinstance(row, AggregateRow) for row in aggregates)
+    assert isinstance(first_rows, str) and first_rows.endswith("\n")
+    rows = [json.loads(line) for line in first_rows.splitlines()]
+    assert [row["metric"] for row in rows] == ["em", "cdc"]
+    assert {row["instance_id"] for row in rows} == {"inst-000"}
+
+
 def test_only_syntax_spells_how_source_is_read():
     # How a .py file decodes and where its lines end is syntax.py's to say,
     # so no other module writes a CR escape or the BOM-dropping codec.
-    modules = sorted((Path(__file__).resolve().parents[1] / "src" / "vceval").glob("*.py"))
+    modules = sorted((ROOT / "src" / "vceval").glob("*.py"))
     assert "syntax.py" in [path.name for path in modules]
     spelled = re.compile(r"\\r|utf[-_]?8[-_]sig", re.IGNORECASE)
     offenders = [

@@ -15,7 +15,7 @@ failed to decode is not judged.
 
 import pytest
 
-from vceval import Granularity
+from vceval.core_model import Granularity
 from vceval.harness import (
     decode_exec_report,
     decode_instance,

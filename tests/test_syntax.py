@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vceval import (
+from vceval.errors import InvalidArgs
+from vceval.syntax import (
     check_syntax,
     contains_core_token,
+    decode_source,
+    definition_names,
     extract_facts,
     identifier_tokens,
 )
-from vceval.errors import InvalidArgs
-from vceval.syntax import decode_source, definition_names
 
 from helpers import reference_definition_names
 
