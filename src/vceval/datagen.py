@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from .core_model import (
@@ -112,48 +111,29 @@ def mask_instance(meta: MetaInstance, spec: MaskSpec) -> TaskInstance:
     return instance
 
 
-class MigrationDirection(str, Enum):
-    OLD_TO_NEW = "old_to_new"
-    NEW_TO_OLD = "new_to_old"
-
-
-class MigrationPattern(str, Enum):
-    MAJOR_TO_MAJOR = "major_to_major"
-    MAJOR_TO_MINOR = "major_to_minor"
-    MINOR_TO_MAJOR = "minor_to_major"
-    MINOR_TO_MINOR = "minor_to_minor"
-
-
-@dataclass(frozen=True)
-class MigrationCategory:
-    direction: MigrationDirection
-    pattern: MigrationPattern
-
-
-def categorize_migration(source: VersionId, target: VersionId) -> MigrationCategory:
-    """Direction from the version order, pattern from the endpoint classifications."""
+def categorize_migration(source: VersionId, target: VersionId) -> tuple[str, str]:
+    """The (direction, pattern) labels of a migration, for example
+    ("old_to_new", "minor_to_major"): direction from the version order,
+    pattern from the endpoint classifications."""
     order = compare_versions(source, target)
     if order is Ordering.EQUAL:
         raise SchemaViolation(["versions must differ"])
-    direction = (
-        MigrationDirection.OLD_TO_NEW if order is Ordering.LESS else MigrationDirection.NEW_TO_OLD
-    )
-    pattern = MigrationPattern(
-        f"{classify_version_pattern(source).value}_to_{classify_version_pattern(target).value}"
-    )
-    return MigrationCategory(direction, pattern)
+    direction = "old_to_new" if order is Ordering.LESS else "new_to_old"
+    pattern = f"{classify_version_pattern(source).value}_to_{classify_version_pattern(target).value}"
+    return direction, pattern
 
 
 def build_migration_pair(
     m_i: MetaInstance, m_j: MetaInstance, instance_id: str, core_token: str
-) -> tuple[TaskInstance, MigrationCategory]:
+) -> tuple[TaskInstance, tuple[str, str]]:
     """Turn two same-functionality meta-instances from different versions into
     a migration instance: source code from m_i, reference answer from m_j.
 
     Provenance tags (data source, lifecycle tag, release date) come from the
     target side m_j, whose code is the graded reference; that code must hold
-    core_token as a whole identifier.  SchemaViolation lists whatever keeps
-    the two from pairing.
+    core_token as a whole identifier.  The instance comes with its
+    categorize_migration labels.  SchemaViolation lists whatever keeps the
+    two from pairing.
     """
     problems = []
     if m_i.library != m_j.library:
@@ -165,7 +145,6 @@ def build_migration_pair(
     if problems:
         raise SchemaViolation(problems)
 
-    category = categorize_migration(m_i.version, m_j.version)
     instance = TaskInstance(
         id=instance_id,
         task=TaskKind.VACM,
@@ -185,7 +164,7 @@ def build_migration_pair(
         raise SchemaViolation(
             [f"instance {instance_id!r}: target code does not hold the core token {core_token!r}"]
         )
-    return instance, category
+    return instance, categorize_migration(m_i.version, m_j.version)
 
 
 FILTER_AVG_LINE_LENGTH = "avg_line_length"

@@ -489,22 +489,29 @@ def normalize_generation(raw: str, granularity: Granularity) -> str:
     trim whitespace, and for token granularity reduce to the first
     identifier-like token.
 
+    A line or block generation starts at its first non-blank line and keeps
+    that line's indentation, so that cdc, which dedents each side as a
+    whole, reads an indented span as the span's own code.
+
     Raises EmptyAfterNormalization when nothing remains.  A warning is logged
     whenever token reduction discards surrounding text: a prose answer like
     "The answer is x" reduces to "The", which is the documented hazard.
     Scoring calls this once per distinct raw sample text of an instance, so
     the warning appears once per such text, not once per sample.
     """
-    text = strip_code_fences(raw).strip()
+    text = strip_code_fences(raw).rstrip()
+    body = text.lstrip()
     if granularity is Granularity.TOKEN:
-        match = IDENTIFIER_RE.search(text)
+        match = IDENTIFIER_RE.search(body)
         if match is None:
             raise EmptyAfterNormalization(f"no identifier-like token in {raw!r}")
-        if match.group(0) != text:
+        if match.group(0) != body:
             log.warning(
                 "token normalization reduced %r to %r", _shorten(raw), match.group(0)
             )
         text = match.group(0)
+    else:  # leading blank lines go; the first line keeps its indentation
+        text = universal_newlines(text[: len(text) - len(body)]).rpartition("\n")[2] + body
     if not text:
         raise EmptyAfterNormalization(f"nothing left after normalizing {raw!r}")
     return text
@@ -636,9 +643,8 @@ def _group_key(instance: TaskInstance, group_by: str | None) -> str:
     # pattern / direction apply to migration instances only
     if instance.task is not TaskKind.VACM:
         return f"{group_by}=unspecified"
-    category = categorize_migration(instance.source_version, instance.target_version)
-    value = category.pattern.value if group_by == "pattern" else category.direction.value
-    return f"{group_by}={value}"
+    direction, pattern = categorize_migration(instance.source_version, instance.target_version)
+    return f"{group_by}={pattern if group_by == 'pattern' else direction}"
 
 
 def run_scoring(

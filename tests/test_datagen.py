@@ -24,8 +24,6 @@ from vceval.datagen import (
     FILTER_SYNTAX_ERROR,
     FilterVerdict,
     MaskSpec,
-    MigrationDirection,
-    MigrationPattern,
     build_migration_pair,
     categorize_migration,
     filter_corpus_file,
@@ -155,9 +153,9 @@ class TestBuildMigrationPair:
     def test_minor_to_major_upgrade(self):
         m_i = meta("old_call()", version="1.3.2", description="shared purpose")
         m_j = meta("new_call()", version="2.0.0", description="shared purpose")
-        instance, category = build_migration_pair(m_i, m_j, "m1", "new_call")
-        assert category.direction is MigrationDirection.OLD_TO_NEW
-        assert category.pattern is MigrationPattern.MINOR_TO_MAJOR
+        instance, (direction, pattern) = build_migration_pair(m_i, m_j, "m1", "new_call")
+        assert direction == "old_to_new"
+        assert pattern == "minor_to_major"
         assert instance.source_code == "old_call()"
         assert instance.reference == "new_call()"
         assert instance.task is TaskKind.VACM
@@ -167,18 +165,15 @@ class TestBuildMigrationPair:
         m_i = meta("a()", version="2.0.0", description="d")
         m_j = meta("b()", version="2.1.3", description="d")
         _, category = build_migration_pair(m_i, m_j, "m1", "b")
-        assert category.direction is MigrationDirection.OLD_TO_NEW
-        assert category.pattern is MigrationPattern.MAJOR_TO_MINOR
+        assert category == ("old_to_new", "major_to_minor")
 
     def test_swapped_arguments_transpose(self):
         m_i = meta("a()", version="1.3.2", description="d")
         m_j = meta("b()", version="2.0.0", description="d")
         _, forward = build_migration_pair(m_i, m_j, "f", "b")
         _, backward = build_migration_pair(m_j, m_i, "r", "a")
-        assert forward.direction is MigrationDirection.OLD_TO_NEW
-        assert backward.direction is MigrationDirection.NEW_TO_OLD
-        assert forward.pattern is MigrationPattern.MINOR_TO_MAJOR
-        assert backward.pattern is MigrationPattern.MAJOR_TO_MINOR
+        assert forward == ("old_to_new", "minor_to_major")
+        assert backward == ("new_to_old", "major_to_minor")
 
     def test_same_version_rejected(self):
         m = meta("a()", version="1.0")
@@ -237,7 +232,8 @@ def reference_scores(instance, metrics=("em", "ism", "pm")) -> dict[str, float]:
 class TestBuiltInstancesScore:
     """Every instance the builders accept is scorable: a sample equal to its
     reference scores 1 on the static metrics.  cdc is not asserted, because
-    a reference-equal sample of an indented span still fails it."""
+    a span that does not parse on its own (a return, a block header without
+    its body) aborts cdc's reference check."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -335,7 +331,7 @@ class TestLineTerminators:
             reference_scores(mask_instance(meta(nl.join(lines)), spec), metrics)
             for nl in ("\n", newline)
         )
-        assert other == lf
+        assert other == lf == dict.fromkeys(metrics, 1.0)
 
     def test_token_after_a_cr_ended_comment_is_maskable(self):
         code = "# c\rout = df.explode('A')\r"
@@ -355,9 +351,8 @@ class TestCategorizeMigration:
         ],
     )
     def test_examples(self, source, target, direction, pattern):
-        category = categorize_migration(parse_version(source), parse_version(target))
-        assert category.direction.value == direction
-        assert category.pattern.value == pattern
+        labels = categorize_migration(parse_version(source), parse_version(target))
+        assert labels == (direction, pattern)
 
     def test_equal_versions_rejected(self):
         with raises_exactly(SchemaViolation, "versions must differ"):

@@ -14,7 +14,16 @@ import vceval.core_model
 import vceval.harness
 import vceval.syntax
 
-from vceval.core_model import Granularity, MetricName, TaskInstance
+from vceval.core_model import (
+    DataSource,
+    Granularity,
+    MetaInstance,
+    MetricName,
+    TaskInstance,
+    TaskKind,
+    parse_version,
+)
+from vceval.datagen import build_migration_pair
 from vceval.errors import (
     EmptyAfterNormalization,
     EvalError,
@@ -66,6 +75,26 @@ class TestNormalizeGeneration:
     def test_prose_outside_fence_dropped(self):
         raw = "Here you go:\n```python\nx = 1\n```\nenjoy"
         assert normalize_generation(raw, Granularity.BLOCK) == "x = 1"
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("\n  \n    x = f(a)\n\n", "    x = f(a)"),
+            ("```python\n\tx = 1\n\ty = g(x)\n```", "\tx = 1\n\ty = g(x)"),
+            ("\r\n  \r\n    a = 1\r\n    b = 2\r\n", "    a = 1\r\n    b = 2"),
+            ("\r    a = 1\r", "    a = 1"),
+            ("Sure:\n```\n    out = df.explode('A')\n```\nDone.", "    out = df.explode('A')"),
+            ("  The answer is x = 1\n", "  The answer is x = 1"),
+            ("    a = 1\nb(a)", "    a = 1\nb(a)"),
+        ],
+        ids=["blank-lines", "tab-fence", "crlf", "cr", "prose-fence", "prose", "ragged"],
+    )
+    @pytest.mark.parametrize("granularity", [Granularity.LINE, Granularity.BLOCK])
+    def test_line_and_block_keep_the_first_lines_indentation(self, raw, expected, granularity):
+        assert normalize_generation(raw, granularity) == expected
+
+    def test_token_still_trims_indentation(self):
+        assert normalize_generation("\n    to_numpy()\n", Granularity.TOKEN) == "to_numpy"
 
     def test_unicode_token_kept_whole(self):
         assert normalize_generation("données.café(x)", Granularity.TOKEN) == "données"
@@ -397,6 +426,51 @@ class TestRunScoring:
         assert any(key.startswith("pattern=minor_to_major") for key in keys)
         assert "pattern=unspecified" in keys
         assert sum(row.instance_count for row in result.aggregates) == 12
+
+    @pytest.mark.parametrize(
+        "group_by, counts",
+        [
+            (
+                "direction",
+                {"direction=old_to_new": 10, "direction=new_to_old": 5, "direction=unspecified": 3},
+            ),
+            (
+                "pattern",
+                {
+                    "pattern=major_to_major": 2,
+                    "pattern=major_to_minor": 3,
+                    "pattern=minor_to_major": 5,
+                    "pattern=minor_to_minor": 5,
+                    "pattern=unspecified": 3,
+                },
+            ),
+        ],
+    )
+    def test_migration_group_keys(self, group_by, counts):
+        # (source, target, copies): both directions of all four patterns
+        migrations = [
+            ("1.0.0", "2.0.0", 1),
+            ("2.0.0", "2.1.3", 2),
+            ("1.3.2", "2.0.0", 3),
+            ("1.2.1", "1.2.2", 4),
+            ("3.0.0", "2.0.0", 1),
+            ("2.0.0", "1.5.2", 1),
+            ("2.1.3", "2.0.0", 2),
+            ("1.2.2", "1.2.1", 1),
+        ]
+        instances = [kind for kind in _KINDS if kind.task is TaskKind.VSCC]
+        for source, target, copies in migrations:
+            token = f"f_{target.replace('.', '_')}"
+            m_i, m_j = (
+                MetaInstance("pandas", parse_version(v), "d", code, DataSource.LIBRARY_SOURCE)
+                for v, code in ((source, "f()"), (target, f"{token}()"))
+            )
+            for copy in range(copies):
+                instance, _ = build_migration_pair(m_i, m_j, f"{source}-{target}-{copy}", token)
+                instances.append(instance)
+        items = [EvaluationItem(i, (i.reference,), (None,)) for i in instances]
+        result = run_scoring(items, ["em"], [1], group_by=group_by)
+        assert {row.group_key: row.instance_count for row in result.aggregates} == counts
 
     def test_cdc_never_exceeds_em(self, tmp_path):
         items = items_from_corpus(tmp_path, 16)
