@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from keyword import iskeyword
+from typing import NamedTuple
 
 from .errors import NoNumericComponent, SchemaViolation
 
@@ -70,8 +70,7 @@ IDENTIFIER_RE = re.compile(r"[^\W\d]\w*")
 _INT_SEGMENT_RE = re.compile(r"[0-9]+")
 
 
-@dataclass(frozen=True)
-class VersionId:
+class VersionId(NamedTuple):
     """A leniently parsed version: numeric components plus a residual suffix.
 
     The raw string is preserved verbatim.
@@ -184,21 +183,31 @@ def _broken_rules(known: Mapping[str, object]) -> list[str]:
 
 
 class _SelfChecked:
-    """A record whose construction raises SchemaViolation listing the rules
-    that _broken_rules finds broken."""
+    """A named tuple whose construction raises SchemaViolation listing the
+    rules that _broken_rules finds broken.  Every other way to build one
+    goes through the constructor: _make calls it, _replace and copy.replace
+    call _make, and pickle and copy.copy call what __reduce__ names."""
 
-    def __post_init__(self) -> None:
-        problems = _broken_rules(vars(self))
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        problems = _broken_rules(self._asdict())
         if problems:
             raise SchemaViolation(problems)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # at every pickle protocol; protocols 0 and 1 would otherwise call
+        # tuple.__new__ directly
+        return type(self), tuple(self)
 
 
-@dataclass(frozen=True)
-class MetaInstance(_SelfChecked):
-    """One harvested (library, version, description, code) record with
-    provenance tags; construction raises SchemaViolation listing every
-    broken rule."""
-
+class _MetaFields(NamedTuple):
     library: str
     version: VersionId
     description: str
@@ -208,14 +217,15 @@ class MetaInstance(_SelfChecked):
     release_date: date | None = None
 
 
-@dataclass(frozen=True)
-class TaskInstance(_SelfChecked):
-    """One evaluation item, either a masked completion or a migration pair.
+class MetaInstance(_SelfChecked, _MetaFields):
+    """One harvested (library, version, description, code) record with
+    provenance tags; construction raises SchemaViolation listing every
+    broken rule."""
 
-    Construction raises SchemaViolation listing every broken rule, the mask
-    sentinel rules among them.
-    """
+    __slots__ = ()
 
+
+class _TaskFields(NamedTuple):
     id: str
     task: TaskKind
     granularity: Granularity
@@ -231,3 +241,12 @@ class TaskInstance(_SelfChecked):
     lifecycle_tag: LifecycleTag | None = None
     release_date: date | None = None
 
+
+class TaskInstance(_SelfChecked, _TaskFields):
+    """One evaluation item, either a masked completion or a migration pair.
+
+    Construction raises SchemaViolation listing every broken rule, the mask
+    sentinel rules among them.
+    """
+
+    __slots__ = ()

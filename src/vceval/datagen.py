@@ -5,8 +5,8 @@ filtering."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .core_model import (
     MASK_SENTINELS,
@@ -30,8 +30,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class MaskSpec:
+class MaskSpec(NamedTuple):
     """Where to cut one masked span out of a meta-instance's code.
 
     token: the occurrence-th identifier occurrence of core_token (0-based,
@@ -174,8 +173,7 @@ FILTER_SYNTAX_ERROR = "syntax_error"
 FILTER_DECODE_ERROR = "decode_error"
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
+class FilterVerdict(NamedTuple):
     reasons: tuple[str, ...]
 
     @property

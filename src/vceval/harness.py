@@ -21,11 +21,10 @@ import re
 import stat
 import textwrap
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import MISSING, dataclass, fields
 from datetime import date
 from itertools import repeat
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 from .core_model import (
     IDENTIFIER_RE,
@@ -71,8 +70,7 @@ EXEC_CASE_CATEGORIES = ("return_type", "normal_input", "boundary_values", "funct
 GROUP_DIMENSIONS = ("data_source", "lifecycle_tag", "year", "pattern", "direction")
 
 
-@dataclass(frozen=True)
-class ExecReport:
+class ExecReport(NamedTuple):
     """Externally produced execution verdict for one generated sample;
     decode_exec_report validates it."""
 
@@ -82,8 +80,7 @@ class ExecReport:
     case_results: Mapping[str, bool] | None = None
 
 
-@dataclass(frozen=True)
-class AggregateRow:
+class AggregateRow(NamedTuple):
     """One aggregated metric value for one group of instances."""
 
     group_key: str
@@ -93,8 +90,7 @@ class AggregateRow:
     instance_count: int
 
 
-@dataclass(frozen=True)
-class EvaluationItem:
+class EvaluationItem(NamedTuple):
     """A validated instance joined with its samples and optional exec verdicts."""
 
     instance: TaskInstance
@@ -102,8 +98,7 @@ class EvaluationItem:
     exec_passed: tuple[bool | None, ...]
 
 
-@dataclass(frozen=True)
-class ScoringResult:
+class ScoringResult(NamedTuple):
     """Group aggregates and each instance's per-instance rows.
 
     per_instance holds one JSONL text per instance, in input order, with
@@ -255,14 +250,14 @@ _CODECS = {
 
 
 def _record_fields(cls) -> tuple[tuple[str, type, bool], ...]:
-    """(name, codec type, required) of each field of a record dataclass, in
-    field order.  A field with no default is required."""
+    """(name, codec type, required) of each field of a record named tuple,
+    in field order.  A field with no default is required."""
     hints = get_type_hints(cls)
     out = []
-    for field in fields(cls):
-        hint = hints[field.name]
+    for name in cls._fields:
+        hint = hints[name]
         kind = next(t for t in get_args(hint) or (hint,) if t is not type(None))
-        out.append((field.name, kind, field.default is MISSING))
+        out.append((name, kind, name not in cls._field_defaults))
     return tuple(out)
 
 
@@ -386,7 +381,7 @@ def decode_mask_record(
 def decode_exec_report(obj: dict, where: str = "exec") -> ExecReport:
     """Decode one exec report; every problem with it is raised at once."""
     problems: list[str] = []
-    unknown = set(obj) - {field.name for field in fields(ExecReport)}
+    unknown = set(obj) - set(ExecReport._fields)
     if unknown:
         problems.append(f"unknown fields: {sorted(unknown)}")
     iid = _decode_field(obj, "instance_id", str, True, problems)
@@ -756,17 +751,15 @@ def emit_report(aggregates: Sequence[AggregateRow], fmt: str, out_path: str | Pa
         raise InvalidArgs("refusing to emit an empty report")
     if fmt not in ("csv", "json"):
         raise InvalidArgs(f"unknown report format {fmt!r}")
-    columns = [field.name for field in fields(AggregateRow)]
-    table = [[getattr(row, name) for name in columns] for row in rows]
     if fmt == "json":
-        payload = {"rows": [dict(zip(columns, values)) for values in table]}
+        payload = {"rows": [row._asdict() for row in rows]}
         data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         import csv  # here, so that only a csv report loads it
 
         # csv writes a float as its repr, as json does
         buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows([columns, *table])
+        csv.writer(buffer, lineterminator="\n").writerows([AggregateRow._fields, *rows])
         data = buffer.getvalue()
     return write_text(out_path, (data,), what="report ")
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 import itertools
 import logging
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .core_model import (
     LifecycleTag,
@@ -23,8 +23,7 @@ from .syntax import definition_names
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class VersionSurface:
+class VersionSurface(NamedTuple):
     """The public API names observed in one version's source tree."""
 
     version: VersionId
@@ -33,8 +32,7 @@ class VersionSurface:
     skipped_files: int = 0
 
 
-@dataclass(frozen=True)
-class LifecycleRecord:
+class LifecycleRecord(NamedTuple):
     """One maximal contiguous presence run of an API over the version sequence.
 
     The interval is [start_index, end_index) over the surface list; end_index

@@ -11,10 +11,9 @@ import math
 import operator
 import re
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateSeries, InvalidArgs, InvalidReference
 from .syntax import contains_core_token, extract_facts, identifier_tokens, universal_newlines
@@ -165,8 +164,7 @@ class RuleResult(str, Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
-class CdcVerdict:
+class CdcVerdict(NamedTuple):
     """Per-rule outcomes of the critical-diff check."""
 
     rule1_core_token: RuleResult
@@ -178,13 +176,7 @@ class CdcVerdict:
     @property
     def overall(self) -> bool:
         """True iff no rule failed; not_applicable counts as satisfied."""
-        return RuleResult.FAIL not in (
-            self.rule1_core_token,
-            self.rule2_valid,
-            self.rule3_arg_count,
-            self.rule4_with,
-            self.rule5_keywords,
-        )
+        return RuleResult.FAIL not in self
 
     @property
     def score(self) -> float:

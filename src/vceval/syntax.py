@@ -28,12 +28,13 @@ import functools
 import io
 import keyword
 import re
-import tokenize  # loaded already: dataclasses imports inspect, which imports it
+# loaded already on 3.10-3.12, where logging imports traceback, which
+# imports linecache, which imports it; 3.13's linecache does not
+import tokenize
 import warnings
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from types import CodeType
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .core_model import IDENTIFIER_RE
 from .errors import InvalidArgs
@@ -163,8 +164,7 @@ def check_syntax(code: str) -> bool:
     return _compile(code) is not None
 
 
-@dataclass(frozen=True)
-class CallSiteInfo:
+class CallSiteInfo(NamedTuple):
     """Syntactic facts about one function call.
 
     callee_name is the terminal identifier of the called expression ("dump"
@@ -177,8 +177,7 @@ class CallSiteInfo:
     line_index: int
 
 
-@dataclass(frozen=True)
-class CodeFacts:
+class CodeFacts(NamedTuple):
     is_valid: bool
     call_sites: tuple[CallSiteInfo, ...]
     has_with: bool

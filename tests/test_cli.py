@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -303,7 +302,7 @@ class TestScoreCommand:
                     "--k", "1,3", "--group-by", "data_source", "--format", fmt, "--out", str(out)]
             assert main(argv) == 0
             tables[fmt] = out.read_text()
-        columns = [field.name for field in dataclasses.fields(AggregateRow)]
+        columns = AggregateRow._fields
         header, *lines = tables["csv"].splitlines()
         assert header == ",".join(columns)
         rows = json.loads(tables["json"])["rows"]

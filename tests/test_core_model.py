@@ -1,6 +1,8 @@
-import dataclasses
+import copy
+import pickle
 import random
 import re
+import sys
 from datetime import date
 
 import pytest
@@ -174,7 +176,7 @@ class TestValidateInstance:
 
     def test_idempotent_on_accepted_instances(self):
         instance = make_vscc()
-        assert dataclasses.replace(instance) == instance
+        assert instance._replace() == instance
 
     def test_two_sentinels_rejected(self):
         with pytest.raises(SchemaViolation, match=sentinel_count("[token-mask]", 2)):
@@ -280,7 +282,7 @@ class TestValidateInstance:
 
     def test_replace_revalidates(self):
         with pytest.raises(SchemaViolation, match=sentinel_count("[line-mask]", 0)):
-            dataclasses.replace(make_vscc(), granularity=Granularity.LINE)
+            make_vscc()._replace(granularity=Granularity.LINE)
 
 
 class TestRecordInvariants:
@@ -303,3 +305,74 @@ class TestRecordInvariants:
                 code="",
                 data_source=DataSource.STACK_OVERFLOW,
             )
+
+
+def make_meta(**overrides) -> MetaInstance:
+    fields = dict(
+        library="pandas",
+        version=parse_version("1.3.5"),
+        description="d",
+        code="arr = df.to_numpy()",
+        data_source=DataSource.STACK_OVERFLOW,
+    )
+    fields.update(overrides)
+    return MetaInstance(**fields)
+
+
+def unchecked(record, **changes):
+    """record with changes, built by tuple.__new__, which runs no rule."""
+    return tuple.__new__(type(record), {**record._asdict(), **changes}.values())
+
+
+# Each way to build a record from a record and field changes; the ones that
+# take no changes get an unchecked record that already carries them.
+BUILDS = {
+    "constructor": lambda record, changes: type(record)(**{**record._asdict(), **changes}),
+    "_make": lambda record, changes: type(record)._make({**record._asdict(), **changes}.values()),
+    "_replace": lambda record, changes: record._replace(**changes),
+    **{
+        f"pickle protocol {protocol}": (
+            lambda record, changes, protocol=protocol:
+            pickle.loads(pickle.dumps(unchecked(record, **changes), protocol))
+        )
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    },
+    "copy.copy": lambda record, changes: copy.copy(unchecked(record, **changes)),
+    "copy.deepcopy": lambda record, changes: copy.deepcopy(unchecked(record, **changes)),
+}
+if sys.version_info >= (3, 13):
+    BUILDS["copy.replace"] = lambda record, changes: copy.replace(record, **changes)
+
+
+class TestCheckedRecords:
+    """An instance record is a named tuple, and every tuple path that builds
+    one checks its rules, as its constructor does."""
+
+    RECORDS = [
+        (make_vscc, {"granularity": Granularity.LINE},
+         "masked_code: expected exactly one '[line-mask]', found 0"),
+        (make_vacm, {"target_version": parse_version("1.3.2")},
+         "target_version: must differ from source_version"),
+        (make_meta, {"library": "two words"},
+         "library: must be non-empty and contain no whitespace"),
+    ]
+
+    @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+    @pytest.mark.parametrize("make, changes, message", RECORDS)
+    def test_every_build_checks_the_rules(self, build, make, changes, message):
+        record = make()
+        rebuilt = build(record, {})
+        assert type(rebuilt) is type(record)
+        assert rebuilt == record
+        with pytest.raises(SchemaViolation) as excinfo:
+            build(record, changes)
+        assert excinfo.value.violations == [message]
+
+    @pytest.mark.parametrize("make", [make_vscc, make_meta])
+    def test_fields_cannot_be_set(self, make):
+        record = make()
+        with pytest.raises(AttributeError):
+            record.library = "numpy"
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record == make()

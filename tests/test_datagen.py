@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import textwrap
 from datetime import date
@@ -116,7 +115,7 @@ class TestMaskInstance:
             granularity.value
         ]
         assert instance.masked_code.replace(sentinel, instance.reference, 1) == code
-        assert dataclasses.replace(instance) == instance  # rebuilt, so re-checked
+        assert instance._replace() == instance  # rebuilt, so re-checked
 
     def test_unresolvable_targets(self):
         with raises_exactly(EvalError, "occurrence 0 of 'missing' not found (0 occurrence(s) present)"):

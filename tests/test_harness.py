@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import logging
 import os
@@ -199,7 +198,7 @@ class TestDecodeMetaRecord:
 class TestDecodeExecReport:
     def test_round_trip(self):
         report = ExecReport("x1", 2, False, {"return_type": True, "functionality": False})
-        assert decode_exec_report(dataclasses.asdict(report)) == report
+        assert decode_exec_report(report._asdict()) == report
 
 
 class TestIngest:
@@ -404,7 +403,7 @@ class TestRunScoring:
         samples = (instance.reference,) + ("something_else",) * 9
         items = [
             EvaluationItem(
-                dataclasses.replace(instance, id=f"i{i}"),
+                instance._replace(id=f"i{i}"),
                 samples,
                 (None,) * 10,
             )
@@ -664,7 +663,7 @@ class TestScoreDistinctTexts:
         assert row["correct_count"] == 25
 
     def test_correct_count_counts_only_exact_ones_of_a_graded_metric(self):
-        instance = dataclasses.replace(_KINDS[0], reference="to_numpy")
+        instance = _KINDS[0]._replace(reference="to_numpy")
         samples = ("to_numpy", "to_n", "to_numpy", "other")
         item = EvaluationItem(instance, samples, (None,) * 4)
         ism, pm = per_instance_rows(run_scoring([item], ["ism", "pm"], [1], per_instance=True))

@@ -1,11 +1,14 @@
 """The package's public surface, pinned: adding or removing a public name
 means editing this list, so the change shows in review; and the README's
 library quick start, which uses those names, runs as written.  Also pinned:
-which module spells how Python source is read."""
+which module spells how Python source is read, and which modules a cold
+start of the CLI does not load."""
 
 import ast
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import vceval
@@ -72,3 +75,15 @@ def test_only_syntax_spells_how_source_is_read():
         if spelled.search(line)
     ]
     assert offenders == []
+
+
+def test_cold_start_loads_no_dataclasses_or_inspect():
+    # Every run of the CLI pays for its import.  The records are named
+    # tuples, so no module generates dataclass methods or loads inspect,
+    # which dataclasses imports along with dis.
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import vceval.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'dis'} & sys.modules.keys()))"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n")
