@@ -18,7 +18,7 @@ from collections.abc import Callable, Sequence
 from typing import NoReturn
 
 from . import harness
-from .core_model import Granularity, MetaInstance, Ordering, compare_versions
+from .core_model import Granularity, MetaInstance, version_sort_key
 from .datagen import build_migration_pair, filter_tree, mask_instance
 from .errors import EvalError, InvalidArgs, IoFailure, SchemaViolation
 from .harness import (
@@ -213,16 +213,14 @@ def pair(meta_path, out_path) -> None:
     joins the two caller-supplied meta ids as "<source_id>::<target_id>", so
     a meta id may not contain "::", and the core token is the target side's.
     """
-    entries: dict[str, tuple[str, MetaInstance]] = {}
+    groups: dict[tuple[str, str], list[tuple[str, str, MetaInstance]]] = {}
+    seen_ids: set[str] = set()
     for lineno, obj in harness.read_jsonl(meta_path):
         where = f"{meta_path}:{lineno}"
         meta_id, core_token, meta = decode_meta_record(obj, where)
-        if meta_id in entries:
+        if meta_id in seen_ids:
             raise SchemaViolation([f"{where}: duplicate meta id {meta_id!r}"])
-        entries[meta_id] = (core_token, meta)
-
-    groups: dict[tuple[str, str], list[tuple[str, str, MetaInstance]]] = {}
-    for meta_id, (core_token, meta) in entries.items():
+        seen_ids.add(meta_id)
         groups.setdefault((meta.library, meta.description), []).append((meta_id, core_token, meta))
 
     rows = []
@@ -230,7 +228,7 @@ def pair(meta_path, out_path) -> None:
         for source_id, _, m_i in members:
             for target_id, target_token, m_j in members:
                 # equal versions; this also skips an entry paired with itself
-                if compare_versions(m_i.version, m_j.version) is Ordering.EQUAL:
+                if version_sort_key(m_i.version) == version_sort_key(m_j.version):
                     continue
                 instance, _ = build_migration_pair(
                     m_i, m_j, instance_id=f"{source_id}::{target_id}", core_token=target_token

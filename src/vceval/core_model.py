@@ -1,4 +1,4 @@
-"""Domain records that validate on construction, and version algebra.
+"""Domain records that validate on construction, and version parsing and order.
 
 All types are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -47,17 +47,6 @@ class MetricName(str, Enum):
     PASS = "pass"
 
 
-class Ordering(str, Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-
-
-class VersionPattern(str, Enum):
-    MAJOR = "major"
-    MINOR = "minor"
-
-
 MASK_SENTINELS = {
     Granularity.TOKEN: "[token-mask]",
     Granularity.LINE: "[line-mask]",
@@ -98,33 +87,17 @@ def parse_version(raw: str) -> VersionId:
 
 
 def version_sort_key(v: VersionId) -> tuple:
-    """Sort key realizing compare_versions as a total order.
-
-    Trailing zero components are insignificant; at equal components an empty
-    suffix (a release) sorts above any non-empty one (a pre-release).
+    """The key that orders versions: componentwise numeric order with zero
+    padding, so trailing zero components are insignificant; at equal
+    components an empty suffix (a release) sorts above any non-empty one,
+    and suffixes compare as text.  Two versions are the same version iff
+    their keys are equal.
     """
     components = list(v.components)
     while components and components[-1] == 0:
         components.pop()
     suffix_key = (1, "") if not v.suffix else (0, v.suffix)
     return (tuple(components), suffix_key)
-
-
-def compare_versions(a: VersionId, b: VersionId) -> Ordering:
-    """Componentwise numeric order with zero padding; suffix breaks ties."""
-    ka, kb = version_sort_key(a), version_sort_key(b)
-    if ka < kb:
-        return Ordering.LESS
-    if ka > kb:
-        return Ordering.GREATER
-    return Ordering.EQUAL
-
-
-def classify_version_pattern(v: VersionId) -> VersionPattern:
-    """Major iff every component after the first is zero (or absent)."""
-    if all(c == 0 for c in v.components[1:]):
-        return VersionPattern.MAJOR
-    return VersionPattern.MINOR
 
 
 def _broken_rules(known: Mapping[str, object]) -> list[str]:
@@ -173,9 +146,9 @@ def _broken_rules(known: Mapping[str, object]) -> list[str]:
             problems.append("masked_code: only completion instances carry masked code")
         if "target_version" in unset:
             problems.append("target_version: required for vacm instances")
-        elif {"source_version", "target_version"} <= given and compare_versions(
-            known["source_version"], known["target_version"]
-        ) is Ordering.EQUAL:
+        elif {"source_version", "target_version"} <= given and (
+            version_sort_key(known["source_version"]) == version_sort_key(known["target_version"])
+        ):
             problems.append("target_version: must differ from source_version")
         if "granularity" in known and known["granularity"] is not Granularity.BLOCK:
             problems.append("granularity: vacm instances are block-level")

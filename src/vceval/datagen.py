@@ -12,12 +12,10 @@ from .core_model import (
     MASK_SENTINELS,
     Granularity,
     MetaInstance,
-    Ordering,
     TaskInstance,
     TaskKind,
     VersionId,
-    classify_version_pattern,
-    compare_versions,
+    version_sort_key,
 )
 from .errors import EvalError, InvalidArgs, IoFailure, SchemaViolation
 from .syntax import (
@@ -113,13 +111,14 @@ def mask_instance(meta: MetaInstance, spec: MaskSpec) -> TaskInstance:
 def categorize_migration(source: VersionId, target: VersionId) -> tuple[str, str]:
     """The (direction, pattern) labels of a migration, for example
     ("old_to_new", "minor_to_major"): direction from the version order,
-    pattern from the endpoint classifications."""
-    order = compare_versions(source, target)
-    if order is Ordering.EQUAL:
+    pattern from the endpoint labels.  An endpoint is major iff every
+    component after the first is zero; its suffix does not count."""
+    source_key, target_key = version_sort_key(source), version_sort_key(target)
+    if source_key == target_key:
         raise SchemaViolation(["versions must differ"])
-    direction = "old_to_new" if order is Ordering.LESS else "new_to_old"
-    pattern = f"{classify_version_pattern(source).value}_to_{classify_version_pattern(target).value}"
-    return direction, pattern
+    direction = "old_to_new" if source_key < target_key else "new_to_old"
+    labels = ["minor" if any(v.components[1:]) else "major" for v in (source, target)]
+    return direction, "_to_".join(labels)
 
 
 def build_migration_pair(
@@ -139,7 +138,7 @@ def build_migration_pair(
         problems.append(f"library mismatch: {m_i.library!r} vs {m_j.library!r}")
     if m_i.description != m_j.description:
         problems.append("description mismatch")
-    if compare_versions(m_i.version, m_j.version) is Ordering.EQUAL:
+    if version_sort_key(m_i.version) == version_sort_key(m_j.version):
         problems.append(f"versions must differ, both compare equal to {m_i.version.raw!r}")
     if problems:
         raise SchemaViolation(problems)

@@ -554,7 +554,7 @@ def _score_text(metric: MetricName, instance: TaskInstance, text: str) -> float:
     # cdc; both sides LF-ended, as textwrap.dedent needs, and dedented to judge a span whole
     sample, reference = (textwrap.dedent(universal_newlines(t)) for t in (text, reference))
     try:
-        return cdc_check(sample, reference, instance.core_token).score
+        return float(cdc_check(sample, reference, instance.core_token).overall)
     except InvalidReference as exc:
         raise InvalidReference(f"instance {instance.id!r}: {exc}") from None
 

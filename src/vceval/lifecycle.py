@@ -9,14 +9,7 @@ from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
-from .core_model import (
-    LifecycleTag,
-    Ordering,
-    VersionId,
-    compare_versions,
-    parse_version,
-    version_sort_key,
-)
+from .core_model import LifecycleTag, VersionId, parse_version, version_sort_key
 from .errors import EvalError, InvalidArgs, IoFailure, NoNumericComponent
 from .syntax import definition_names
 
@@ -163,7 +156,7 @@ def tag_lifecycle(surfaces: Sequence[VersionSurface]) -> list[LifecycleRecord]:
     if len(surfaces) < 2:
         raise InvalidArgs("need at least two version surfaces")
     for prev, curr in zip(surfaces, surfaces[1:]):
-        if compare_versions(prev.version, curr.version) is not Ordering.LESS:
+        if version_sort_key(prev.version) >= version_sort_key(curr.version):
             raise EvalError(
                 f"surfaces not strictly ascending at {prev.version.raw!r} -> {curr.version.raw!r}"
             )
@@ -214,7 +207,7 @@ def collect_surfaces(versions_root: str | Path) -> list[VersionSurface]:
         entries.append((version, child))
     entries.sort(key=lambda pair: version_sort_key(pair[0]))
     for (prev, prev_dir), (curr, curr_dir) in zip(entries, entries[1:]):
-        if compare_versions(prev, curr) is Ordering.EQUAL:
+        if version_sort_key(prev) == version_sort_key(curr):
             raise EvalError(f"{prev_dir} and {curr_dir} name the same version")
 
     surfaces = []

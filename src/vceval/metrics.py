@@ -178,10 +178,6 @@ class CdcVerdict(NamedTuple):
         """True iff no rule failed; not_applicable counts as satisfied."""
         return RuleResult.FAIL not in self
 
-    @property
-    def score(self) -> float:
-        return 1.0 if self.overall else 0.0
-
 
 def cdc_check(generated: str, reference: str, core_token: str) -> CdcVerdict:
     """Apply the five critical-diff rules to generated code against a reference.

@@ -511,6 +511,34 @@ class TestPairCommand:
         meta = write_jsonl(tmp_path / "meta.jsonl", [row, row])
         assert main(["pair", "--meta", str(meta), "--out", str(tmp_path / "o.jsonl")]) == 1
 
+    def test_groups_interleaved_rows_in_reading_order(self, tmp_path, capsys):
+        row = {"core_token": "f", "library": "torch", "code": "f()",
+               "data_source": "library_source"}
+        meta_rows = [
+            dict(row, id="a1", version="1.0", description="one"),
+            dict(row, id="b1", version="1.0", description="two"),
+            dict(row, id="a2", version="1.0.0", description="one"),
+            dict(row, id="a3", version="2.0", description="one"),
+            dict(row, id="b2", version="3.0", description="two"),
+            dict(row, id="a4", version="2.1rc1", description="one"),
+        ]
+        meta = write_jsonl(tmp_path / "meta.jsonl", meta_rows)
+        out = tmp_path / "pairs.jsonl"
+        assert main(["pair", "--meta", str(meta), "--out", str(out)]) == 0
+        ids = [json.loads(line)["id"] for line in out.read_text().splitlines()]
+        assert ids == [
+            "a1::a3", "a1::a4", "a2::a3", "a2::a4",
+            "a3::a1", "a3::a2", "a3::a4", "a4::a1", "a4::a2", "a4::a3",
+            "b1::b2", "b2::b1",
+        ]
+        # 1.0 and 1.0.0 are one version: paired with neither each other nor themselves
+        assert not {"a1::a2", "a2::a1", "a1::a1", "a2::a2"} & set(ids)
+
+        duplicated = write_jsonl(tmp_path / "dup.jsonl", [*meta_rows, meta_rows[2]])
+        capsys.readouterr()
+        assert main(["pair", "--meta", str(duplicated), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {duplicated}:7: duplicate meta id 'a2'\n"
+
     def test_meta_id_with_the_pair_separator_exits_1(self, tmp_path, capsys):
         # a::b with c and a with b::c would both be paired as a::b::c
         row = {

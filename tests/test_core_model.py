@@ -14,13 +14,10 @@ from vceval.core_model import (
     Granularity,
     LifecycleTag,
     MetaInstance,
-    Ordering,
     TaskInstance,
     TaskKind,
-    VersionPattern,
-    classify_version_pattern,
-    compare_versions,
     parse_version,
+    version_sort_key,
 )
 from vceval.errors import NoNumericComponent, SchemaViolation
 
@@ -64,26 +61,32 @@ class TestParseVersion:
         assert parse_version("1.1_0").components == (1,)
 
 
-class TestCompareVersions:
+def _order(a, b) -> int:
+    """-1, 0 or 1 as a sorts below, with or above b."""
+    ka, kb = version_sort_key(a), version_sort_key(b)
+    return (ka > kb) - (ka < kb)
+
+
+class TestVersionSortKey:
     @pytest.mark.parametrize(
         "a, b, expected",
         [
-            ("1.9.0", "1.10.0", Ordering.LESS),
-            ("2.0", "2.0.0", Ordering.EQUAL),
-            ("1.3.2", "2.1.3", Ordering.LESS),
-            ("2.1.3", "1.3.2", Ordering.GREATER),
-            ("2.0.0", "2.0.0rc1", Ordering.GREATER),  # release above pre-release
-            ("1.2a", "1.2b", Ordering.LESS),
+            ("1.9.0", "1.10.0", -1),
+            ("2.0", "2.0.0", 0),
+            ("1.3.2", "2.1.3", -1),
+            ("2.1.3", "1.3.2", 1),
+            ("2.0.0", "2.0.0rc1", 1),  # release above pre-release
+            ("1.2a", "1.2b", -1),
         ],
     )
     def test_examples(self, a, b, expected):
-        assert compare_versions(parse_version(a), parse_version(b)) is expected
+        assert _order(parse_version(a), parse_version(b)) == expected
 
     def test_reflexive_equal(self):
         rng = random.Random(7)
         for _ in range(200):
             v = parse_version(random_version_string(rng))
-            assert compare_versions(v, v) is Ordering.EQUAL
+            assert _order(v, v) == 0
 
     @given(st.lists(st.integers(0, 40), min_size=1, max_size=4),
            st.sampled_from(["", "rc1", "a1", "dev0"]),
@@ -92,37 +95,15 @@ class TestCompareVersions:
     def test_antisymmetry(self, comps_a, suffix_a, comps_b, suffix_b):
         a = parse_version(".".join(map(str, comps_a)) + (f".{suffix_a}" if suffix_a else ""))
         b = parse_version(".".join(map(str, comps_b)) + (f".{suffix_b}" if suffix_b else ""))
-        flipped = {Ordering.LESS: Ordering.GREATER, Ordering.GREATER: Ordering.LESS,
-                   Ordering.EQUAL: Ordering.EQUAL}
-        assert compare_versions(b, a) is flipped[compare_versions(a, b)]
+        assert _order(b, a) == -_order(a, b)
 
     def test_transitivity_over_random_triples(self):
         rng = random.Random(11)
         versions = [parse_version(random_version_string(rng)) for _ in range(60)]
         for _ in range(2000):
             a, b, c = rng.sample(versions, 3)
-            if (compare_versions(a, b) is not Ordering.GREATER
-                    and compare_versions(b, c) is not Ordering.GREATER):
-                assert compare_versions(a, c) is not Ordering.GREATER
-
-
-class TestClassifyVersionPattern:
-    @pytest.mark.parametrize(
-        "raw, expected",
-        [
-            ("2.0.0", VersionPattern.MAJOR),
-            ("2.1.3", VersionPattern.MINOR),
-            ("3", VersionPattern.MAJOR),
-            ("3.0", VersionPattern.MAJOR),
-            ("0.1", VersionPattern.MINOR),
-        ],
-    )
-    def test_examples(self, raw, expected):
-        assert classify_version_pattern(parse_version(raw)) is expected
-
-    def test_depends_only_on_components(self):
-        # same components, different suffix
-        assert classify_version_pattern(parse_version("2.0.0rc1")) is VersionPattern.MAJOR
+            if _order(a, b) <= 0 and _order(b, c) <= 0:
+                assert _order(a, c) <= 0
 
 
 def make_vscc(**overrides) -> TaskInstance:

@@ -353,6 +353,24 @@ class TestCategorizeMigration:
         labels = categorize_migration(parse_version(source), parse_version(target))
         assert labels == (direction, pattern)
 
+    @pytest.mark.parametrize(
+        "raw, label",
+        [
+            ("2.0.0", "major"),
+            ("2.1.3", "minor"),
+            ("3", "major"),
+            ("3.0", "major"),
+            ("0.1", "minor"),
+            # the suffix does not count: 1.5rc1 parses as components (1,), suffix 5rc1
+            ("2.0.0rc1", "major"),
+            ("1.5rc1", "major"),
+        ],
+    )
+    def test_endpoint_label(self, raw, label):
+        endpoint, other = parse_version(raw), parse_version("99.1")
+        assert categorize_migration(endpoint, other)[1] == f"{label}_to_minor"
+        assert categorize_migration(other, endpoint)[1] == f"minor_to_{label}"
+
     def test_equal_versions_rejected(self):
         with raises_exactly(SchemaViolation, "versions must differ"):
             categorize_migration(parse_version("1.0"), parse_version("1.0.0"))

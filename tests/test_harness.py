@@ -617,9 +617,9 @@ def _independent_score(metric: MetricName, instance: TaskInstance, raw: str) -> 
             return float(em_token(text, reference))
         return float(em_block(text, instance.core_token))
     if metric is MetricName.CDC:
-        return cdc_check(
+        return float(cdc_check(
             textwrap.dedent(text), textwrap.dedent(reference), instance.core_token
-        ).score
+        ).overall)
     line_metric = ism_line if metric is MetricName.ISM else pm_line
     if granularity is Granularity.BLOCK:
         return block_line_average(text, reference, line_metric)
