@@ -28,6 +28,7 @@ from typing import NamedTuple, get_args, get_type_hints
 
 from .core_model import (
     IDENTIFIER_RE,
+    MASK_SENTINELS,
     DataSource,
     Granularity,
     LifecycleTag,
@@ -485,8 +486,8 @@ def normalize_generation(raw: str, granularity: Granularity) -> str:
     identifier-like token.
 
     A line or block generation starts at its first non-blank line and keeps
-    that line's indentation, so that cdc, which dedents each side as a
-    whole, reads an indented span as the span's own code.
+    that line's indentation, so that its lines keep their indentation
+    relative to each other when cdc dedents it.
 
     Raises EmptyAfterNormalization when nothing remains.  A warning is logged
     whenever token reduction discards surrounding text: a prose answer like
@@ -536,7 +537,15 @@ def _normalize_ks(ks) -> tuple[int, ...]:
 
 
 def _score_text(metric: MetricName, instance: TaskInstance, text: str) -> float:
-    """One static metric (em, ism, pm or cdc) of one normalized generation."""
+    """One static metric (em, ism, pm or cdc) of one normalized generation.
+
+    cdc judges a line or block sample inside the program that the masked
+    code completes, and a token or migration sample alone.  The sample is
+    dedented and then takes the reference's margin (the indentation that
+    all its non-blank lines share), so a sample equal to the reference
+    rebuilds the program and a sample written at column 0 lands where the
+    span was.
+    """
     reference = instance.reference
     granularity = instance.granularity
     if metric is MetricName.EM:
@@ -551,10 +560,18 @@ def _score_text(metric: MetricName, instance: TaskInstance, text: str) -> float:
         if granularity is Granularity.BLOCK:
             return block_line_average(text, reference, pm_line)
         return pm_line(text, reference)
-    # cdc; both sides LF-ended, as textwrap.dedent needs, and dedented to judge a span whole
-    sample, reference = (textwrap.dedent(universal_newlines(t)) for t in (text, reference))
+    # cdc; every text LF-ended, as textwrap needs
+    head = tail = ""
+    if instance.masked_code is not None and granularity is not Granularity.TOKEN:
+        masked = universal_newlines(instance.masked_code)
+        head, _, tail = masked.partition(MASK_SENTINELS[granularity])
+    reference = universal_newlines(reference)
+    sample = textwrap.dedent(universal_newlines(text))
+    if reference[:1].isspace():  # else the first line is at column 0 and there is no margin
+        margin = os.path.commonprefix(re.findall(r"(?m)^[ \t]*(?=[^ \t\n])", reference))
+        sample = textwrap.indent(sample, margin)
     try:
-        return float(cdc_check(sample, reference, instance.core_token).overall)
+        return float(cdc_check(sample, reference, instance.core_token, head, tail).overall)
     except InvalidReference as exc:
         raise InvalidReference(f"instance {instance.id!r}: {exc}") from None
 

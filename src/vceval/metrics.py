@@ -179,39 +179,53 @@ class CdcVerdict(NamedTuple):
         return RuleResult.FAIL not in self
 
 
-def cdc_check(generated: str, reference: str, core_token: str) -> CdcVerdict:
-    """Apply the five critical-diff rules to generated code against a reference.
+def cdc_check(
+    generated: str, reference: str, core_token: str, head: str = "", tail: str = ""
+) -> CdcVerdict:
+    """Apply the five critical-diff rules to a generated span against a
+    reference span, each completed to a program by head and tail (the text
+    around the mask); without them each span is a whole program.
 
-    Rule 1: the core token occurs in the generated code.
-    Rule 2: the generated code parses.
+    Rule 1: the core token occurs in the generated span.
+    Rule 2: head + generated + tail parses.
     Rule 3: some generated core-token call matches a reference core-token
             call's argument count (judged only when the reference calls the
             core token).
-    Rule 4: a with-statement appears in the generated code when one appears in
-            the reference.
+    Rule 4: a with-statement appears in the generated span when one appears
+            in the reference span.
     Rule 5: each reference core-token call's keyword argument names are all
             used by some generated core-token call (judged only when a
             reference core-token call uses any).
-    """
-    ref_facts = extract_facts(reference)
-    if not ref_facts.is_valid:
-        raise InvalidReference("reference code must be syntactically valid")
 
-    ref_sites = [s for s in ref_facts.call_sites if s.callee_name == core_token]
+    Rules 3-5 read only the calls and with-statements that start on the
+    span's own lines of each program.
+    """
+    ref_valid, ref_sites, ref_with = _span_facts(head, reference, tail, core_token)
+    if not ref_valid:
+        raise InvalidReference("reference code must be syntactically valid")
     ref_counts = {s.total_arg_count for s in ref_sites}
     ref_keywords = [s.keyword_names for s in ref_sites if s.keyword_names]
 
     rule1 = RuleResult.PASS if contains_core_token(generated, core_token) else RuleResult.FAIL
     # Code that does not parse has no call sites and no with-statement, so
     # rules 3-5 fail wherever they apply.
-    gen_facts = extract_facts(generated)
-    rule2 = RuleResult.PASS if gen_facts.is_valid else RuleResult.FAIL
-    gen_sites = [s for s in gen_facts.call_sites if s.callee_name == core_token]
+    gen_valid, gen_sites, gen_with = _span_facts(head, generated, tail, core_token)
+    rule2 = RuleResult.PASS if gen_valid else RuleResult.FAIL
     rule3 = _judge(bool(ref_sites), any(s.total_arg_count in ref_counts for s in gen_sites))
-    rule4 = _judge(ref_facts.has_with, gen_facts.has_with)
+    rule4 = _judge(ref_with, gen_with)
     covered = all(any(g.keyword_names >= r for g in gen_sites) for r in ref_keywords)
     rule5 = _judge(bool(ref_keywords), covered)
     return CdcVerdict(rule1, rule2, rule3, rule4, rule5)
+
+
+def _span_facts(head: str, span: str, tail: str, core_token: str) -> tuple[bool, list, bool]:
+    """Whether head + span + tail parses, the core-token call sites that
+    start on the span's own lines, and whether a with-statement does."""
+    first = universal_newlines(head).count("\n")
+    lines = range(first, first + universal_newlines(span).count("\n") + 1)
+    facts = extract_facts(head + span + tail)
+    sites = [s for s in facts.call_sites if s.callee_name == core_token and s.line_index in lines]
+    return facts.is_valid, sites, not facts.with_lines.isdisjoint(lines)
 
 
 def _judge(applicable: bool, holds: bool) -> RuleResult:

@@ -178,9 +178,11 @@ class CallSiteInfo(NamedTuple):
 
 
 class CodeFacts(NamedTuple):
+    """with_lines holds the line_index of each with-statement's header."""
+
     is_valid: bool
     call_sites: tuple[CallSiteInfo, ...]
-    has_with: bool
+    with_lines: frozenset[int]
 
 
 def _callee_name(func: ast.expr) -> str | None:
@@ -255,15 +257,15 @@ def extract_facts(code: str) -> CodeFacts:
     """Structural facts when the text parses; is_valid False and no facts otherwise."""
     tree = _parse_module(code)
     if tree is None:
-        return CodeFacts(False, (), False)
+        return CodeFacts(False, (), frozenset())
 
     sites: list[CallSiteInfo] = []
-    saw_with = False
+    with_lines = set()
     # ast.walk is iterative, so no tree that parsed is too deep to visit;
     # call sites come in breadth-first order
     for node in ast.walk(tree):
         if isinstance(node, (ast.With, ast.AsyncWith)):
-            saw_with = True
+            with_lines.add(node.lineno - 1)
         elif isinstance(node, ast.Call):
             callee = _callee_name(node.func)
             if callee is not None:
@@ -277,7 +279,7 @@ def extract_facts(code: str) -> CodeFacts:
                         line_index=node.lineno - 1,
                     )
                 )
-    return CodeFacts(True, tuple(sites), saw_with)
+    return CodeFacts(True, tuple(sites), frozenset(with_lines))
 
 
 def contains_core_token(code: str, token: str) -> bool:

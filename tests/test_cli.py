@@ -562,6 +562,34 @@ class TestPairCommand:
         )
         assert not out.exists()
 
+    def test_an_all_indented_reference_stops_cdc(self, tmp_path, capsys):
+        # pair does not compile meta code, and cdc judges a migration
+        # reference as the whole program it is, without dedenting it
+        meta_rows = [
+            {"id": id_, "core_token": token, "library": "torch", "version": version,
+             "description": "shared", "code": code, "data_source": "library_source"}
+            for id_, token, version, code in [
+                ("a", "old_call", "1.3.2", "old_call()\n"),
+                ("b", "new_call", "2.0.0", "    y = new_call()\n    print(y)\n"),
+            ]
+        ]
+        meta = write_jsonl(tmp_path / "meta.jsonl", meta_rows)
+        instances = tmp_path / "pairs.jsonl"
+        assert main(["pair", "--meta", str(meta), "--out", str(instances)]) == 0
+        rows = [json.loads(line) for line in instances.read_text().splitlines()]
+        samples = write_jsonl(
+            tmp_path / "samples.jsonl",
+            [{"instance_id": row["id"], "samples": [row["reference"]]} for row in rows],
+        )
+        argv = ["score", "--instances", str(instances), "--samples", str(samples), "--k", "1",
+                "--out", str(tmp_path / "report.json")]
+        assert main([*argv, "--metrics", "em,ism,pm"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--metrics", "cdc"]) == 1
+        assert capsys.readouterr().err == (
+            "error: instance 'a::b': reference code must be syntactically valid\n"
+        )
+
 
 class TestFilterCommand:
     def test_reports_verdicts(self, tmp_path):
@@ -682,6 +710,67 @@ class TestMaskThenScore:
         rows = {(r["metric"], r["k"]): r["value"] for r in json.loads(out.read_text())["rows"]}
         assert rows[("em", 1)] == pytest.approx(2 / 3)
         assert rows[("em", 3)] == 1.0
+
+    def test_spans_that_are_no_program_alone_score_one(self, tmp_path):
+        # a block of lines 1-2 and the line 2 of this function hold a
+        # return; cdc judges each inside the function
+        code = "def f(df):\n    out = df.explode('A')\n    return out\n"
+        meta = {"library": "pandas", "version": "1.3.5", "description": "demo", "code": code,
+                "data_source": "library_source"}
+        jobs = [("block", "b", "explode", {"line_start": 1, "line_end": 2}),
+                ("line", "l", "out", {"line_index": 2})]
+        rows = []
+        for granularity, iid, token, target in jobs:
+            spec = write_jsonl(tmp_path / f"{iid}.spec.jsonl",
+                               [{"instance_id": iid, "core_token": token, **meta, **target}])
+            out = tmp_path / f"{iid}.jsonl"
+            assert main(["mask", "--granularity", granularity, "--spec", str(spec),
+                         "--out", str(out)]) == 0
+            rows += map(json.loads, out.read_text().splitlines())
+        instances = write_jsonl(tmp_path / "instances.jsonl", rows)
+        samples = write_jsonl(
+            tmp_path / "samples.jsonl",
+            [{"instance_id": row["id"], "samples": [row["reference"]] * 6} for row in rows],
+        )
+        out, per_instance = tmp_path / "report.json", tmp_path / "rows.jsonl"
+        assert main(["score", "--instances", str(instances), "--samples", str(samples),
+                     "--metrics", "em,ism,pm,cdc", "--k", "1", "--out", str(out),
+                     "--per-instance", str(per_instance)]) == 0
+        report = json.loads(out.read_text())["rows"]
+        metrics = ["em", "ism", "pm", "cdc"]
+        assert {r["metric"]: r["value"] for r in report} == dict.fromkeys(metrics, 1.0)
+        rows = [json.loads(line) for line in per_instance.read_text().splitlines()]
+        assert [row["per_sample"] for row in rows] == [[1.0] * 6] * 8
+
+    def test_a_sentinel_after_its_lines_indentation_takes_either_sample(self, tmp_path):
+        instances = write_jsonl(
+            tmp_path / "instances.jsonl",
+            [
+                {
+                    "id": "x",
+                    "task": "vscc",
+                    "granularity": "line",
+                    "library": "pandas",
+                    "source_version": "1.3.5",
+                    "description": "demo",
+                    "masked_code": "def f(df):\n    [line-mask]\n    return out\n",
+                    "reference": "out = df.explode('A')",
+                    "core_token": "explode",
+                    "data_source": "library_source",
+                }
+            ],
+        )
+        samples = write_jsonl(
+            tmp_path / "samples.jsonl",
+            [{"instance_id": "x",
+              "samples": ["out = df.explode('A')", "    out = df.explode('A')"]}],
+        )
+        out, per_instance = tmp_path / "report.json", tmp_path / "rows.jsonl"
+        assert main(["score", "--instances", str(instances), "--samples", str(samples),
+                     "--metrics", "cdc", "--k", "1", "--out", str(out),
+                     "--per-instance", str(per_instance)]) == 0
+        (row,) = map(json.loads, per_instance.read_text().splitlines())
+        assert row["per_sample"] == [1.0, 1.0]
 
 
 class TestDeepSample:

@@ -1,6 +1,10 @@
+import ast
+import json
 import random
+import sysconfig
 import textwrap
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +35,7 @@ from vceval.datagen import (
 )
 from vceval.errors import EvalError, InvalidArgs, SchemaViolation
 from vceval.harness import EvaluationItem, run_scoring
-from vceval.syntax import contains_core_token, identifier_tokens
+from vceval.syntax import contains_core_token, identifier_spans, identifier_tokens, line_offsets
 
 from helpers import (
     COMPILER_ONLY_DECLARATIONS,
@@ -221,18 +225,20 @@ def nested_snippet(seed: int, header: str | None) -> tuple[str, str]:
     return code, token
 
 
-def reference_scores(instance, metrics=("em", "ism", "pm")) -> dict[str, float]:
-    """Aggregate metrics of the one sample equal to the reference."""
+STATIC_METRICS = ("em", "ism", "pm", "cdc")
+
+
+def reference_scores(instance) -> dict[str, float]:
+    """Aggregate static metrics of the one sample equal to the reference."""
     item = EvaluationItem(instance, (instance.reference,), (None,))
-    result = run_scoring([item], metrics, [1])
+    result = run_scoring([item], STATIC_METRICS, [1])
     return {row.metric: row.value for row in result.aggregates}
 
 
 class TestBuiltInstancesScore:
     """Every instance the builders accept is scorable: a sample equal to its
-    reference scores 1 on the static metrics.  cdc is not asserted, because
-    a span that does not parse on its own (a return, a block header without
-    its body) aborts cdc's reference check."""
+    reference scores 1 on the static metrics, cdc included, whether or not
+    its span parses on its own."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -266,7 +272,7 @@ class TestBuiltInstancesScore:
             assert not contains_core_token(span, token)
             return
         assert instance.reference == span
-        assert reference_scores(instance) == {"em": 1.0, "ism": 1.0, "pm": 1.0}
+        assert reference_scores(instance) == dict.fromkeys(STATIC_METRICS, 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -287,11 +293,92 @@ class TestBuiltInstancesScore:
             ]
             assert not contains_core_token(target, core_token)
             return
-        assert reference_scores(instance) == {"em": 1.0, "ism": 1.0, "pm": 1.0}
+        assert reference_scores(instance) == dict.fromkeys(STATIC_METRICS, 1.0)
 
 
-# module-level lines, so that cdc judges the masked span whole; the masked
-# line ends in blanks and the block's last line in a tab
+# The stdlib sweep: seed, file size and span count are fixed in advance.
+# The files are of the Python that runs the suite, taken in seeded order
+# until there are at least four and each granularity has enough spans.
+_SWEEP_SEED = 1701
+_SWEEP_FILES = 4
+_SWEEP_MAX_LINES = 1000
+_SWEEP_SPANS = 100  # of each granularity
+
+
+def _single_line_calls(code: str) -> list[tuple[int, str, int]]:
+    """(line_index, callee, character offset of the callee) of each call
+    that fits on one line, in functions of under 40 lines."""
+    lines = code.split("\n")
+    calls = set()
+    for function in ast.walk(ast.parse(code)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if function.end_lineno - function.lineno + 1 >= 40:
+            continue
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call) or node.lineno != node.end_lineno:
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                callee, col = func.id, func.col_offset
+            elif isinstance(func, ast.Attribute) and func.end_lineno == node.lineno:
+                callee, col = func.attr, func.end_col_offset - len(func.attr.encode())
+            else:
+                continue
+            line = lines[node.lineno - 1]
+            # ast columns count UTF-8 bytes
+            calls.add((node.lineno - 1, callee, len(line.encode()[:col].decode())))
+    return sorted(calls)
+
+
+def _stdlib_sweep_specs(rng: random.Random) -> list[tuple[str, MaskSpec]]:
+    stdlib = Path(sysconfig.get_paths()["stdlib"])
+    files = [
+        path
+        for path in sorted(stdlib.glob("*.py"))
+        if path.read_bytes().count(b"\n") < _SWEEP_MAX_LINES
+    ]
+    rng.shuffle(files)
+    specs = {Granularity.TOKEN: [], Granularity.LINE: [], Granularity.BLOCK: []}
+    for taken, path in enumerate(files):
+        if taken >= _SWEEP_FILES and min(map(len, specs.values())) >= _SWEEP_SPANS:
+            break
+        code = path.read_text(encoding="utf-8")
+        starts = [start for start, _ in line_offsets(code)]
+        spans = identifier_spans(code)
+        for index, callee, col in _single_line_calls(code):
+            offset = starts[index] + col
+            occurrence = sum(1 for name, start, _ in spans if name == callee and start < offset)
+            targets = [(Granularity.TOKEN, {"occurrence": occurrence}),
+                       (Granularity.LINE, {"line_index": index})]
+            if index + 1 < len(starts):
+                targets.append((Granularity.BLOCK, {"line_span": (index, index + 1)}))
+            for granularity, target in targets:
+                iid = f"{granularity.value}:{path.name}:{index}:{col}"
+                specs[granularity].append((code, MaskSpec(granularity, iid, callee, **target)))
+    return [pick for kind in specs.values() for pick in rng.sample(kind, _SWEEP_SPANS)]
+
+
+def test_stdlib_spans_score_one_on_every_static_metric():
+    """Single-line calls of real functions, masked as a token, as their line
+    and as a block of that line and the next: every instance that
+    mask_instance accepts scores 1 with samples = [reference]."""
+    items = []
+    for code, spec in _stdlib_sweep_specs(random.Random(_SWEEP_SEED)):
+        try:
+            instance = mask_instance(meta(code), spec)
+        except EvalError:
+            continue
+        items.append(EvaluationItem(instance, (instance.reference,), (None,)))
+    assert len(items) > 2 * _SWEEP_SPANS
+    result = run_scoring(items, STATIC_METRICS, [1], per_instance=True)
+    rows = [json.loads(line) for text in result.per_instance for line in text.splitlines()]
+    assert len(rows) == len(items) * len(STATIC_METRICS)
+    below = [(row["instance_id"], row["metric"]) for row in rows if row["per_sample"] != [1.0]]
+    assert below == []
+
+
+# the masked line ends in blanks and the block's last line in a tab
 _TERMINATED_LINES = ["import pandas as pd", "", "out = df.explode('A')  ", "print(out)\t", ""]
 
 
@@ -318,19 +405,16 @@ class TestLineTerminators:
             [*_TERMINATED_LINES[:first], sentinel, *_TERMINATED_LINES[last + 1 :]]
         )
         assert instance.masked_code.replace(sentinel, instance.reference, 1) == code
-        metrics = ("em", "ism", "pm", "cdc")
-        assert reference_scores(instance, metrics) == dict.fromkeys(metrics, 1.0)
+        assert reference_scores(instance) == dict.fromkeys(STATIC_METRICS, 1.0)
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_indented_block_scores_as_its_lf_form(self, newline):
         lines = ["def f(df):", "    out = df.explode('A')", "    print(out)", ""]
         spec = MaskSpec(Granularity.BLOCK, "i", "explode", line_span=(1, 2))
-        metrics = ("em", "ism", "pm", "cdc")
         lf, other = (
-            reference_scores(mask_instance(meta(nl.join(lines)), spec), metrics)
-            for nl in ("\n", newline)
+            reference_scores(mask_instance(meta(nl.join(lines)), spec)) for nl in ("\n", newline)
         )
-        assert other == lf == dict.fromkeys(metrics, 1.0)
+        assert other == lf == dict.fromkeys(STATIC_METRICS, 1.0)
 
     def test_token_after_a_cr_ended_comment_is_maskable(self):
         code = "# c\rout = df.explode('A')\r"

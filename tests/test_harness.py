@@ -14,6 +14,7 @@ import vceval.harness
 import vceval.syntax
 
 from vceval.core_model import (
+    MASK_SENTINELS,
     DataSource,
     Granularity,
     MetaInstance,
@@ -617,9 +618,16 @@ def _independent_score(metric: MetricName, instance: TaskInstance, raw: str) -> 
             return float(em_token(text, reference))
         return float(em_block(text, instance.core_token))
     if metric is MetricName.CDC:
-        return float(cdc_check(
-            textwrap.dedent(text), textwrap.dedent(reference), instance.core_token
-        ).overall)
+        # a line or block span is judged in the program it completes; the
+        # sample moves to the reference's margin
+        head = tail = ""
+        if granularity is not Granularity.TOKEN and instance.masked_code is not None:
+            head, tail = instance.masked_code.split(MASK_SENTINELS[granularity])
+        indented = next(line for line in reference.split("\n") if line.strip())
+        dedented = next(line for line in textwrap.dedent(reference).split("\n") if line.strip())
+        margin = indented[: len(indented) - len(dedented)]
+        sample = textwrap.indent(textwrap.dedent(text), margin)
+        return float(cdc_check(sample, reference, instance.core_token, head, tail).overall)
     line_metric = ism_line if metric is MetricName.ISM else pm_line
     if granularity is Granularity.BLOCK:
         return block_line_average(text, reference, line_metric)
@@ -671,9 +679,9 @@ class TestScoreDistinctTexts:
         assert (ism["per_sample"], ism["correct_count"]) == ([1.0, 0.0, 1.0, 0.0], 2)
 
     def test_each_distinct_text_is_parsed_and_lexed_once(self, monkeypatch):
-        # cdc parses the reference for every sample and rule 1, block em and
-        # ism lex the same texts and reference lines again; the syntax memos
-        # leave one parse and one lex per distinct string
+        # cdc parses the reference's program for every sample and rule 1,
+        # block em and ism lex the same texts and reference lines again; the
+        # syntax memos leave one parse and one lex per distinct string
         instance = _KINDS[2]
         reference = instance.reference
         samples = (
@@ -705,7 +713,12 @@ class TestScoreDistinctTexts:
         run_scoring([item], ["em", "ism", "pm", "cdc"], [1])
 
         texts = {normalize_generation(raw, instance.granularity) for raw in samples[:5]}
-        expected_parsed = {textwrap.dedent(text) for text in texts} | {textwrap.dedent(reference)}
+        # the reference sits at column 0, so cdc's sample is the dedented text,
+        # and cdc parses the program that each completes
+        head, tail = instance.masked_code.split("[block-mask]")
+        assert textwrap.dedent(reference) == reference
+        programs = {textwrap.dedent(text) for text in texts} | {reference}
+        expected_parsed = {head + program + tail for program in programs}
         expected_lexed = set()
         ref_lines = significant_lines(reference)
         for text in texts:

@@ -426,6 +426,40 @@ class TestCdcCheck:
                 assert em_block(generated, token) == 1
 
 
+class TestCdcCheckInContext:
+    """A span is judged in the program that head and tail complete, and
+    rules 3-5 read only the span's own lines of each program."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_calls_and_with_outside_the_span_do_not_count(self, newline):
+        head = newline.join(["with lock:", "    a = df.explode(1, axis=0)", ""])
+        args = ("out = df.explode(1, 2, 3)", "out = df.explode(col, axis=0)", "explode", head, "\n")
+        assert verdict_tuple(cdc_check(*args)) == (PASS, PASS, FAIL, NA, FAIL)
+
+    def test_a_with_of_the_reference_span_must_be_in_the_sample_span(self):
+        head = "def read(p, lock):\n"
+        tail = "\n    with lock:\n        return data\n"
+        reference = "    with open(p) as f:\n        data = load(f)"
+        verdict = cdc_check("    f = open(p)\n    data = load(f)", reference, "open", head, tail)
+        assert verdict_tuple(verdict) == (PASS, PASS, PASS, FAIL, NA)
+        assert cdc_check(reference, reference, "open", head, tail).overall
+
+    def test_a_span_that_is_no_program_alone_is_judged_in_its_program(self):
+        head, tail = "def f(df):\n    for x in df:\n", "\n    return out\n"
+        reference = "        out = df.explode(x)\n        break"
+        assert cdc_check(reference, reference, "explode", head, tail).overall
+        with raises_exactly(InvalidReference, "reference code must be syntactically valid"):
+            cdc_check(reference, reference, "explode")
+        sample = "        out = df.explode(x)\n    break"
+        verdict = cdc_check(sample, reference, "explode", head, tail)
+        assert verdict_tuple(verdict) == (PASS, FAIL, FAIL, NA, NA)
+
+    def test_empty_head_and_tail_judge_the_spans_whole(self):
+        args = ("with a:\n    f(1)\n", "with b:\n    f(2, k=3)\n", "f")
+        assert cdc_check(*args, "", "") == cdc_check(*args)
+        assert verdict_tuple(cdc_check(*args)) == (PASS, PASS, FAIL, PASS, FAIL)
+
+
 class TestPearson:
     def test_worked_examples(self):
         assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)

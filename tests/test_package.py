@@ -50,9 +50,10 @@ def test_readme_library_quick_start_runs_as_its_comments_say(tmp_path, monkeypat
             shown.append(eval(expression, namespace))
         else:
             exec(compile(ast.Module([statement], type_ignores=[]), "README.md", "exec"), namespace)
-    at_1, at_3, rule3, rule5, overall, aggregates, first_rows = shown
+    at_1, at_3, rule3, rule5, overall, span_overall, aggregates, first_rows = shown
     assert (at_1, at_3) == (0.5, 0.95)
     assert (rule3, rule5, overall) == (RuleResult.FAIL, RuleResult.FAIL, False)
+    assert span_overall is True
     assert isinstance(aggregates, tuple) and aggregates
     assert all(isinstance(row, AggregateRow) for row in aggregates)
     assert isinstance(first_rows, str) and first_rows.endswith("\n")

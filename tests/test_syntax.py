@@ -136,7 +136,7 @@ class TestExtractFacts:
 
     def test_with_context_expression_counts_as_inside(self):
         facts = extract_facts("with open(p) as f:\n    pass\n")
-        assert facts.has_with
+        assert facts.with_lines == {0}
         (site,) = facts.call_sites
         assert site.callee_name == "open"
         assert site.total_arg_count == 1
@@ -153,14 +153,21 @@ class TestExtractFacts:
         (site,) = facts.call_sites
         assert site.callee_name == "open"
         assert site.line_index == 0
-        assert facts.has_with
+        assert facts.with_lines == {1}
+
+    def test_with_lines_are_the_header_lines(self):
+        code = (
+            "async def f(a, b):\n    async with a:\n"
+            "        with b, (\n            b\n        ):\n            pass\n"
+        )
+        assert extract_facts(code).with_lines == {1, 2}
 
     def test_empty_module(self):
         facts = extract_facts("")
         assert facts.is_valid
         assert identifier_tokens("") == []
         assert facts.call_sites == ()
-        assert facts.has_with is False
+        assert facts.with_lines == frozenset()
 
     def test_invalid_code_falls_back_to_lexical_identifiers(self):
         facts = extract_facts("df.explode('A'\n")
@@ -367,7 +374,7 @@ class TestTextMemo:
         code = "with lock:\n    json.dump(obj, f, indent=2)\n"
         first = extract_facts(code)
         assert extract_facts(code) == first
-        assert first.has_with and first.call_sites[0].keyword_names == {"indent"}
+        assert first.with_lines == {0} and first.call_sites[0].keyword_names == {"indent"}
 
     @pytest.mark.parametrize("code", ['s = "\\d"\n', "if x is 1:\n    pass\n"])
     def test_warning_text_judged_the_same_on_a_hit(self, code):
