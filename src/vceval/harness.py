@@ -20,7 +20,7 @@ import os
 import re
 import stat
 import textwrap
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from datetime import date
 from itertools import repeat
 from pathlib import Path
@@ -536,44 +536,48 @@ def _normalize_ks(ks) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _score_text(metric: MetricName, instance: TaskInstance, text: str) -> float:
-    """One static metric (em, ism, pm or cdc) of one normalized generation.
+def _scorer(metric: MetricName, instance: TaskInstance) -> Callable[[str], float]:
+    """The function that scores a normalized generation of instance by one
+    static metric (em, ism, pm or cdc).
 
     cdc judges a line or block sample inside the program that the masked
     code completes, and a token or migration sample alone.  The sample is
     dedented and then takes the reference's margin (the indentation that
     all its non-blank lines share), so a sample equal to the reference
     rebuilds the program and a sample written at column 0 lands where the
-    span was.
+    span was.  The text around the mask, the reference and its margin are
+    derived here, once per instance.
     """
     reference = instance.reference
     granularity = instance.granularity
     if metric is MetricName.EM:
         if granularity is Granularity.TOKEN:
-            return float(em_token(text, reference))
-        return float(em_block(text, instance.core_token))
-    if metric is MetricName.ISM:
+            return lambda text: float(em_token(text, reference))
+        return lambda text: float(em_block(text, instance.core_token))
+    if metric is not MetricName.CDC:
+        line_metric = ism_line if metric is MetricName.ISM else pm_line
         if granularity is Granularity.BLOCK:
-            return block_line_average(text, reference, ism_line)
-        return ism_line(text, reference)
-    if metric is MetricName.PM:
-        if granularity is Granularity.BLOCK:
-            return block_line_average(text, reference, pm_line)
-        return pm_line(text, reference)
-    # cdc; every text LF-ended, as textwrap needs
-    head = tail = ""
+            return lambda text: block_line_average(text, reference, line_metric)
+        return lambda text: line_metric(text, reference)
+    # every text LF-ended, as textwrap needs
+    head = tail = margin = ""
     if instance.masked_code is not None and granularity is not Granularity.TOKEN:
         masked = universal_newlines(instance.masked_code)
         head, _, tail = masked.partition(MASK_SENTINELS[granularity])
     reference = universal_newlines(reference)
-    sample = textwrap.dedent(universal_newlines(text))
     if reference[:1].isspace():  # else the first line is at column 0 and there is no margin
         margin = os.path.commonprefix(re.findall(r"(?m)^[ \t]*(?=[^ \t\n])", reference))
-        sample = textwrap.indent(sample, margin)
-    try:
-        return float(cdc_check(sample, reference, instance.core_token, head, tail).overall)
-    except InvalidReference as exc:
-        raise InvalidReference(f"instance {instance.id!r}: {exc}") from None
+
+    def cdc(text: str) -> float:
+        sample = textwrap.dedent(universal_newlines(text))
+        if margin:
+            sample = textwrap.indent(sample, margin)
+        try:
+            return float(cdc_check(sample, reference, instance.core_token, head, tail).overall)
+        except InvalidReference as exc:
+            raise InvalidReference(f"instance {instance.id!r}: {exc}") from None
+
+    return cdc
 
 
 def _normalized(item: EvaluationItem) -> dict[str, str | None]:
@@ -615,8 +619,9 @@ def _score_item(
         if metric is MetricName.PASS:
             per_sample = tuple(map(float, item.exec_passed))
         else:
+            score = _scorer(metric, instance)
             try:
-                scores = {text: _score_text(metric, instance, text) for text in distinct}
+                scores = {text: score(text) for text in distinct}
             except EvalError as exc:
                 return exc
             scores[None] = 0.0

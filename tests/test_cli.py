@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -771,6 +772,62 @@ class TestMaskThenScore:
                      "--per-instance", str(per_instance)]) == 0
         (row,) = map(json.loads, per_instance.read_text().splitlines())
         assert row["per_sample"] == [1.0, 1.0]
+
+
+class TestCdcFrame:
+    """cdc derives each instance's context once and scores its samples in it."""
+
+    MASKED = "import json\n\ndef load(paths):\n    for p in paths:\n[block-mask]\n    return out\n"
+    REFERENCE = "        with open(p) as fh:\n            out = json.load(fh, parse_int=int)"
+
+    def _row(self, iid, masked_code, reference, core_token):
+        return {"id": iid, "task": "vscc", "granularity": "block", "library": "json",
+                "source_version": "3.11", "description": "demo", "masked_code": masked_code,
+                "reference": reference, "core_token": core_token,
+                "data_source": "library_source"}
+
+    def _score(self, tmp_path, rows, samples):
+        instances = write_jsonl(tmp_path / "instances.jsonl", rows)
+        sample_file = write_jsonl(
+            tmp_path / "samples.jsonl",
+            [{"instance_id": row["id"], "samples": samples[row["id"]]} for row in rows],
+        )
+        per_instance = tmp_path / "rows.jsonl"
+        status = main(["score", "--instances", str(instances), "--samples", str(sample_file),
+                       "--metrics", "cdc", "--k", "1", "--out", str(tmp_path / "report.json"),
+                       "--per-instance", str(per_instance)])
+        return status, per_instance
+
+    def _instances(self, b_reference):
+        return [
+            self._row("a", self.MASKED, self.REFERENCE, "load"),
+            self._row("b", "def f(df):\n[block-mask]\n", b_reference, "explode"),
+            self._row("c", "import pandas as pd\n[block-mask]\n", "y = df.explode('A')", "explode"),
+        ]
+
+    def test_an_invalid_reference_names_its_instance(self, tmp_path, capsys):
+        rows = self._instances("    out = df.explode('A'\n    return out")
+        samples = {row["id"]: [row["reference"]] for row in rows}
+        assert self._score(tmp_path, rows, samples)[0] == 1
+        assert capsys.readouterr().err == (
+            "error: instance 'b': reference code must be syntactically valid\n"
+        )
+
+    def test_a_nested_block_sample_takes_the_reference_margin(self, tmp_path):
+        rows = self._instances("    out = df.explode('A')\n    return out")
+        at_margin = self.REFERENCE
+        column_0 = textwrap.dedent(at_margin)
+        deeper = textwrap.indent(at_margin, "    ")
+        wrong_keyword = column_0.replace("parse_int", "parse_float")
+        samples = {row["id"]: [row["reference"]] for row in rows}
+        samples["a"] = [column_0, at_margin, deeper, wrong_keyword]
+        status, per_instance = self._score(tmp_path, rows, samples)
+        assert status == 0
+        per_sample = {
+            row["instance_id"]: row["per_sample"]
+            for row in map(json.loads, per_instance.read_text().splitlines())
+        }
+        assert per_sample == {"a": [1.0, 1.0, 1.0, 0.0], "b": [1.0], "c": [1.0]}
 
 
 class TestDeepSample:

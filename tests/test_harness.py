@@ -23,7 +23,7 @@ from vceval.core_model import (
     TaskKind,
     parse_version,
 )
-from vceval.datagen import build_migration_pair
+from vceval.datagen import MaskSpec, build_migration_pair, mask_instance
 from vceval.errors import (
     EmptyAfterNormalization,
     EvalError,
@@ -728,6 +728,22 @@ class TestScoreDistinctTexts:
         assert len(expected_parsed) == 4
         assert sorted(parsed) == sorted(expected_parsed)
         assert sorted(lexed) == sorted(expected_lexed)
+
+    def test_line_and_block_instances_of_one_snippet_share_one_parse(self):
+        # a reference-equal sample completes either instance to the snippet
+        # itself, so facts memoized by text alone parse it once for both
+        code = "import pandas as pd\n\n\ndef f(df):\n    out = df.explode('A')\n    return out\n"
+        meta = MetaInstance("pandas", parse_version("1.3.5"), "d", code, DataSource.LIBRARY_SOURCE)
+        instances = [
+            mask_instance(meta, MaskSpec(Granularity.LINE, "line", "explode", line_index=4)),
+            mask_instance(meta, MaskSpec(Granularity.BLOCK, "block", "explode", line_span=(4, 5))),
+        ]
+        vceval.syntax.extract_facts.cache_clear()
+        for instance in instances:  # one item a run: scored in this process
+            item = EvaluationItem(instance, (instance.reference,), (None,))
+            (row,) = per_instance_rows(run_scoring([item], ["cdc"], [1], per_instance=True))
+            assert row["per_sample"] == [1.0]
+        assert vceval.syntax.extract_facts.cache_info().misses == 1
 
     def test_pass_follows_each_sample_verdict(self):
         instance = _KINDS[1]

@@ -1,6 +1,9 @@
+import ast
 import os
+import random
 import subprocess
 import sys
+import sysconfig
 import textwrap
 import warnings
 from pathlib import Path
@@ -11,6 +14,8 @@ from hypothesis import strategies as st
 
 from vceval.errors import InvalidArgs
 from vceval.syntax import (
+    CallSiteInfo,
+    CodeFacts,
     check_syntax,
     contains_core_token,
     decode_source,
@@ -197,6 +202,95 @@ class TestExtractFacts:
             facts = extract_facts(code)
             for site in facts.call_sites:
                 assert site.keyword_names <= set(identifier_tokens(code))
+
+
+def _walked_facts(code: str) -> CodeFacts:
+    """extract_facts of a text that compiles, by ast.walk over every node."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tree = ast.parse(code)
+    sites, with_lines = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            with_lines.add(node.lineno - 1)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, (ast.Name, ast.Attribute)):
+                name = func.id if isinstance(func, ast.Name) else func.attr
+                keywords = frozenset(kw.arg for kw in node.keywords if kw.arg is not None)
+                count = len(node.args) + len(node.keywords)
+                sites.append(CallSiteInfo(name, count, keywords, node.lineno - 1))
+    return CodeFacts(True, tuple(sites), frozenset(with_lines))
+
+
+# Calls and with-statements under every kind of node that can hold them
+_WALK_CORPUS = {
+    "decorators": "@app.route('/x', methods=m())\n@cache\ndef f(a=g(1), *, b: t() = h(k=2)):\n"
+    "    return a\n",
+    "lambda": "key = lambda row, d=dflt(): row.get(name(), d)\n",
+    "comprehensions": "xs = [f(x) for x in g() if p(x)]\nys = {k: v(k) for k in ks()}\n"
+    "zs = (w(z) async for z in a()) if ok() else {s(q) for q in r}\n",
+    "walrus": "if (n := count(items, key=k)) > limit():\n    log(n)\n",
+    "f-string": "msg = f\"{fmt(x, width=w)!r:>{pad(2)}} and {obj.attr.call()}\"\n",
+    "match": "match load(p):\n    case Point(x=0, y=yy) if check(yy):\n        act(yy)\n"
+    "    case [first, *rest]:\n        other(first, *rest)\n    case _:\n        pass\n",
+    "with": "with open(a) as f, lock(b, timeout=1):\n    with ctx():\n        f.read()\n",
+    "async-with": "async def run():\n    async with session(url=u) as s:\n"
+    "        await s.get(path())\n",
+    "star-args": "call(*args, **kw)\ncall(a, *b, c=1, **d)\nobj.m(**{'k': v()})\n",
+    "class-keywords": "class C(Base, metaclass=meta(), flag=on()):\n"
+    "    x: int = field(default=0)\n",
+    "operators": "y = -a(1) + b(2) * c(3) ** ~d(4)\nok = not e() and f() or g() < h() <= i()\n"
+    "del obj[idx()]\nz += j()\n",
+    "nested": "outer(inner(deep(1, k=v(2)), z=w()))[sub()](post())\n",
+    "try": "try:\n    risky()\nexcept (Err1, make_err()) as e:\n    handle(e)\nelse:\n"
+    "    ok()\nfinally:\n    done()\n",
+}
+if sys.version_info >= (3, 12):
+    _WALK_CORPUS["type-params"] = "def f[T: bound()](x: T = dflt()) -> T:\n    return g(x)\n"
+    _WALK_CORPUS["type-alias"] = "type Pair[K] = dict[K, make(k=1)]\n"
+
+# A seeded few of the running interpreter's top-level stdlib modules
+_STDLIB_WALK_SEED = 2024
+_STDLIB_WALK_FILES = 6
+_STDLIB_WALK_MAX_LINES = 1500
+
+
+def _stdlib_walk_sample() -> list[Path]:
+    stdlib = Path(sysconfig.get_paths()["stdlib"])
+    files = [
+        path
+        for path in sorted(stdlib.glob("*.py"))
+        if path.read_bytes().count(b"\n") < _STDLIB_WALK_MAX_LINES
+    ]
+    return random.Random(_STDLIB_WALK_SEED).sample(files, _STDLIB_WALK_FILES)
+
+
+class TestFactWalk:
+    """extract_facts walks the tree itself and skips leaves that hold no
+    call; its facts must equal those of ast.walk over every node, call-site
+    order included."""
+
+    @pytest.mark.parametrize("code", _WALK_CORPUS.values(), ids=_WALK_CORPUS)
+    def test_hand_corpus_equals_ast_walk(self, code):
+        facts = extract_facts(code)
+        assert facts.is_valid
+        assert facts.call_sites
+        assert facts == _walked_facts(code)
+
+    @pytest.mark.parametrize("path", _stdlib_walk_sample(), ids=lambda path: path.name)
+    def test_stdlib_modules_equal_ast_walk(self, path):
+        code = path.read_text(encoding="utf-8")
+        facts = extract_facts(code)
+        assert facts.is_valid
+        assert facts == _walked_facts(code)
+
+    @pytest.mark.skipif(sys.version_info < (3, 12), reason="the tree builds from 3.12")
+    def test_a_tree_deeper_than_the_recursion_limit_is_walked(self):
+        depth = 1200
+        assert depth > sys.getrecursionlimit()
+        facts = extract_facts("-" * depth + "f(1)\n")
+        assert facts.call_sites == (CallSiteInfo("f", 1, frozenset(), 0),)
 
 
 # Each compound statement whose blocks compile into the enclosing body; BODY
