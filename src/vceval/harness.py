@@ -1,8 +1,9 @@
 """Pipeline plumbing: JSONL ingestion, generation-text normalization, metric
 orchestration, grouped aggregation, and report emission.
 
-Only the calling process logs: scoring normalizes every item's samples and
-logs their warnings in input order, then scores the items on every core.
+Only the calling process logs: scoring normalizes every item's samples in
+input order and logs one summary per kind of normalization loss, then
+scores the items on every core.
 The workers also encode each item's per-instance rows, when they are asked
 for, and send back only that text and the item's @k values; the caller takes
 up results and errors in input order, so the same inputs always give the
@@ -20,6 +21,7 @@ import os
 import re
 import stat
 import textwrap
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from datetime import date
 from itertools import repeat
@@ -489,11 +491,11 @@ def normalize_generation(raw: str, granularity: Granularity) -> str:
     that line's indentation, so that its lines keep their indentation
     relative to each other when cdc dedents it.
 
-    Raises EmptyAfterNormalization when nothing remains.  A warning is logged
-    whenever token reduction discards surrounding text: a prose answer like
-    "The answer is x" reduces to "The", which is the documented hazard.
-    Scoring calls this once per distinct raw sample text of an instance, so
-    the warning appears once per such text, not once per sample.
+    Raises EmptyAfterNormalization when nothing remains.  Token reduction
+    may discard surrounding text: a prose answer like "The answer is x"
+    reduces to "The", which is the documented hazard.  This logs nothing;
+    run_scoring counts the samples that were reduced or emptied and logs one
+    summary per kind.
     """
     text = strip_code_fences(raw).rstrip()
     body = text.lstrip()
@@ -501,10 +503,6 @@ def normalize_generation(raw: str, granularity: Granularity) -> str:
         match = IDENTIFIER_RE.search(body)
         if match is None:
             raise EmptyAfterNormalization(f"no identifier-like token in {raw!r}")
-        if match.group(0) != body:
-            log.warning(
-                "token normalization reduced %r to %r", _shorten(raw), match.group(0)
-            )
         text = match.group(0)
     else:  # leading blank lines go; the first line keeps its indentation
         text = universal_newlines(text[: len(text) - len(body)]).rpartition("\n")[2] + body
@@ -580,19 +578,45 @@ def _scorer(metric: MetricName, instance: TaskInstance) -> Callable[[str], float
     return cdc
 
 
-def _normalized(item: EvaluationItem) -> dict[str, str | None]:
+def _normalized(
+    item: EvaluationItem, reduced: list[tuple[str, str, int]], emptied: list[tuple[str, str, int]]
+) -> dict[str, str | None]:
     """Each distinct raw sample text of item, in first-occurrence order,
     mapped to its normalized text, or to None when nothing is left.  Samples
-    repeat heavily at large n, so each distinct text is normalized, and its
-    warnings logged, once."""
+    repeat heavily at large n, so each distinct text is normalized once.
+
+    For each distinct text that token reduction shortened, or that nothing
+    was left of, appends (instance id, example, number of samples with that
+    text) to reduced or emptied; _log_losses sums them up."""
     instance = item.instance
-    normalized: dict[str, str | None] = dict.fromkeys(item.samples)
-    for raw in normalized:
+    token = instance.granularity is Granularity.TOKEN
+    normalized: dict[str, str | None] = {}
+    for raw, count in Counter(item.samples).items():
         try:
-            normalized[raw] = normalize_generation(raw, instance.granularity)
+            text = normalize_generation(raw, instance.granularity)
         except EmptyAfterNormalization:
-            log.warning("instance %s: a sample normalized to nothing, scoring it 0", instance.id)
+            normalized[raw] = None
+            emptied.append((instance.id, repr(_shorten(instance.id)), count))
+            continue
+        normalized[raw] = text
+        if token and text != strip_code_fences(raw).strip():
+            reduced.append((instance.id, f"{_shorten(raw)!r} -> {_shorten(text)!r}", count))
     return normalized
+
+
+def _log_losses(message: str, losses: Sequence[tuple[str, str, int]]) -> None:
+    """One warning for losses from _normalized, unless there are none:
+    message takes the number of samples, the number of instances and the
+    first three distinct examples in input order."""
+    if not losses:
+        return
+    examples = dict.fromkeys(example for _, example, _ in losses)
+    log.warning(
+        message,
+        sum(count for _, _, count in losses),
+        len({instance_id for instance_id, _, _ in losses}),
+        ", ".join(list(examples)[:3]),
+    )
 
 
 def _score_item(
@@ -675,14 +699,17 @@ def run_scoring(
     """Score every item, estimate @k per requested k, and aggregate unweighted
     per-group means.
 
-    Every item's samples are normalized, and their warnings logged, in
-    input order before any item is scored, so a run that aborts has logged
-    every instance's warnings first.  Items are then scored on every usable
-    core (see _fanout.fan_out), and the first error in input order is
-    raised, so the result, the log and the error do not depend on the core
-    count.  The workers send back only each item's @k values, which the
-    aggregates and Pearson rows are computed from, and, with per_instance,
-    the item's encoded per-instance rows; a run without it encodes none.
+    Every item's samples are normalized in input order before any item is
+    scored.  That pass counts, over all samples with repeats, the token
+    samples that reduction shortened and the samples that nothing was left
+    of, and logs at most one warning per kind: the number of samples and of
+    instances and the first three distinct examples.  A run that aborts has
+    logged them first.  Items are then scored on every usable core (see
+    _fanout.fan_out), and the first error in input order is raised, so the
+    result, the log and the error do not depend on the core count.  The
+    workers send back only each item's @k values, which the aggregates and
+    Pearson rows are computed from, and, with per_instance, the item's
+    encoded per-instance rows; a run without it encodes none.
 
     When both pass and a static metric are selected, a Pearson agreement row
     (metric "pearson_<m>_vs_pass") over the per-instance @k series is emitted
@@ -717,7 +744,12 @@ def run_scoring(
 
     from ._fanout import fan_out  # see its module docstring
 
-    work = [(item, _normalized(item)) for item in items]
+    reduced: list[tuple[str, str, int]] = []
+    emptied: list[tuple[str, str, int]] = []
+    work = [(item, _normalized(item, reduced, emptied)) for item in items]
+    _log_losses("token normalization reduced %d sample(s) of %d instance(s); first: %s", reduced)
+    _log_losses("%d sample(s) of %d instance(s) normalized to nothing and score 0; first: %s",
+                emptied)
     scored = fan_out(lambda pair: _score_item(*pair, metric_sel, ks, per_instance), work)
     for result in scored:
         if isinstance(result, EvalError):

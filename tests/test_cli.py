@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,7 @@ from vceval.cli import main
 from vceval.harness import AggregateRow
 from vceval.lifecycle import collect_surfaces
 
-from helpers import build_fixture_corpus, write_jsonl
+from helpers import build_fixture_corpus, write_jsonl, write_score_inputs
 
 
 @pytest.fixture()
@@ -326,6 +327,61 @@ class TestScoreCommand:
         )
         assert code == 0
         assert out.read_text().startswith("group_key,metric,k,value,instance_count")
+
+
+class TestNormalizationSummary:
+    """score logs one line per kind of normalization loss, whatever the
+    number of samples that it names."""
+
+    def score(self, tmp_path, capsys, instances, samples):
+        argv = [
+            "score",
+            "--instances", str(write_jsonl(tmp_path / "instances.jsonl", instances)),
+            "--samples", str(write_jsonl(tmp_path / "samples.jsonl", samples)),
+            "--out", str(tmp_path / "report.json"),
+        ]
+        assert main(argv) == 0
+        return capsys.readouterr().err.splitlines()
+
+    def test_ten_copies_write_the_same_lines_with_ten_times_the_counts(
+        self, tmp_path, capsys, cli_log
+    ):
+        instances, samples = (
+            [json.loads(line) for line in path.read_text().splitlines()]
+            for path in write_score_inputs(tmp_path)
+        )
+        once = self.score(tmp_path, capsys, instances, samples)
+        # the copies follow the originals, so the first examples are the same
+        by_id = {row["instance_id"]: row for row in samples}
+        copied_instances, copied_samples = list(instances), list(samples)
+        for copy in range(1, 10):
+            for instance in instances:
+                copy_id = f"{instance['id']}-{copy}"
+                copied_instances.append(dict(instance, id=copy_id))
+                copied_samples.append(dict(by_id[instance["id"]], instance_id=copy_id))
+        tenfold = self.score(tmp_path, capsys, copied_instances, copied_samples)
+        assert len(once) == len(tenfold) == 3
+        assert "token normalization reduced 10 sample(s) of 10 instance(s)" in once[0]
+        assert "10 sample(s) of 10 instance(s) normalized to nothing" in once[1]
+        counted = re.compile(r"(\d+)( (?:sample|instance)\(s\))")
+        assert tenfold == [
+            counted.sub(lambda m: f"{int(m.group(1)) * 10}{m.group(2)}", line) for line in once
+        ]
+
+    def test_nothing_lost_writes_only_the_status_line(self, tmp_path, capsys, cli_log):
+        instances, samples = build_fixture_corpus(8)
+        assert self.score(tmp_path, capsys, instances, samples) == [
+            f"scored 8 instance(s) -> {tmp_path / 'report.json'}"
+        ]
+
+    def test_long_examples_are_shortened(self, tmp_path, capsys, cli_log):
+        instances, samples = build_fixture_corpus(1)
+        long_id = "i" * 70
+        instances[0]["id"] = samples[0]["instance_id"] = long_id
+        samples[0]["samples"][:2] = ["The answer is " + "x" * 70, "!!!"]
+        reduced, emptied, _ = self.score(tmp_path, capsys, instances, samples)
+        assert reduced.endswith(f"first: 'The answer is {'x' * 43}...' -> 'The'")
+        assert emptied.endswith(f"first: '{'i' * 57}...'")
 
 
 class TestMaskCommand:

@@ -39,25 +39,6 @@ def assert_no_child_left():
 MIXED_TREE = mixed_tree()
 
 
-class StderrHandler(logging.StreamHandler):
-    """Writes to sys.stderr as it is at each write: capfd puts a new stream
-    there between a test's setup and its call, and closes the old one."""
-
-    stream = property(lambda self: sys.stderr, lambda self, value: None)
-
-
-@pytest.fixture
-def cli_log():
-    """Warnings to stderr in the CLI's format, which pytest's own log
-    handlers would otherwise keep from basicConfig."""
-    handler = StderrHandler()
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    logger = logging.getLogger("vceval")
-    logger.addHandler(handler)
-    yield
-    logger.removeHandler(handler)
-
-
 def loaded_by(statement):
     """The modules that statement loads in a fresh interpreter."""
     code = (
@@ -314,8 +295,17 @@ class TestFanOut:
         assert len(outputs) == 1
         if command == "score":
             (report, vectors, err), = outputs
-            assert "token normalization reduced" in err
-            assert "a sample normalized to nothing" in err
+            # one summary per kind of normalization loss, then the status line
+            reduced, emptied, status = err.splitlines()
+            assert reduced.startswith(
+                "WARNING vceval.harness: token normalization reduced"
+                " 10 sample(s) of 10 instance(s); first: 'The answer is to_numpy 0' -> 'The', "
+            )
+            assert emptied == (
+                "WARNING vceval.harness: 10 sample(s) of 10 instance(s) normalized to nothing"
+                " and score 0; first: 'inst-000', 'inst-004', 'inst-008'"
+            )
+            assert status.startswith("scored 40 instance(s) -> ")
             assert b'"pearson_cdc_vs_pass"' in report
             instances = (tmp_path / "instances.jsonl").read_text().splitlines()
             kinds = {(row["task"], row["granularity"]) for row in map(json.loads, instances)}
@@ -396,8 +386,9 @@ class TestFanOut:
         cores(1)
         assert main(good) == 0
         *warnings, _ = capfd.readouterr().err.splitlines(keepends=True)
-        assert sum("token normalization reduced" in line for line in warnings) == 10
-        assert sum("normalized to nothing" in line for line in warnings) == 10
+        assert len(warnings) == 2
+        assert "token normalization reduced 10 sample(s) of 10 instance(s)" in warnings[0]
+        assert "10 sample(s) of 10 instance(s) normalized to nothing" in warnings[1]
         outcomes = set()
         for count in (1, 2, 3):
             cores(count)
@@ -410,17 +401,20 @@ class TestFanOut:
         assert_no_child_left()
 
     def test_normalization_warnings_keep_first_occurrence_order(self, cores, caplog):
-        # every sample is reduced, so each distinct text warns once, where
-        # it first occurs; a second instance gives the workers two items
+        # every sample but the plain token is reduced: the summary counts
+        # them all and shows the first three distinct texts where they first
+        # occur, across the two instances that the workers score
         row = {
             "id": "tok", "task": "vscc", "granularity": "token", "library": "pandas",
             "source_version": "1.3.5", "description": "d", "masked_code": "df.[token-mask]()",
             "reference": "to_numpy", "core_token": "to_numpy", "data_source": "library_source",
         }
-        b, a, c = "`b_tok`", "a_tok it is", "c_tok()"
+        b, a, c, d = "`b_tok`", "a_tok it is", "c_tok()", "0 d_tok"
         items = [
-            EvaluationItem(decode_instance(row), (b, a, b, c, a), (None,) * 5),
-            EvaluationItem(decode_instance(dict(row, id="other")), ("to_numpy",) * 5, (None,) * 5),
+            EvaluationItem(decode_instance(row), (b, a, b, a, a), (None,) * 5),
+            EvaluationItem(
+                decode_instance(dict(row, id="other")), (d, c, "to_numpy", c, d), (None,) * 5
+            ),
         ]
         logged = []
         for count in (1, 3):
@@ -430,9 +424,8 @@ class TestFanOut:
                 run_scoring(items, ["em", "pm"], [1, 3])
             logged.append(caplog.messages)
         assert logged[0] == logged[1] == [
-            "token normalization reduced '`b_tok`' to 'b_tok'",
-            "token normalization reduced 'a_tok it is' to 'a_tok'",
-            "token normalization reduced 'c_tok()' to 'c_tok'",
+            "token normalization reduced 9 sample(s) of 2 instance(s); first:"
+            " '`b_tok`' -> 'b_tok', 'a_tok it is' -> 'a_tok', '0 d_tok' -> 'd_tok'"
         ]
         assert_no_child_left()
 
@@ -451,9 +444,10 @@ class TestFanOut:
         assert len(outcomes) == 1
         (code, err), = outcomes
         assert code == 1
-        assert err.endswith(
-            "error: instance 'inst-005': reference code must be syntactically valid\n"
-        )
-        assert "normalized to nothing" in err
+        # the two summaries come before the error
+        reduced, emptied, error = err.splitlines()
+        assert error == "error: instance 'inst-005': reference code must be syntactically valid"
+        assert "token normalization reduced" in reduced
+        assert "normalized to nothing" in emptied
         assert not (tmp_path / "report.json").exists()
         assert_no_child_left()

@@ -64,10 +64,18 @@ class TestNormalizeGeneration:
         assert normalize_generation("```\nto_numpy\n```", Granularity.TOKEN) == "to_numpy"
 
     def test_prose_token_reduction_warns(self, caplog):
+        # normalize_generation logs nothing; scoring sums its losses up
         with caplog.at_level(logging.WARNING, logger="vceval.harness"):
             result = normalize_generation("The answer is to_numpy", Granularity.TOKEN)
         assert result == "The"
-        assert any("token normalization" in message for message in caplog.messages)
+        assert caplog.messages == []
+        item = EvaluationItem(_KINDS[0], ("The answer is to_numpy",), (None,))
+        with caplog.at_level(logging.WARNING, logger="vceval.harness"):
+            run_scoring([item], ["em"], [1])
+        assert caplog.messages == [
+            "token normalization reduced 1 sample(s) of 1 instance(s);"
+            " first: 'The answer is to_numpy' -> 'The'"
+        ]
 
     def test_block_trims_whitespace_only(self):
         assert normalize_generation("df.to_numpy()\n", Granularity.BLOCK) == "df.to_numpy()"
@@ -754,13 +762,19 @@ class TestScoreDistinctTexts:
         assert per_sample == {"em": [1.0, 1.0], "pass": [1.0, 0.0]}
 
     def test_warnings_once_per_distinct_text(self, caplog):
+        # one summary per kind, whose counts include every repeat; a fenced
+        # answer is stripped, not reduced
         instance = _KINDS[0]
-        samples = ("The answer is to_numpy", "   ", "to_numpy") * 30
+        samples = ("The answer is to_numpy", "   ", "to_numpy", "```\nto_numpy\n```", "") * 30
         item = EvaluationItem(instance, samples, (None,) * len(samples))
         with caplog.at_level(logging.WARNING, logger="vceval.harness"):
             run_scoring([item], ["em"], [1])
-        assert sum("token normalization" in m for m in caplog.messages) == 1
-        assert sum("normalized to nothing" in m for m in caplog.messages) == 1
+        assert caplog.messages == [
+            "token normalization reduced 30 sample(s) of 1 instance(s);"
+            " first: 'The answer is to_numpy' -> 'The'",
+            "60 sample(s) of 1 instance(s) normalized to nothing and score 0;"
+            f" first: {instance.id!r}",
+        ]
 
 
 class TestEmitReport:
