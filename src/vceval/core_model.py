@@ -1,11 +1,15 @@
 """Domain records that validate on construction, and version parsing and order.
 
-All types are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads.
+All types are immutable after construction, so instances are safe to share
+across threads, and every operation is a pure function.  A MetaInstance's
+code must compile, and constructing one compiles it under the process-wide
+warnings filter that syntax._compiled swaps in; so construct meta instances
+on one thread at a time, while no other thread compiles subject code.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Mapping
 from datetime import date
@@ -14,6 +18,7 @@ from keyword import iskeyword
 from typing import NamedTuple
 
 from .errors import NoNumericComponent, SchemaViolation
+from .syntax import IDENTIFIER_RE, check_syntax
 
 
 class TaskKind(str, Enum):
@@ -52,9 +57,6 @@ MASK_SENTINELS = {
     Granularity.LINE: "[line-mask]",
     Granularity.BLOCK: "[block-mask]",
 }
-
-# Python identifiers may be non-ASCII: a letter or underscore, then word characters
-IDENTIFIER_RE = re.compile(r"[^\W\d]\w*")
 
 _INT_SEGMENT_RE = re.compile(r"[0-9]+")
 
@@ -100,6 +102,13 @@ def version_sort_key(v: VersionId) -> tuple:
     return (tuple(components), suffix_key)
 
 
+# A spec file repeats one code over consecutive records, and decoding a
+# meta record judges its rules twice, so one compile serves a run of them.
+@functools.lru_cache(maxsize=1)
+def _compiles(code: str) -> bool:
+    return check_syntax(code)
+
+
 def _broken_rules(known: Mapping[str, object]) -> list[str]:
     """The messages of the meta and task instance rules that the field
     values in known break.  A rule is judged only when known holds every
@@ -118,6 +127,8 @@ def _broken_rules(known: Mapping[str, object]) -> list[str]:
         problems.append("core_token: must be a single identifier")
     if "code" in known and not known["code"]:
         problems.append("code: must be non-empty")
+    elif "code" in known and not _compiles(known["code"]):
+        problems.append("code: must compile as a Python module")
 
     task = known.get("task")
     if task is TaskKind.VSCC:

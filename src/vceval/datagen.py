@@ -17,7 +17,7 @@ from .core_model import (
     VersionId,
     version_sort_key,
 )
-from .errors import EvalError, InvalidArgs, IoFailure, SchemaViolation
+from .errors import EvalError, IoFailure, SchemaViolation
 from .syntax import (
     check_syntax,
     contains_core_token,
@@ -75,12 +75,10 @@ def mask_instance(meta: MetaInstance, spec: MaskSpec) -> TaskInstance:
     byte-for-byte.  Lines end at LF, CRLF or CR, and a line or block span
     takes no terminator after its last line.  The span must hold the core
     token as a whole identifier (not in a string or comment), so that a
-    sample equal to the reference can score 1.  Code that does not compile
-    raises InvalidArgs; code holding a literal sentinel, or a span that
-    cannot be resolved or lacks the core token, raises EvalError.
+    sample equal to the reference can score 1.  Code holding a literal
+    sentinel, or a span that cannot be resolved or lacks the core token,
+    raises EvalError.
     """
-    if not check_syntax(meta.code):
-        raise InvalidArgs("meta.code must be syntactically valid before masking")
     for sentinel in MASK_SENTINELS.values():
         if sentinel in meta.code:
             raise EvalError(f"code already contains the literal sentinel {sentinel!r}")

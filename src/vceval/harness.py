@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
 
 from .core_model import (
-    IDENTIFIER_RE,
     MASK_SENTINELS,
     DataSource,
     Granularity,
@@ -64,7 +63,7 @@ from .metrics import (
     score_at_k,
     strip_code_fences,
 )
-from .syntax import universal_newlines
+from .syntax import IDENTIFIER_RE, universal_newlines
 
 log = logging.getLogger(__name__)
 

@@ -40,10 +40,12 @@ from collections.abc import Callable, Iterator
 from types import CodeType
 from typing import NamedTuple, TypeVar
 
-from .core_model import IDENTIFIER_RE
 from .errors import InvalidArgs
 
 _T = TypeVar("_T")
+
+# Python identifiers may be non-ASCII: a letter or underscore, then word characters
+IDENTIFIER_RE = re.compile(r"[^\W\d]\w*")
 
 
 def universal_newlines(text: str) -> str:

@@ -7,6 +7,7 @@ import textwrap
 
 import pytest
 
+from vceval import core_model
 from vceval.cli import main
 from vceval.harness import AggregateRow
 from vceval.lifecycle import collect_surfaces
@@ -461,7 +462,7 @@ class TestMaskCommand:
             ({"line_index": 7}, "line 7 outside 0..1"),
             ({"code": "x = '[line-mask]'\n"},
              "code already contains the literal sentinel '[line-mask]'"),
-            ({"code": "def (:\n"}, "meta.code must be syntactically valid before masking"),
+            ({"code": "def (:\n"}, "code: must compile as a Python module"),
         ],
         ids=["empty-id", "line-outside", "sentinel-in-code", "invalid-code"],
     )
@@ -482,6 +483,36 @@ class TestMaskCommand:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {spec}:2: {message}\n"
         assert not out.exists()
+
+    def test_one_compile_per_run_of_specs_of_one_code(self, tmp_path, monkeypatch):
+        # Decoding a record judges its rules twice, and masking adds no
+        # compile of its own; the count is taken behind the rule's memo.
+        compiled = []
+        check_syntax = core_model.check_syntax
+
+        def counting(code):
+            compiled.append(code)
+            return check_syntax(code)
+
+        monkeypatch.setattr(core_model, "check_syntax", counting)
+        core_model._compiles.cache_clear()
+        codes = [
+            "".join(f"out_{i} = df.explode({i})\n" for i in range(20)),
+            "".join(f"res_{i} = df.explode({i})\n" for i in range(12)),
+        ]
+        spec_rows = [
+            {"instance_id": f"m{n}-{i}", "core_token": "explode", "library": "pandas",
+             "version": "1.3.5", "description": "demo", "code": code,
+             "data_source": "library_source", "line_index": i}
+            for n, code in enumerate(codes)
+            for i in range(code.count("\n"))
+        ]
+        spec = write_jsonl(tmp_path / "spec.jsonl", spec_rows)
+        out = tmp_path / "out.jsonl"
+        assert main(["mask", "--granularity", "line", "--spec", str(spec),
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 32
+        assert compiled == codes
 
 
 class TestPairCommand:
@@ -619,9 +650,9 @@ class TestPairCommand:
         )
         assert not out.exists()
 
-    def test_an_all_indented_reference_stops_cdc(self, tmp_path, capsys):
-        # pair does not compile meta code, and cdc judges a migration
-        # reference as the whole program it is, without dedenting it
+    def test_an_all_indented_target_exits_1(self, tmp_path, capsys):
+        # cdc would judge that reference as the whole program it is, which
+        # does not compile, so the record rules refuse the record itself
         meta_rows = [
             {"id": id_, "core_token": token, "library": "torch", "version": version,
              "description": "shared", "code": code, "data_source": "library_source"}
@@ -631,21 +662,62 @@ class TestPairCommand:
             ]
         ]
         meta = write_jsonl(tmp_path / "meta.jsonl", meta_rows)
-        instances = tmp_path / "pairs.jsonl"
-        assert main(["pair", "--meta", str(meta), "--out", str(instances)]) == 0
-        rows = [json.loads(line) for line in instances.read_text().splitlines()]
+        out = tmp_path / "pairs.jsonl"
+        assert main(["pair", "--meta", str(meta), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {meta}:2: code: must compile as a Python module\n"
+        )
+        assert not out.exists()
+
+    PROGRAMS = [
+        ("p1", "1.0", "import torch\ny = torch.old_call(x)\nprint(y)\n"),
+        ("p2", "2.0", "import torch\n\ndef run(x):\n    y = torch.new_call(x)\n    return y\n"),
+        ("p3", "3.0", "import torch\nwith torch.ctx() as x:\n    y = torch.new_call(x, dim=1)\n"),
+    ]
+
+    @pytest.mark.parametrize(
+        "code",
+        ["    y = torch.new_call(x)\n    return y\n", "y = torch.new_call(x,\n"],
+        ids=["indented-body", "fragment"],
+    )
+    def test_only_programs_pair_and_every_pair_scores(self, tmp_path, capsys, code):
+        def row(id_, version, text):
+            token = "old_call" if "old_call" in text else "new_call"
+            return {"id": id_, "core_token": token, "library": "torch", "version": version,
+                    "description": "shared", "code": text, "data_source": "library_source"}
+
+        programs = [row(*program) for program in self.PROGRAMS]
+        out = tmp_path / "pairs.jsonl"
+        for position in range(len(programs) + 1):
+            meta_rows = [*programs]
+            meta_rows.insert(position, row("bad", "4.0", code))
+            meta = write_jsonl(tmp_path / "meta.jsonl", meta_rows)
+            assert main(["pair", "--meta", str(meta), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {meta}:{position + 1}: code: must compile as a Python module\n"
+            )
+            assert not out.exists()
+
+        meta = write_jsonl(tmp_path / "meta.jsonl", programs)
+        assert main(["pair", "--meta", str(meta), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(rows) == 6
         samples = write_jsonl(
             tmp_path / "samples.jsonl",
             [{"instance_id": row["id"], "samples": [row["reference"]]} for row in rows],
         )
-        argv = ["score", "--instances", str(instances), "--samples", str(samples), "--k", "1",
-                "--out", str(tmp_path / "report.json")]
-        assert main([*argv, "--metrics", "em,ism,pm"]) == 0
-        capsys.readouterr()
-        assert main([*argv, "--metrics", "cdc"]) == 1
-        assert capsys.readouterr().err == (
-            "error: instance 'a::b': reference code must be syntactically valid\n"
-        )
+        per_instance = tmp_path / "rows.jsonl"
+        assert main(["score", "--instances", str(out), "--samples", str(samples),
+                     "--metrics", "em,ism,pm,cdc", "--k", "1",
+                     "--out", str(tmp_path / "report.json"),
+                     "--per-instance", str(per_instance)]) == 0
+        scores = {
+            (score["instance_id"], score["metric"]): score["per_sample"]
+            for score in map(json.loads, per_instance.read_text().splitlines())
+        }
+        assert scores == {
+            (row["id"], metric): [1.0] for row in rows for metric in ("em", "ism", "pm", "cdc")
+        }
 
 
 class TestFilterCommand:

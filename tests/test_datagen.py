@@ -33,7 +33,7 @@ from vceval.datagen import (
     filter_tree,
     mask_instance,
 )
-from vceval.errors import EvalError, InvalidArgs, SchemaViolation
+from vceval.errors import EvalError, SchemaViolation
 from vceval.harness import EvaluationItem, run_scoring
 from vceval.syntax import contains_core_token, identifier_spans, identifier_tokens, line_offsets
 
@@ -142,8 +142,9 @@ class TestMaskInstance:
             )
 
     def test_invalid_code_rejected(self):
-        with pytest.raises(InvalidArgs):
-            mask_instance(meta("def f(:"), MaskSpec(Granularity.TOKEN, "i", "f"))
+        # a record rule, so no meta instance that masking could be given holds it
+        with raises_exactly(SchemaViolation, "code: must compile as a Python module"):
+            meta("def f(:")
 
     def test_token_occurrences_inside_strings_not_maskable(self):
         instance = mask_instance(

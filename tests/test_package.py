@@ -1,8 +1,9 @@
 """The package's public surface, pinned: adding or removing a public name
 means editing this list, so the change shows in review; and the README's
 library quick start, which uses those names, runs as written.  Also pinned:
-which module spells how Python source is read, and which modules a cold
-start of the CLI does not load."""
+which module spells how Python source is read, which modules a cold start
+of the CLI does not load, and that syntax depends on no other module of
+the package but errors."""
 
 import ast
 import json
@@ -88,3 +89,20 @@ def test_cold_start_loads_no_dataclasses_or_inspect():
     )
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n")
+
+
+def test_syntax_imports_no_module_of_the_package_but_errors():
+    # core_model judges its records with syntax, so syntax may not import
+    # it back.  The package's own __init__, which imports the whole
+    # toolkit, is replaced by an empty package so that only what syntax
+    # imports is loaded.
+    code = (
+        "import sys, types; package = types.ModuleType('vceval'); "
+        f"package.__path__ = [{str(ROOT / 'src' / 'vceval')!r}]; "
+        "sys.modules['vceval'] = package; import vceval.syntax; "
+        "print(sorted(name for name in sys.modules if name.startswith('vceval.')))"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (run.returncode, run.stderr, run.stdout) == (
+        0, "", "['vceval.errors', 'vceval.syntax']\n"
+    )

@@ -10,7 +10,9 @@ that preceded the codec table in harness, so it holds both to one behaviour.
 Since then every kind has come to name all of a record's problems at once,
 field problems and broken record rules together: the three empty mask rows
 were widened and the several rows added.  A rule that reads a field which
-failed to decode is not judged.
+failed to decode is not judged.  Meta and mask records also have a row whose
+code does not compile beside one other broken field: compiling is a record
+rule, named in the same error as the rest.
 """
 
 import pytest
@@ -178,6 +180,14 @@ SEVERAL = {
     },
 }
 
+# a meta or mask record whose code does not compile, beside one other broken field
+UNCOMPILED = {
+    "meta": {**META, "code": "    x = df.to_numpy()\n", "library": "has space"},
+    "mask-token": {**MASK[Granularity.TOKEN], "code": "x = df.to_numpy(", "occurrence": "x"},
+    "mask-line": {**MASK[Granularity.LINE], "code": "else:\n    x = 1\n", "line_index": "x"},
+    "mask-block": {**MASK[Granularity.BLOCK], "code": "def (:\n", "version": 5},
+}
+
 
 def record_for(kind, field, variant):
     obj = dict(KINDS[kind][1])
@@ -195,6 +205,8 @@ def record_for(kind, field, variant):
         obj = {}
     elif variant == "several":
         obj = dict(SEVERAL[kind])
+    elif variant == "uncompiled":
+        obj = dict(UNCOMPILED[kind])
     return obj
 
 
@@ -612,6 +624,13 @@ EXPECTED = {
             "meta: version: expected a version string",
         ],
     ),
+    ("meta", "-", "uncompiled"): (
+        "SchemaViolation",
+        [
+            "meta: code: must compile as a Python module",
+            "meta: library: must be non-empty and contain no whitespace",
+        ],
+    ),
     ("mask-token", "id", "missing"): None,
     ("mask-token", "id", "none"): ("SchemaViolation", ["mask: unknown fields: ['id']"]),
     ("mask-token", "id", "wrong_type"): ("SchemaViolation", ["mask: unknown fields: ['id']"]),
@@ -736,6 +755,13 @@ EXPECTED = {
             "mask: occurrence: expected an integer",
         ],
     ),
+    ("mask-token", "-", "uncompiled"): (
+        "SchemaViolation",
+        [
+            "mask: code: must compile as a Python module",
+            "mask: occurrence: expected an integer",
+        ],
+    ),
     ("mask-line", "instance_id", "missing"): ("SchemaViolation", ["mask: instance_id: required"]),
     ("mask-line", "instance_id", "none"): ("SchemaViolation", ["mask: instance_id: required"]),
     ("mask-line", "instance_id", "wrong_type"): (
@@ -783,6 +809,13 @@ EXPECTED = {
         [
             "mask: code: must be non-empty",
             "mask: library: must be non-empty and contain no whitespace",
+            "mask: line_index: required integer for line masking",
+        ],
+    ),
+    ("mask-line", "-", "uncompiled"): (
+        "SchemaViolation",
+        [
+            "mask: code: must compile as a Python module",
             "mask: line_index: required integer for line masking",
         ],
     ),
@@ -843,6 +876,13 @@ EXPECTED = {
         [
             "mask: code: must be non-empty",
             "mask: line_start/line_end: required integers for block masking",
+            "mask: version: expected a version string",
+        ],
+    ),
+    ("mask-block", "-", "uncompiled"): (
+        "SchemaViolation",
+        [
+            "mask: code: must compile as a Python module",
             "mask: version: expected a version string",
         ],
     ),
@@ -907,6 +947,8 @@ def cases():
         yield kind, "-", "empty"
         if kind in SEVERAL:
             yield kind, "-", "several"
+        if kind in UNCOMPILED:
+            yield kind, "-", "uncompiled"
 
 
 @pytest.mark.parametrize("kind, field, variant", list(cases()))
