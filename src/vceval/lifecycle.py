@@ -61,7 +61,7 @@ def _scan_trees(roots: Sequence[Path]) -> list[tuple[frozenset[str], int, int]]:
     file contents of them all.
 
     This process reads each file to take its digest and keeps the digest
-    and size, not the bytes.  One path per distinct digest is compiled in a
+    and size, not the bytes.  One path per distinct digest is parsed in a
     worker, largest file first, so that no core ends on a large file alone.
     The worker reads the file again; one that lost its digest or can no
     longer be read stops the run with IoFailure, so names always come from
@@ -119,9 +119,10 @@ def _scan_trees(roots: Sequence[Path]) -> list[tuple[frozenset[str], int, int]]:
 
 def _path_definitions(item: tuple[bytes, tuple[int, Path]]) -> frozenset[str] | IoFailure | None:
     """Local definition names of the bytes at item's path (None if they do not
-    compile) if they still have its digest, else an IoFailure for the caller
-    to raise in its own order.  The bytes go to compile() undecoded, which
-    reads them as the interpreter reads a module (see syntax's docstring)."""
+    parse) if they still have its digest, else an IoFailure for the caller
+    to raise in its own order.  The bytes go to definition_names undecoded,
+    whose parser reads them as the interpreter reads a module (see syntax's
+    docstring)."""
     from _blake2 import blake2b
 
     key, (_, path) = item

@@ -2,17 +2,19 @@
 
 Structural facts (call sites, with-statements) come from the stdlib ast
 parser, which is the full grammar of the subject language; definition names
-come from the code objects that compiling the text yields.  The
-identifier stream comes from a lexical scanner that skips string literals
-and comments, so it works on unparseable text too; f-string interiors count
-as string content.  Identifiers are Unicode (a letter or underscore, then
-word characters) and hard keywords are dropped from the stream.  Every
-module reads source by Python's rules, spelled here once: a line ends at LF,
-CRLF or CR, and a .py file that must become text (filter's) decodes as
-tokenize decodes it.  lifecycle hands a file's bytes to compile() instead,
-which also decodes by PEP 263 but accepts two files that tokenize refuses:
-a line 1 that is not UTF-8 above a line-2 coding declaration, and CR-only
-line ends before the declaration; filter gives those decode_error.
+come from the symbol table that the parser and scope analysis build, with
+no syntax tree objects or bytecode.  The identifier stream comes from a
+lexical scanner that skips string literals and comments, so it works on
+unparseable text too; f-string interiors count as string content.
+Identifiers are Unicode (a letter or underscore, then word characters) and
+hard keywords are dropped from the stream.  Every module reads source by
+Python's rules, spelled here once: a line ends at LF, CRLF or CR, and a .py
+file that must become text (filter's) decodes as tokenize decodes it.
+lifecycle hands a file's bytes to the symbol table instead, whose parser
+decodes them as compile() does, also by PEP 263, but accepts two files that
+tokenize refuses: a line 1 that is not UTF-8 above a line-2 coding
+declaration, and CR-only line ends before the declaration; filter gives
+those decode_error.
 
 Facts and identifier streams are memoized by text alone in bounded
 per-process caches.  Scoring takes each distinct sample text once per
@@ -37,10 +39,12 @@ import re
 import tokenize
 import warnings
 from collections.abc import Callable, Iterator
-from types import CodeType
-from typing import NamedTuple, TypeVar
+from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
 from .errors import InvalidArgs
+
+if TYPE_CHECKING:
+    from symtable import SymbolTable
 
 _T = TypeVar("_T")
 
@@ -122,16 +126,17 @@ def identifier_tokens(code: str) -> list[str]:
 
 
 def _compiled(build: Callable[[], _T]) -> _T | None:
-    """build()'s result, or None when the subject code that build compiles is invalid.
+    """build()'s result, or None when the subject code that build parses is invalid.
 
-    Compiler warnings about the subject code (SyntaxWarning; before 3.12,
-    DeprecationWarning for invalid escapes) are silenced so that a "-W
-    error" filter cannot turn them into failures and none reach stderr.
-    catch_warnings swaps the process-wide filter list, which is safe only
-    because nothing parses on another thread: filter, lifecycle and score's
-    critical-diff check compile in forked worker processes (_fanout), each
-    with its own filter list.  Both callers compile with dont_inherit=True,
-    so that this module's own __future__ imports do not change what the
+    Parser and compiler warnings about the subject code (SyntaxWarning;
+    before 3.12, DeprecationWarning for invalid escapes) are silenced so
+    that a "-W error" filter cannot turn them into failures and none reach
+    stderr.  catch_warnings swaps the process-wide filter list, which is
+    safe only because nothing parses on another thread: filter, lifecycle
+    and score's critical-diff check parse in forked worker processes
+    (_fanout), each with its own filter list.  compile() is called with
+    dont_inherit=True, and symtable inherits no __future__ flags either, so
+    that this module's own __future__ imports do not change what the
     subject code may contain.
     """
     try:
@@ -139,19 +144,11 @@ def _compiled(build: Callable[[], _T]) -> _T | None:
             warnings.simplefilter("ignore")
             return build()
     # The 3.10+ parser raises a bare MemoryError ("too complex to parse") on
-    # deeply nested input such as "-" * 10000 + "1", and the ast module a
-    # RecursionError on a tree too deep to build or compile.
+    # deeply nested input such as "-" * 10000 + "1", and the ast module, the
+    # symbol table and the compiler a RecursionError on a tree too deep to
+    # build, analyse or compile.
     except (SyntaxError, ValueError, RecursionError, MemoryError):
         return None
-
-
-def _compile(code: str | bytes) -> CodeType | None:
-    # Compiled from the source, so no syntax tree is built.  optimize=0 keeps
-    # the subject's "if __debug__:" blocks under "python -O", whose level
-    # compile() would otherwise inherit.
-    return _compiled(
-        lambda: compile(code, "<subject>", "exec", dont_inherit=True, optimize=0)
-    )
 
 
 def _parse_module(code: str) -> ast.Module | None:
@@ -167,7 +164,13 @@ def _parse_module(code: str) -> ast.Module | None:
 
 def check_syntax(code: str) -> bool:
     """True iff the text compiles as a complete module under the full grammar."""
-    return _compile(code) is not None
+    # Compiled from the source, so no syntax tree is built.  optimize=0 keeps
+    # the subject's "if __debug__:" blocks under "python -O", whose level
+    # compile() would otherwise inherit.
+    compiled = _compiled(
+        lambda: compile(code, "<subject>", "exec", dont_inherit=True, optimize=0)
+    )
+    return compiled is not None
 
 
 class CallSiteInfo(NamedTuple):
@@ -199,62 +202,68 @@ def _callee_name(func: ast.expr) -> str | None:
     return None
 
 
-# co_flags bits that every function body has and a class body lacks
-# (inspect.CO_OPTIMIZED, inspect.CO_NEWLOCALS); inspect itself is not
-# imported, since every command would pay for its import.
-_FUNCTION_FLAGS = 0x1 | 0x2
+# The symbol table kinds of the definitions that count: at module level,
+# functions, classes and 3.12+ "type X = ..." aliases; in a class body, its
+# methods and aliases.  3.13 reports a kind as a StrEnum, which equals and
+# hashes as its string.
+_MODULE_KINDS = frozenset({"function", "class", "type alias"})
+_MEMBER_KINDS = frozenset({"function", "type alias"})
 
-# 3.12+ compiles a generic "def f[T]" or "class C[T]" inside a scope of this
-# name; its child "f" is the definition, while its other children are the
-# lazily evaluated bounds of the type parameters, named "T", "U", ...
-_GENERIC_SCOPE = "<generic parameters of "
+# 3.12+ puts a generic "def f[T]", "class C[T]" or "type X[T] = ..." inside a
+# scope of this kind (3.12's spelling, then 3.13's) and name; the scope's
+# other children are the lazily evaluated bounds of the type parameters,
+# named "T", "U", ...
+_GENERIC_SCOPES = frozenset({"type parameter", "type parameters"})
 
 
-def _definitions(body: CodeType) -> Iterator[CodeType]:
-    """Code objects of the named definitions compiled into one body."""
-    for const in body.co_consts:
-        if not isinstance(const, CodeType):
-            continue
-        name = const.co_name
-        if name.startswith(_GENERIC_SCOPE):
-            inner = name[len(_GENERIC_SCOPE):-1]
+def _named_tables(body: SymbolTable, kinds: frozenset[str]) -> Iterator[SymbolTable]:
+    """The tables of body's named definitions of these kinds."""
+    for table in body.get_children():
+        kind = table.get_type()
+        if kind in _GENERIC_SCOPES:
+            name = table.get_name()
             yield from (
                 child
-                for child in const.co_consts
-                if isinstance(child, CodeType) and child.co_name == inner
+                for child in table.get_children()
+                if child.get_name() == name and child.get_type() in kinds
             )
-        elif not name.startswith("<"):  # not <lambda>, <genexpr>, <listcomp>, ...
-            yield const
+        # A lambda's table is named "lambda", and a comprehension's
+        # ("genexpr", "listcomp", ...) holds its iterator ".0", which no
+        # def's can: "def listcomp()" is a definition.  A table's name is
+        # the unmangled one; body's symbol for a "__private" method is not.
+        elif kind in kinds and table.get_name() != "lambda" and ".0" not in table.get_identifiers():
+            yield table
 
 
 def definition_names(code: str | bytes) -> frozenset[str] | None:
     """Local names of the definitions in a module's source; None when it
-    does not compile.  Bytes are decoded by the compiler itself (PEP 263).
+    does not parse or its scopes are invalid.  Bytes are decoded by the
+    parser itself (PEP 263), as compile() decodes them.
 
     Counted are the functions and classes defined in the module body and
     the functions defined in each such class body, as "Class.method",
     including those under if/elif/else, try/except/else/finally, with, for,
-    while and match blocks, since each compiles into its enclosing body.
+    while and match blocks, and under a constant-false "if False:" branch.
     Nested classes, lambdas and comprehensions are not counted.  On 3.12+ a
-    generic "def f[T]" counts as "f" (not "T"), "type X = ..." counts as
-    the definition "X", and a definition that the compiler drops as
-    unreachable (under "if False:") is not counted.  The source is compiled
-    once and no syntax tree is built.
+    generic "def f[T]" counts as "f" (not "T"), and "type X = ..." counts as
+    the definition "X".  The names come from the symbol table, which the
+    parser and scope analysis build without Python tree objects or bytecode;
+    so a text that only the bytecode compiler rejects, such as one with a
+    module-level return or a misplaced __future__ import, has its names.
     """
-    module = _compile(code)
+    import symtable  # ~0.6 ms that only lifecycle, which calls this, pays
+
+    module = _compiled(lambda: symtable.symtable(code, "<subject>", "exec"))
     if module is None:
         return None
     names: set[str] = set()
-    for definition in _definitions(module):
-        names.add(definition.co_name)
-        if definition.co_flags & _FUNCTION_FLAGS:
-            continue
-        # a class body: its functions are its methods
-        names.update(
-            f"{definition.co_name}.{member.co_name}"
-            for member in _definitions(definition)
-            if member.co_flags & _FUNCTION_FLAGS
-        )
+    for definition in _named_tables(module, _MODULE_KINDS):
+        names.add(definition.get_name())
+        if definition.get_type() == "class":
+            names.update(
+                f"{definition.get_name()}.{member.get_name()}"
+                for member in _named_tables(definition, _MEMBER_KINDS)
+            )
     return frozenset(names)
 
 

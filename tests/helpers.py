@@ -67,8 +67,9 @@ def _node_name(node) -> str:
 def reference_definition_names(code: str):
     """definition_names by a syntax-tree walk: parse, compile the tree, and
     collect defs and classes from the module body and defs from class bodies,
-    descending into compound statements.  Unlike the compiler it keeps dead
-    "if False:" branches."""
+    descending into compound statements, dead "if False:" branches included.
+    Unlike definition_names it gives None for a text that only the bytecode
+    compiler rejects, such as one with a module-level return."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -257,8 +258,10 @@ def write_score_inputs(directory: Path, count: int = 40, bad_references=()) -> t
 def write_version_tree(root: Path, package: Path) -> Path:
     """A lifecycle input under root: versions 1.0 and 2.0 of the package
     directory, each beside a file with CRLF line ends, one with a byte-order
-    mark, one that does not parse and one in Latin-1; 2.0 adds a module to
-    the package and drops its errors.py."""
+    mark, one that does not parse, one in Latin-1, one whose only definition
+    sits under "if False:" and one whose def a module-level return follows,
+    which only the bytecode compiler rejects; 2.0 adds a module to the
+    package and drops its errors.py."""
     for version in ("1.0", "2.0"):
         base = root / version
         shutil.copytree(package, base / package.name, ignore=shutil.ignore_patterns("__pycache__"))
@@ -266,6 +269,8 @@ def write_version_tree(root: Path, package: Path) -> Path:
         (base / "bom.py").write_bytes(b"\xef\xbb\xbfdef g(): ...\n")
         (base / "broken.py").write_bytes(b"def broken(:\n")
         (base / "latin.py").write_bytes(b"def caf\xe9(): ...\n")
+        (base / "dead.py").write_bytes(b"if False:\n    def dead(): ...\n")
+        (base / "early.py").write_bytes(b"def early(): ...\nreturn\n")
     (root / "2.0" / package.name / "added.py").write_bytes(b"def added(): ...\n")
     (root / "2.0" / package.name / "errors.py").unlink()
     return root

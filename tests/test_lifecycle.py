@@ -259,6 +259,22 @@ class TestCollectSurfaces:
         with raises_exactly(EvalError, same):
             collect_surfaces(tmp_path)
 
+    def test_file_that_only_the_bytecode_compiler_rejects_is_parsed(self, tmp_path):
+        # names come from the symbol table, which builds no bytecode: a
+        # module-level return or a late __future__ import costs no file its
+        # names, and a def under "if False:" counts on every Python
+        files = {
+            "a.py": "def f(): ...\n",
+            "early.py": "def e(): ...\nreturn\n",
+            "future.py": "def g(): ...\nfrom __future__ import annotations\n",
+            "dead.py": "if False:\n    def d(): ...\n",
+        }
+        for version in ("1.0", "2.0"):
+            self._make_version(tmp_path, version, files)
+        for surface in collect_surfaces(tmp_path):
+            assert surface.apis == frozenset({"pkg.a.f", "pkg.early.e", "pkg.future.g", "pkg.dead.d"})
+            assert (surface.parsed_files, surface.skipped_files) == (4, 0)
+
     def test_too_deeply_nested_file_is_skipped(self, tmp_path):
         # the parser raises MemoryError on this file; it is skipped, not fatal
         deep = "def h(): ...\n" + "-" * 10000 + "1\n"
@@ -323,8 +339,9 @@ class TestParseOncePerContent:
             assert (surface.parsed_files, surface.skipped_files) == (2, 0)
 
     def test_files_are_read_in_their_declared_codec(self, tmp_path):
-        # the bytes go to compile(), which also reads the two files that
-        # tokenize refuses (filter gives them decode_error)
+        # the bytes go to the symbol table's parser, which decodes them as
+        # compile() does and so also reads the two files that tokenize
+        # refuses (filter gives them decode_error)
         files = {**DECLARED_CODECS, **REFUSED_DECLARATIONS, **COMPILER_ONLY_DECLARATIONS}
         write_versions(tmp_path, {"1.0": files, "2.0": files})
         for surface in collect_surfaces(tmp_path):

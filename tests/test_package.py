@@ -82,10 +82,11 @@ def test_only_syntax_spells_how_source_is_read():
 def test_cold_start_loads_no_dataclasses_or_inspect():
     # Every run of the CLI pays for its import.  The records are named
     # tuples, so no module generates dataclass methods or loads inspect,
-    # which dataclasses imports along with dis.
+    # which dataclasses imports along with dis.  symtable is imported by
+    # lifecycle alone, when it reads definitions.
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import vceval.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'dis'} & sys.modules.keys()))"
+        "print(sorted({'dataclasses', 'inspect', 'dis', 'symtable'} & sys.modules.keys()))"
     )
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n")

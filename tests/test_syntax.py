@@ -250,20 +250,27 @@ if sys.version_info >= (3, 12):
     _WALK_CORPUS["type-params"] = "def f[T: bound()](x: T = dflt()) -> T:\n    return g(x)\n"
     _WALK_CORPUS["type-alias"] = "type Pair[K] = dict[K, make(k=1)]\n"
 
-# A seeded few of the running interpreter's top-level stdlib modules
+# Seeded samples of the running interpreter's top-level stdlib modules
 _STDLIB_WALK_SEED = 2024
 _STDLIB_WALK_FILES = 6
-_STDLIB_WALK_MAX_LINES = 1500
+_STDLIB_NAMES_SEED = 2025
+_STDLIB_NAMES_FILES = 27
+_STDLIB_MAX_LINES = 1500
+# modules that the names sample always holds, whatever their length: on
+# 3.10-3.13, calendar has class-level comprehensions and lambdas, _strptime
+# private methods, whose symbols are mangled, and on 3.12+ typing generic
+# defs and classes, each in a type-parameter scope
+_STDLIB_NAMES_ALWAYS = ("calendar.py", "_strptime.py", "typing.py")
 
 
-def _stdlib_walk_sample() -> list[Path]:
+def _stdlib_sample(seed: int, count: int, always: tuple[str, ...] = ()) -> list[Path]:
     stdlib = Path(sysconfig.get_paths()["stdlib"])
     files = [
         path
         for path in sorted(stdlib.glob("*.py"))
-        if path.read_bytes().count(b"\n") < _STDLIB_WALK_MAX_LINES
+        if path.name not in always and path.read_bytes().count(b"\n") < _STDLIB_MAX_LINES
     ]
-    return random.Random(_STDLIB_WALK_SEED).sample(files, _STDLIB_WALK_FILES)
+    return [stdlib / name for name in always] + random.Random(seed).sample(files, count)
 
 
 class TestFactWalk:
@@ -278,7 +285,9 @@ class TestFactWalk:
         assert facts.call_sites
         assert facts == _walked_facts(code)
 
-    @pytest.mark.parametrize("path", _stdlib_walk_sample(), ids=lambda path: path.name)
+    @pytest.mark.parametrize(
+        "path", _stdlib_sample(_STDLIB_WALK_SEED, _STDLIB_WALK_FILES), ids=lambda path: path.name
+    )
     def test_stdlib_modules_equal_ast_walk(self, path):
         code = path.read_text(encoding="utf-8")
         facts = extract_facts(code)
@@ -316,6 +325,19 @@ _COMPOUND_CASES = [
     pytest.param(_TRY_STAR, marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="3.11+")),
 ]
 _COMPOUND_IDS = [*_COMPOUND, "try-star"]
+
+
+# Module tails that parse and pass scope analysis, but that the bytecode
+# compiler rejects
+_COMPILER_ONLY_ERRORS = {
+    "return": "return 1\n",
+    "yield": "yield 1\n",
+    "await": "await x\n",
+    "break": "break\n",
+    "late-future": "from __future__ import annotations\n",
+    "repeated-keyword": "f(a=1, a=2)\n",
+    "lone-starred": "*a = b\n",
+}
 
 
 def _fill(template: str, block: str) -> str:
@@ -360,10 +382,39 @@ class TestDefinitionNames:
             "C", "C.fetch", "outer",
         }
 
+    def test_defs_named_like_comprehensions_count(self):
+        # their tables share a comprehension's name; a comprehension bound
+        # to that name is still no definition
+        code = (
+            "def listcomp(): ...\n"
+            "genexpr = (i for i in items)\n"
+            "class C:\n"
+            "    def setcomp(self): ...\n"
+            "    dictcomp = {i: i for i in items}\n"
+        )
+        assert definition_names(code) == reference_definition_names(code) == {
+            "listcomp", "C", "C.setcomp",
+        }
+
+    def test_private_methods_count_by_their_unmangled_names(self):
+        code = "class C:\n    def __m(self): ...\n    def __init__(self): ...\n"
+        expected = {"C", "C.__m", "C.__init__"}
+        if sys.version_info >= (3, 12):
+            code += "    def __g[T](self, t: T): ...\n"
+            expected.add("C.__g")
+        assert definition_names(code) == reference_definition_names(code) == expected
+
     def test_invalid_text_has_no_names(self):
+        # a parse error, and a scope error that the symbol table raises
         assert definition_names("def f(:\n") is None
-        assert definition_names("return 1\n") is None
+        assert definition_names("nonlocal x\n") is None
         assert definition_names("") == frozenset()
+
+    @pytest.mark.parametrize("tail", _COMPILER_ONLY_ERRORS.values(), ids=_COMPILER_ONLY_ERRORS)
+    def test_text_that_only_the_bytecode_compiler_rejects_has_names(self, tail):
+        code = "def f(): ...\nclass C:\n    def m(self): ...\n" + tail
+        assert not check_syntax(code)
+        assert definition_names(code) == {"f", "C", "C.m"}
 
     @pytest.mark.skipif(sys.version_info < (3, 12), reason="PEP 695 syntax is 3.12+")
     def test_generic_definitions_and_type_aliases(self):
@@ -377,13 +428,11 @@ class TestDefinitionNames:
         expected = {"f", "C", "C.m", "A", "C.A"}
         assert definition_names(code) == reference_definition_names(code) == expected
 
-    def test_dead_branch_counts_only_before_3_12(self):
-        # from 3.12 the compiler emits no code for a constant-false branch
+    def test_dead_branch_counts_on_every_version(self):
+        # the symbol table keeps the constant-false branch that 3.12+'s
+        # compiler emits no code for
         code = "if False:\n    def dead(): ...\ndef live(): ...\n"
-        if sys.version_info >= (3, 12):
-            assert definition_names(code) == {"live"}
-        else:
-            assert definition_names(code) == {"live", "dead"}
+        assert definition_names(code) == reference_definition_names(code) == {"live", "dead"}
 
     def test_debug_block_counts_under_python_O(self):
         # python -O would drop the block if compile() inherited its level
@@ -397,6 +446,17 @@ class TestDefinitionNames:
             capture_output=True, text=True, env=env, check=True, timeout=60,
         )
         assert result.stdout == "['f']\n"
+
+    @pytest.mark.parametrize(
+        "path",
+        _stdlib_sample(_STDLIB_NAMES_SEED, _STDLIB_NAMES_FILES, _STDLIB_NAMES_ALWAYS),
+        ids=lambda path: path.name,
+    )
+    def test_stdlib_modules_equal_syntax_tree_walk(self, path):
+        code = path.read_text(encoding="utf-8")
+        names = definition_names(code)
+        assert names is not None
+        assert names == reference_definition_names(code)
 
     def test_agrees_with_a_syntax_tree_walk_on_this_repository(self):
         root = Path(__file__).resolve().parents[1]
