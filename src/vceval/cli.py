@@ -8,17 +8,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
-import json
 import logging
 import os
 import sys
 import textwrap
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
 from . import harness
-from .core_model import Granularity, MetaInstance, version_sort_key
+from .core_model import Granularity, LifecycleTag, MetaInstance, version_sort_key
 from .datagen import build_migration_pair, filter_tree, mask_instance
 from .errors import EvalError, InvalidArgs, IoFailure, SchemaViolation
 from .harness import (
@@ -28,7 +27,7 @@ from .harness import (
     ingest,
     run_scoring,
 )
-from .lifecycle import collect_surfaces, tag_lifecycle
+from .lifecycle import LifecycleRecord, collect_surfaces, tag_lifecycle
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -157,26 +156,42 @@ def lifecycle(versions_root, out_path) -> None:
         raise InvalidArgs("need at least two usable version trees under --versions-root")
     records = tag_lifecycle(surfaces)
     versions = [s.version.raw for s in surfaces]
-    payload = {
-        "versions": versions,
-        "records": [
-            {
-                "api": record.api,
-                "start_index": record.start_index,
-                "end_index": record.end_index,
-                "first_version": versions[record.start_index],
-                "removed_in_version": (
-                    None if record.end_index is None else versions[record.end_index]
-                ),
-                "tags": {v: tag.value for v, tag in record.per_version_tag.items()},
-            }
-            for record in records
-        ],
-    }
-    # streamed: the encoded text is never held whole
-    encoded = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    harness.write_text(out_path, itertools.chain(encoded, ("\n",)))
+    harness.write_text(out_path, _lifecycle_json(versions, records))
     print(f"tagged {len(records)} lifecycle record(s) -> {out_path}", file=sys.stderr)
+
+
+def _lifecycle_json(versions: list[str], records: list[LifecycleRecord]) -> Iterator[str]:
+    """The lifecycle report, one chunk per record: the text of
+    json.dumps(payload, indent=2, sort_keys=True) + "\n", with strings
+    escaped by the C escaper that json.dumps uses, where payload is
+    {"versions": versions, "records": [{"api": ..., "start_index": ...,
+    "end_index": ..., "first_version": ..., "removed_in_version": ...,
+    "tags": {version: tag}}, ...]}; end_index and removed_in_version are
+    null for a run still open at the last version."""
+    quoted = [encode_basestring_ascii(version) for version in versions]
+    by_version = dict(zip(versions, quoted))
+    tag_text = {tag: encode_basestring_ascii(tag.value) for tag in LifecycleTag}
+    yield '{\n  "records": ['
+    separator = "\n"
+    for record in records:
+        end = record.end_index
+        tags = ",\n".join(
+            f"        {by_version[version]}: {tag_text[tag]}"
+            for version, tag in sorted(record.per_version_tag.items())
+        )
+        yield (
+            f"{separator}    {{\n"
+            f'      "api": {encode_basestring_ascii(record.api)},\n'
+            f'      "end_index": {"null" if end is None else end},\n'
+            f'      "first_version": {quoted[record.start_index]},\n'
+            f'      "removed_in_version": {"null" if end is None else quoted[end]},\n'
+            f'      "start_index": {record.start_index},\n'
+            f'      "tags": {{\n{tags}\n      }}\n'
+            "    }"
+        )
+        separator = ",\n"
+    yield ("\n  ]" if records else "]") + ',\n  "versions": [\n'
+    yield ",\n".join(f"    {text}" for text in quoted) + "\n  ]\n}\n"
 
 
 @_command(

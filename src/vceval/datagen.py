@@ -24,6 +24,7 @@ from .syntax import (
     decode_source,
     identifier_spans,
     line_offsets,
+    python_files,
     universal_newlines,
 )
 
@@ -217,7 +218,8 @@ def filter_corpus_file(content: str) -> FilterVerdict:
 
 
 def filter_tree(root: str | Path) -> list[tuple[str, FilterVerdict]]:
-    """Judge every .py file under root; paths are root-relative POSIX strings.
+    """Judge every .py file under root, as syntax.python_files lists them;
+    paths are root-relative POSIX strings.
 
     Each file's text is what syntax.decode_source reads from its bytes; a
     file that cannot be read or decoded is rejected with the decode_error
@@ -228,9 +230,9 @@ def filter_tree(root: str | Path) -> list[tuple[str, FilterVerdict]]:
         raise IoFailure(f"not a readable directory: {base}")
     from ._fanout import fan_out  # see its module docstring
 
-    paths = [path for path in sorted(base.rglob("*.py")) if path.is_file()]
-    verdicts = fan_out(_filter_path, paths)
-    return [(path.relative_to(base).as_posix(), verdict) for path, verdict in zip(paths, verdicts)]
+    files = list(python_files(base))
+    verdicts = fan_out(_filter_path, [Path(entry.path) for entry, _ in files])
+    return [("/".join(parts), verdict) for (_, parts), verdict in zip(files, verdicts)]
 
 
 def _filter_path(path: Path) -> FilterVerdict:

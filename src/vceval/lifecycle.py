@@ -3,15 +3,17 @@ trees, and addition/deprecation/general tagging over presence runs."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
 from .core_model import LifecycleTag, VersionId, parse_version, version_sort_key
 from .errors import EvalError, InvalidArgs, IoFailure, NoNumericComponent
-from .syntax import definition_names
+from .syntax import definition_names, python_files
 
 log = logging.getLogger(__name__)
 
@@ -43,12 +45,14 @@ def scan_api_definitions(tree_root: str | Path) -> tuple[frozenset[str], int, in
     """Collect public qualified definition names from every .py file under
     tree_root; returns (names, parsed_files, skipped_files).
 
-    Files that cannot be decoded or parsed are skipped and counted.  Names
-    whose terminal segment starts with an underscore are excluded; a file
-    pkg/a.py defining f contributes "pkg.a.f", and __init__.py maps to its
-    package.  Each distinct file content is parsed once, on every usable
-    core; collect_surfaces scans the trees of all its versions in one such
-    pass (see _scan_trees).
+    Files that cannot be read, decoded or parsed are skipped and counted.
+    Names whose terminal segment starts with an underscore are excluded; a
+    file pkg/a.py defining f contributes "pkg.a.f", and __init__.py maps to
+    its package.  The module path is the file's path below tree_root, so a
+    relative tree_root such as "." names its modules as an absolute one
+    does.  Each distinct file content is parsed once, on every usable core;
+    collect_surfaces scans the trees of all its versions in one such pass
+    (see _scan_trees).
     """
     root = Path(tree_root)
     if not root.is_dir():
@@ -60,12 +64,15 @@ def _scan_trees(roots: Sequence[Path]) -> list[tuple[frozenset[str], int, int]]:
     """scan_api_definitions of each root, in one fan_out over the distinct
     file contents of them all.
 
-    This process reads each file to take its digest and keeps the digest
-    and size, not the bytes.  One path per distinct digest is parsed in a
-    worker, largest file first, so that no core ends on a large file alone.
-    The worker reads the file again; one that lost its digest or can no
-    longer be read stops the run with IoFailure, so names always come from
-    the digested bytes."""
+    The walk (syntax.python_files) gives every file's size.  A file whose
+    size no other file has can have no twin: it is queued under its path
+    and read once, by its worker, and one whose read fails is skipped.
+    This process reads and digests only the files that share a size, and
+    keeps the digest and size, not the bytes; one path per distinct digest
+    is queued, and its worker reads the file again.  A size twin that lost
+    its digest or can no longer be read stops the run with IoFailure, so
+    its names always come from the digested bytes.  Files are parsed
+    largest first, so that no core ends on a large file alone."""
     # hashlib.blake2b is _blake2.blake2b on CPython 3.10-3.13, but importing
     # it through hashlib also loads OpenSSL's _hashlib: ~3 ms and ~4 MB of
     # resident memory.  Imported here, so that no other command loads it.
@@ -73,31 +80,48 @@ def _scan_trees(roots: Sequence[Path]) -> list[tuple[frozenset[str], int, int]]:
 
     from ._fanout import fan_out  # see its module docstring
 
-    trees: list[list[tuple[Path, bytes | None]]] = []  # None: a file not read
-    distinct: dict[bytes, tuple[int, Path]] = {}  # digest -> (size, first path)
+    listed = []  # per root: (module, path, size) of each file; size None: no stat
+    sizes: Counter[int | None] = Counter()
     for root in roots:
         files = []
-        for path in sorted(root.rglob("*.py")):
-            if not path.is_file():
-                continue
+        for entry, parts in python_files(root):
             try:
-                data = path.read_bytes()
+                size = entry.stat().st_size
             except OSError:
-                files.append((path, None))
-                continue
-            key = blake2b(data).digest()
-            distinct.setdefault(key, (len(data), path))
-            files.append((path, key))
-        trees.append(files)
+                size = None
+            sizes[size] += 1
+            files.append((_module_name(parts), Path(entry.path), size))
+        listed.append(files)
+
+    # key -> (size, digest, path): a size twin's key is its digest, queued
+    # with its first path; a unique-size file's key is its path, queued with
+    # no digest.  A file that could not be stat'ed or read has the key None
+    # and is skipped.
+    queue: dict[bytes | Path, tuple[int, bytes | None, Path]] = {}
+    trees = []
+    for files in listed:
+        keyed: list[tuple[str, bytes | Path | None]] = []
+        for module, path, size in files:
+            key: bytes | Path | None = None
+            if size is not None and sizes[size] == 1:
+                key = path
+                queue[key] = (size, None, path)
+            elif size is not None:
+                with contextlib.suppress(OSError):
+                    data = path.read_bytes()
+                    key = blake2b(data).digest()
+                    queue.setdefault(key, (len(data), key, path))
+            keyed.append((module, key))
+        trees.append(keyed)
     # sorted is stable: files of one size stay in first-seen order
-    order = sorted(distinct.items(), key=lambda item: -item[1][0])
-    local_names = dict(zip((key for key, _ in order), fan_out(_path_definitions, order)))
+    order = sorted(queue, key=lambda key: -queue[key][0])
+    local_names = dict(zip(order, fan_out(_path_definitions, [queue[key] for key in order])))
 
     scans = []
-    for root, files in zip(roots, trees):
+    for keyed in trees:
         names: set[str] = set()
         parsed = skipped = 0
-        for path, key in files:
+        for module, key in keyed:
             local = local_names.get(key)
             if isinstance(local, IoFailure):
                 raise local
@@ -105,34 +129,44 @@ def _scan_trees(roots: Sequence[Path]) -> list[tuple[frozenset[str], int, int]]:
                 skipped += 1
                 continue
             parsed += 1
-            parts = list(path.relative_to(root).with_suffix("").parts)
-            if parts[-1] == "__init__":
-                parts.pop()
-            module = ".".join(parts)
-            for name in local:
-                qualified = f"{module}.{name}" if module else name
-                if not qualified.rsplit(".", 1)[-1].startswith("_"):
-                    names.add(qualified)
+            names.update(map(f"{module}.".__add__, local) if module else local)
         scans.append((frozenset(names), parsed, skipped))
     return scans
 
 
-def _path_definitions(item: tuple[bytes, tuple[int, Path]]) -> frozenset[str] | IoFailure | None:
-    """Local definition names of the bytes at item's path (None if they do not
-    parse) if they still have its digest, else an IoFailure for the caller
-    to raise in its own order.  The bytes go to definition_names undecoded,
-    whose parser reads them as the interpreter reads a module (see syntax's
-    docstring)."""
+def _module_name(parts: tuple[str, ...]) -> str:
+    """The dotted module of the .py file at parts below a tree's root:
+    pkg/a.py is "pkg.a", pkg/__init__.py "pkg", a root __init__.py ""."""
+    *package, name = parts
+    stem = name.removesuffix(".py") or name  # ".py" is its own stem, as for pathlib
+    if stem != "__init__":
+        package.append(stem)
+    return ".".join(package)
+
+
+def _path_definitions(
+    item: tuple[int, bytes | None, Path],
+) -> frozenset[str] | IoFailure | None:
+    """The public local definition names (no terminal segment starting with
+    an underscore) of the bytes at item's path; None if they do not parse.
+    A unique-size file (no digest) that cannot be read is None too.  A size
+    twin must still have its digest: if not, or if it cannot be read, an
+    IoFailure for the caller to raise in its own order.  The bytes go to
+    definition_names undecoded, whose parser reads them as the interpreter
+    reads a module (see syntax's docstring)."""
     from _blake2 import blake2b
 
-    key, (_, path) = item
+    _, key, path = item
     try:
         data = path.read_bytes()
     except OSError as exc:
-        return IoFailure(f"unreadable file {path}: {exc}")
-    if blake2b(data).digest() != key:
+        return None if key is None else IoFailure(f"unreadable file {path}: {exc}")
+    if key is not None and blake2b(data).digest() != key:
         return IoFailure(f"file changed during the run: {path}")
-    return definition_names(data)
+    local = definition_names(data)
+    if local is None:
+        return None
+    return frozenset(name for name in local if not name.rpartition(".")[2].startswith("_"))
 
 
 def extract_surface(version: VersionId, tree_root: str | Path) -> VersionSurface:
@@ -190,8 +224,8 @@ def collect_surfaces(versions_root: str | Path) -> list[VersionSurface]:
     directories that name the same version, such as 1.0 and 1.0.0, raise
     EvalError before any tree is scanned.  The trees of all versions
     are scanned in one pass: each distinct file content is parsed once, on
-    every usable core, and a file that changes during the run stops it with
-    IoFailure (see _scan_trees).
+    every usable core, and a file that shares its size with another and
+    changes during the run stops it with IoFailure (see _scan_trees).
     """
     root = Path(versions_root)
     if not root.is_dir():

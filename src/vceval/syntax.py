@@ -14,7 +14,7 @@ lifecycle hands a file's bytes to the symbol table instead, whose parser
 decodes them as compile() does, also by PEP 263, but accepts two files that
 tokenize refuses: a line 1 that is not UTF-8 above a line-2 coding
 declaration, and CR-only line ends before the declaration; filter gives
-those decode_error.
+those decode_error.  Both find a tree's .py files with python_files.
 
 Facts and identifier streams are memoized by text alone in bounded
 per-process caches.  Scoring takes each distinct sample text once per
@@ -33,6 +33,7 @@ import ast
 import functools
 import io
 import keyword
+import os
 import re
 # loaded already on 3.10-3.12, where logging imports traceback, which
 # imports linecache, which imports it; 3.13's linecache does not
@@ -77,6 +78,39 @@ def decode_source(data: bytes) -> str | None:
         return universal_newlines(data.decode(codec))
     except (SyntaxError, LookupError, ValueError):  # LookupError: not a text codec
         return None
+
+
+_SourceFile = tuple[os.DirEntry[str], tuple[str, ...]]  # python_files' (entry, parts)
+
+
+def python_files(root: str | os.PathLike[str]) -> Iterator[_SourceFile]:
+    """(entry, parts) of each .py file under root, where entry is its
+    os.DirEntry and parts its path relative to root: the files of
+    [p for p in sorted(Path(root).rglob("*.py")) if p.is_file()], in that
+    order, from one os.scandir listing per directory.
+
+    As rglob does, the walk keeps a symlink to a file but does not descend
+    into a symlinked directory, and skips a directory it cannot list; a
+    directory named x.py is descended into, not listed.  Each directory's
+    entries go in name order, a subdirectory's files at its name's place,
+    which is the order of the paths' parts that sorted(paths) compares.
+    """
+    return _python_files(root, ())
+
+
+def _python_files(
+    directory: str | os.PathLike[str], parts: tuple[str, ...]
+) -> Iterator[_SourceFile]:
+    try:
+        with os.scandir(directory) as listing:
+            entries = sorted(listing, key=lambda entry: entry.name)
+    except OSError:
+        return
+    for entry in entries:
+        if entry.is_dir(follow_symlinks=False):
+            yield from _python_files(entry.path, (*parts, entry.name))
+        elif entry.name.endswith(".py") and entry.is_file():
+            yield entry, (*parts, entry.name)
 
 
 _STRING_PREFIX = r"[rRbBuUfF]{0,3}"

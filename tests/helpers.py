@@ -259,9 +259,13 @@ def write_version_tree(root: Path, package: Path) -> Path:
     """A lifecycle input under root: versions 1.0 and 2.0 of the package
     directory, each beside a file with CRLF line ends, one with a byte-order
     mark, one that does not parse, one in Latin-1, one whose only definition
-    sits under "if False:" and one whose def a module-level return follows,
-    which only the bytecode compiler rejects; 2.0 adds a module to the
-    package and drops its errors.py."""
+    sits under "if False:", one whose def a module-level return follows,
+    which only the bytecode compiler rejects, and a twin.py of one size in
+    both versions but other bytes; 2.0 adds a module to the package, drops
+    its errors.py and adds lone.py, whose size no other file of the tree
+    has.  So lifecycle reads files on both of its paths: size twins, which
+    it digests before it parses them, and files of a unique size, which
+    only their worker reads."""
     for version in ("1.0", "2.0"):
         base = root / version
         shutil.copytree(package, base / package.name, ignore=shutil.ignore_patterns("__pycache__"))
@@ -271,8 +275,14 @@ def write_version_tree(root: Path, package: Path) -> Path:
         (base / "latin.py").write_bytes(b"def caf\xe9(): ...\n")
         (base / "dead.py").write_bytes(b"if False:\n    def dead(): ...\n")
         (base / "early.py").write_bytes(b"def early(): ...\nreturn\n")
+        (base / "twin.py").write_bytes(f"def twin{version[0]}(): ...\n".encode())
     (root / "2.0" / package.name / "added.py").write_bytes(b"def added(): ...\n")
     (root / "2.0" / package.name / "errors.py").unlink()
+    sizes = {path.stat().st_size for path in root.rglob("*.py")}
+    lone = b"def lone(): ...\n#"
+    while len(lone) + 1 in sizes:
+        lone += b"#"
+    (root / "2.0" / "lone.py").write_bytes(lone + b"\n")
     return root
 
 

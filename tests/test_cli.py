@@ -802,6 +802,27 @@ class TestLifecycleCommand:
         # the directory is passed over, not counted as a skipped file
         assert [(s.parsed_files, s.skipped_files) for s in collect_surfaces(root)] == [(1, 0)] * 2
 
+    def test_relative_versions_root_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "versions"
+        for version, body in {"1.0": "def keep(): ...\n", "2.0": "def added(): ...\n"}.items():
+            for relative in ("pkg/mod.py", "pkg/__init__.py", "top.py"):
+                path = root / version / relative
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(body)
+        absolute, relative = tmp_path / "absolute.json", tmp_path / "relative.json"
+        assert main(["lifecycle", "--versions-root", str(root), "--out", str(absolute)]) == 0
+        monkeypatch.chdir(root)
+        assert main(["lifecycle", "--versions-root", ".", "--out", str(relative)]) == 0
+        assert relative.read_bytes() == absolute.read_bytes()
+        assert capsys.readouterr().err == (
+            f"tagged 6 lifecycle record(s) -> {absolute}\n"
+            f"tagged 6 lifecycle record(s) -> {relative}\n"
+        )
+        records = json.loads(absolute.read_text())["records"]
+        assert [record["api"] for record in records] == [
+            "pkg.added", "pkg.keep", "pkg.mod.added", "pkg.mod.keep", "top.added", "top.keep"
+        ]
+
     def test_single_version_exits_3(self, tmp_path):
         root = tmp_path / "versions"
         directory = root / "1.0"

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import vceval._fanout
 import vceval.lifecycle
-from vceval.cli import main
+from vceval.cli import _lifecycle_json, main
 from vceval.core_model import LifecycleTag, parse_version
 from vceval.errors import EvalError, InvalidArgs, IoFailure
 from vceval.lifecycle import (
@@ -124,6 +125,18 @@ class TestExtractApiDefinitions:
         with pytest.raises(IoFailure):
             scan_api_definitions(tmp_path / "nope")
 
+    def test_relative_root_names_modules_as_an_absolute_one(self, tmp_path, monkeypatch):
+        for relative in ("pkg/a.py", "pkg/__init__.py", "top.py", "a.b/c.py"):
+            path = tmp_path / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("def f(): ...\n")
+        expected = frozenset({"pkg.a.f", "pkg.f", "top.f", "a.b.c.f"})
+        assert scan_api_definitions(tmp_path) == (expected, 4, 0)
+        monkeypatch.chdir(tmp_path)
+        assert scan_api_definitions(".") == (expected, 4, 0)
+        monkeypatch.chdir(tmp_path / "pkg")
+        assert scan_api_definitions("..") == (expected, 4, 0)
+
 
 VERSIONS4 = ["1.0", "1.1", "2.0", "2.1"]
 
@@ -216,6 +229,63 @@ class TestTagLifecycle:
                 if tag is ADD:
                     assert idx > 0
                     assert not presence[record.api][idx - 1]
+
+
+def payload_of(surfaces, records) -> dict:
+    """The lifecycle report's JSON value, as the command built it before it
+    wrote its records with json.encoder.encode_basestring_ascii itself."""
+    versions = [s.version.raw for s in surfaces]
+    return {
+        "versions": versions,
+        "records": [
+            {
+                "api": record.api,
+                "start_index": record.start_index,
+                "end_index": record.end_index,
+                "first_version": versions[record.start_index],
+                "removed_in_version": (
+                    None if record.end_index is None else versions[record.end_index]
+                ),
+                "tags": {v: tag.value for v, tag in record.per_version_tag.items()},
+            }
+            for record in records
+        ],
+    }
+
+
+# ascending versions whose strings sort otherwise: "3.10" < "3.9"
+VERSION_POOL = ["1.0", "2.0", "3.9", "3.10", "3.11", "10.0", "10.0.1"]
+# non-ASCII letters, one outside the BMP, and characters that JSON escapes
+API_CHARACTERS = "aZ_.\u00e9\u043c\u4e16\U0001f600\"\\\n\x7f"
+
+
+class TestReportEncoding:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sets(st.sampled_from(range(len(VERSION_POOL))), min_size=2).flatmap(
+            lambda picked: st.tuples(
+                st.just([VERSION_POOL[i] for i in sorted(picked)]),
+                st.dictionaries(
+                    st.text(st.sampled_from(API_CHARACTERS), min_size=1),
+                    st.lists(st.booleans(), min_size=len(picked), max_size=len(picked)),
+                    max_size=6,
+                ),
+            )
+        )
+    )
+    def test_written_as_json_dumps_writes_it(self, case):
+        versions, presence = case
+        surfaces = surfaces_from_presence(presence, versions)
+        records = tag_lifecycle(surfaces)
+        text = "".join(_lifecycle_json(versions, records))
+        assert text == json.dumps(payload_of(surfaces, records), indent=2, sort_keys=True) + "\n"
+
+    def test_no_records(self):
+        surfaces = surfaces_from_presence({"gone": [False, False]}, ["3.9", "3.10"])
+        assert tag_lifecycle(surfaces) == []
+        text = "".join(_lifecycle_json(["3.9", "3.10"], []))
+        assert text == '{\n  "records": [],\n  "versions": [\n    "3.9",\n    "3.10"\n  ]\n}\n'
+        assert text == json.dumps(payload_of(surfaces, []), indent=2, sort_keys=True) + "\n"
 
 
 class TestCollectSurfaces:
@@ -477,3 +547,64 @@ class TestOnePass:
         assert main(["lifecycle", "--versions-root", str(tmp_path), "--out", str(out)]) == 2
         assert str(target) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_the_caller_reads_only_the_size_twins_before_the_fork(self, tmp_path, monkeypatch):
+        # a.py and b.py share a size in every version; c.py's size is its own
+        write_versions(tmp_path, self.VERSIONS)
+        unique = tmp_path / "3.0" / "pkg" / "c.py"
+        unique.write_bytes(b"def only_here(): ...\n")
+        reads, before_fork = [], []
+        read_bytes = Path.read_bytes
+
+        def recording_read(path):
+            reads.append(path)
+            return read_bytes(path)
+
+        original = vceval._fanout.fan_out
+
+        def recording_fan_out(fn, items):
+            before_fork.extend(reads)
+            return original(fn, items)
+
+        monkeypatch.setattr(Path, "read_bytes", recording_read)
+        monkeypatch.setattr(vceval._fanout, "fan_out", recording_fan_out)
+        # one core: the queue is worked in this process, where reads are seen
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        surfaces = collect_surfaces(tmp_path)
+        twins = [
+            tmp_path / version / "pkg" / name
+            for version in ("1.0", "2.0", "3.0")
+            for name in ("a.py", "b.py")
+        ]
+        assert before_fork == twins
+        # then one read per distinct twin content, and the unique file's only read
+        assert sorted(reads[len(twins):]) == sorted([*twins[:2], twins[3], twins[5], unique])
+        assert surfaces[2].apis == frozenset({"pkg.a.f", "pkg.b.g2", "pkg.c.only_here"})
+        assert [(s.parsed_files, s.skipped_files) for s in surfaces] == [(2, 0), (2, 0), (3, 0)]
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_a_unique_size_file_whose_only_read_fails_is_skipped_and_counted(
+        self, tmp_path, monkeypatch, cores
+    ):
+        write_versions(tmp_path, self.VERSIONS)
+        unique = tmp_path / "2.0" / "pkg" / "c.py"
+        unique.write_bytes(b"def only_here(): ...\n")
+        # reads may happen in forked workers, so each one appends to a file
+        log = tmp_path / "reads.log"
+        read_bytes = Path.read_bytes
+
+        def failing(path):
+            if path == unique:
+                with open(log, "a", encoding="utf-8") as out:
+                    out.write(f"{path}\n")
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        surfaces = collect_surfaces(tmp_path)
+        assert log.read_text(encoding="utf-8") == f"{unique}\n"  # read once, by its worker
+        assert [s.apis for s in surfaces] == [
+            frozenset({"pkg.a.f", f"pkg.b.g{i}"}) for i in range(3)
+        ]
+        assert [(s.parsed_files, s.skipped_files) for s in surfaces] == [(2, 0), (2, 1), (2, 0)]

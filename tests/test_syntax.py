@@ -22,6 +22,7 @@ from vceval.syntax import (
     definition_names,
     extract_facts,
     identifier_tokens,
+    python_files,
 )
 
 from helpers import reference_definition_names
@@ -585,6 +586,64 @@ class TestDecodeSource:
     )
     def test_coding_declarations(self, data, text):
         assert decode_source(data) == text
+
+
+class TestPythonFiles:
+    """python_files lists what sorted(rglob("*.py")) lists, less non-files."""
+
+    def _tree(self, root: Path) -> Path:
+        # a/, a-b.py and a.b/ sort as a-b.py, a.b/, a/ by their strings and
+        # as a/, a-b.py, a.b/ by their parts, which sorted(paths) compares
+        for relative in ("a/x.py", "a-b.py", "a.b/c.py", "a.py", ".hidden.py", "b/deep/d.py",
+                         "b/notes.txt", "b/x.pyc", "dir.py/inner.py", "locked/lost.py"):
+            path = root / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("x = 1\n")
+        (root / "linked").symlink_to(root / "a", target_is_directory=True)
+        (root / "linked.py").symlink_to(root / "b", target_is_directory=True)
+        (root / "b" / "link.py").symlink_to(root / "a-b.py")
+        (root / "b" / "dangling.py").symlink_to(root / "nowhere.py")
+        return root
+
+    def test_lists_what_rglob_lists_in_its_order(self, tmp_path, monkeypatch):
+        root = self._tree(tmp_path / "tree")
+        locked = root / "locked"
+        scandir = os.scandir
+
+        def refusing(path="."):
+            if Path(path) == locked:
+                raise PermissionError(13, "Permission denied", str(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", refusing)
+        # 3.13's rglob lists through a scandir bound when glob is imported,
+        # which the patch does not reach; rglob skips a directory it cannot list
+        expected = [
+            path
+            for path in sorted(root.rglob("*.py"))
+            if path.is_file() and locked not in path.parents
+        ]
+        listed = list(python_files(root))
+        assert [Path(entry.path) for entry, _ in listed] == expected
+        assert [parts for _, parts in listed] == [path.relative_to(root).parts for path in expected]
+        # not in the order of the paths' strings, where a/x.py comes after a.py
+        assert [parts for _, parts in listed] == [
+            (".hidden.py",), ("a", "x.py"), ("a-b.py",), ("a.b", "c.py"), ("a.py",),
+            ("b", "deep", "d.py"), ("b", "link.py"), ("dir.py", "inner.py"),
+        ]
+
+    def test_relative_root(self, tmp_path, monkeypatch):
+        root = self._tree(tmp_path)
+        monkeypatch.chdir(root)
+        assert [Path(entry.path) for entry, _ in python_files(".")] == [
+            path for path in sorted(Path(".").rglob("*.py")) if path.is_file()
+        ]
+        assert [parts for _, parts in python_files(".")] == [
+            parts for _, parts in python_files(root)
+        ]
+
+    def test_missing_root_lists_nothing(self, tmp_path):
+        assert list(python_files(tmp_path / "nope")) == []
 
 
 class TestContainsCoreToken:
