@@ -1,12 +1,11 @@
 """Map a function over items on every core that this process may run on,
 in forked worker processes.  filter compiles its corpus files this way;
-lifecycle parses the distinct file contents of all its versions in one
-call, each worker reading the files that it parses (the caller reads only
-the files that share a size with another, to digest them), so that only
-their public names come back; and score scores its instances and encodes
-their per-instance rows, so that only those rows and the @k values come
-back.  Imported by its callers when they run, so that commands which do
-not use it neither compile nor load it.
+lifecycle parses the files of all its versions in one call, one item per
+file size, each worker reading the files of its items (the caller reads
+none), so that only their public names come back; and score scores its
+instances and encodes their per-instance rows, so that only those rows and
+the @k values come back.  Imported by its callers when they run, so that
+commands which do not use it neither compile nor load it.
 """
 
 from __future__ import annotations

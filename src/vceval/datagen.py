@@ -231,13 +231,13 @@ def filter_tree(root: str | Path) -> list[tuple[str, FilterVerdict]]:
     from ._fanout import fan_out  # see its module docstring
 
     files = list(python_files(base))
-    verdicts = fan_out(_filter_path, [Path(entry.path) for entry, _ in files])
+    verdicts = fan_out(_filter_path, [entry.path for entry, _ in files])
     return [("/".join(parts), verdict) for (_, parts), verdict in zip(files, verdicts)]
 
 
-def _filter_path(path: Path) -> FilterVerdict:
+def _filter_path(path: str) -> FilterVerdict:
     try:
-        content = decode_source(path.read_bytes())
+        content = decode_source(Path(path).read_bytes())
     except OSError:
         content = None
     return FilterVerdict((FILTER_DECODE_ERROR,)) if content is None else filter_corpus_file(content)

@@ -3,10 +3,8 @@ trees, and addition/deprecation/general tagging over presence runs."""
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import logging
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple
@@ -46,13 +44,14 @@ def scan_api_definitions(tree_root: str | Path) -> tuple[frozenset[str], int, in
     tree_root; returns (names, parsed_files, skipped_files).
 
     Files that cannot be read, decoded or parsed are skipped and counted.
-    Names whose terminal segment starts with an underscore are excluded; a
-    file pkg/a.py defining f contributes "pkg.a.f", and __init__.py maps to
-    its package.  The module path is the file's path below tree_root, so a
-    relative tree_root such as "." names its modules as an absolute one
-    does.  Each distinct file content is parsed once, on every usable core;
-    collect_surfaces scans the trees of all its versions in one such pass
-    (see _scan_trees).
+    Each file is read once; one that changes during the scan is named from
+    the bytes that read gave.  Names whose terminal segment starts with an
+    underscore are excluded; a file pkg/a.py defining f contributes
+    "pkg.a.f", and __init__.py maps to its package.  The module path is the
+    file's path below tree_root, so a relative tree_root such as "." names
+    its modules as an absolute one does.  Each distinct file content is
+    parsed once, on every usable core; collect_surfaces scans the trees of
+    all its versions in one such pass (see _scan_trees).
     """
     root = Path(tree_root)
     if not root.is_dir():
@@ -61,70 +60,43 @@ def scan_api_definitions(tree_root: str | Path) -> tuple[frozenset[str], int, in
 
 
 def _scan_trees(roots: Sequence[Path]) -> list[tuple[frozenset[str], int, int]]:
-    """scan_api_definitions of each root, in one fan_out over the distinct
-    file contents of them all.
+    """scan_api_definitions of each root, in one fan_out with one item per
+    file size: the paths, across all roots, of the files of that size.
 
-    The walk (syntax.python_files) gives every file's size.  A file whose
-    size no other file has can have no twin: it is queued under its path
-    and read once, by its worker, and one whose read fails is skipped.
-    This process reads and digests only the files that share a size, and
-    keeps the digest and size, not the bytes; one path per distinct digest
-    is queued, and its worker reads the file again.  A size twin that lost
-    its digest or can no longer be read stops the run with IoFailure, so
-    its names always come from the digested bytes.  Files are parsed
-    largest first, so that no core ends on a large file alone."""
-    # hashlib.blake2b is _blake2.blake2b on CPython 3.10-3.13, but importing
-    # it through hashlib also loads OpenSSL's _hashlib: ~3 ms and ~4 MB of
-    # resident memory.  Imported here, so that no other command loads it.
-    from _blake2 import blake2b
-
+    This process only walks the trees (syntax.python_files, which gives
+    every file's size) and names modules; it reads no file.  Each worker
+    reads each path of its item once and parses each distinct content of
+    them once.  Files with equal bytes have equal sizes, so no content is
+    parsed twice across items.  A file that cannot be stat'ed, read or
+    parsed is skipped and counted; one that changes after the walk is named
+    from the bytes its worker read.  Items go largest size first, so that no
+    core ends on a large file alone, and each lists its paths in the order
+    the walk found them."""
     from ._fanout import fan_out  # see its module docstring
 
-    listed = []  # per root: (module, path, size) of each file; size None: no stat
-    sizes: Counter[int | None] = Counter()
+    groups: dict[int, list[str]] = {}  # size -> paths of that size
+    trees = []  # per root: (module, size, index in its group) of each file
     for root in roots:
-        files = []
+        files: list[tuple[str, int | None, int]] = []
         for entry, parts in python_files(root):
             try:
                 size = entry.stat().st_size
-            except OSError:
-                size = None
-            sizes[size] += 1
-            files.append((_module_name(parts), Path(entry.path), size))
-        listed.append(files)
-
-    # key -> (size, digest, path): a size twin's key is its digest, queued
-    # with its first path; a unique-size file's key is its path, queued with
-    # no digest.  A file that could not be stat'ed or read has the key None
-    # and is skipped.
-    queue: dict[bytes | Path, tuple[int, bytes | None, Path]] = {}
-    trees = []
-    for files in listed:
-        keyed: list[tuple[str, bytes | Path | None]] = []
-        for module, path, size in files:
-            key: bytes | Path | None = None
-            if size is not None and sizes[size] == 1:
-                key = path
-                queue[key] = (size, None, path)
-            elif size is not None:
-                with contextlib.suppress(OSError):
-                    data = path.read_bytes()
-                    key = blake2b(data).digest()
-                    queue.setdefault(key, (len(data), key, path))
-            keyed.append((module, key))
-        trees.append(keyed)
-    # sorted is stable: files of one size stay in first-seen order
-    order = sorted(queue, key=lambda key: -queue[key][0])
-    local_names = dict(zip(order, fan_out(_path_definitions, [queue[key] for key in order])))
+            except OSError:  # skipped and counted, as a file that cannot be read
+                files.append(("", None, 0))
+                continue
+            group = groups.setdefault(size, [])
+            files.append((_module_name(parts), size, len(group)))
+            group.append(entry.path)
+        trees.append(files)
+    order = sorted(groups, reverse=True)
+    local_names = dict(zip(order, fan_out(_group_definitions, [groups[size] for size in order])))
 
     scans = []
-    for keyed in trees:
+    for files in trees:
         names: set[str] = set()
         parsed = skipped = 0
-        for module, key in keyed:
-            local = local_names.get(key)
-            if isinstance(local, IoFailure):
-                raise local
+        for module, size, index in files:
+            local = None if size is None else local_names[size][index]
             if local is None:
                 skipped += 1
                 continue
@@ -144,29 +116,27 @@ def _module_name(parts: tuple[str, ...]) -> str:
     return ".".join(package)
 
 
-def _path_definitions(
-    item: tuple[int, bytes | None, Path],
-) -> frozenset[str] | IoFailure | None:
+def _group_definitions(paths: Sequence[str]) -> list[frozenset[str] | None]:
     """The public local definition names (no terminal segment starting with
-    an underscore) of the bytes at item's path; None if they do not parse.
-    A unique-size file (no digest) that cannot be read is None too.  A size
-    twin must still have its digest: if not, or if it cannot be read, an
-    IoFailure for the caller to raise in its own order.  The bytes go to
-    definition_names undecoded, whose parser reads them as the interpreter
-    reads a module (see syntax's docstring)."""
-    from _blake2 import blake2b
-
-    _, key, path = item
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        return None if key is None else IoFailure(f"unreadable file {path}: {exc}")
-    if key is not None and blake2b(data).digest() != key:
-        return IoFailure(f"file changed during the run: {path}")
-    local = definition_names(data)
-    if local is None:
-        return None
-    return frozenset(name for name in local if not name.rpartition(".")[2].startswith("_"))
+    an underscore) of the bytes at each of paths, read once each; None for a
+    file that cannot be read or does not parse.  Each distinct content is
+    parsed once.  The bytes go to definition_names undecoded, whose parser
+    reads them as the interpreter reads a module (see syntax's docstring)."""
+    by_content: dict[bytes, frozenset[str] | None] = {}
+    results = []
+    for path in paths:
+        try:
+            data = Path(path).read_bytes()
+        except OSError:
+            results.append(None)
+            continue
+        if data not in by_content:
+            local = definition_names(data)
+            if local is not None:
+                local = frozenset(n for n in local if not n.rpartition(".")[2].startswith("_"))
+            by_content[data] = local
+        results.append(by_content[data])
+    return results
 
 
 def extract_surface(version: VersionId, tree_root: str | Path) -> VersionSurface:
@@ -223,9 +193,9 @@ def collect_surfaces(versions_root: str | Path) -> list[VersionSurface]:
     beats reporting a mass deprecation for a broken source drop).  Two
     directories that name the same version, such as 1.0 and 1.0.0, raise
     EvalError before any tree is scanned.  The trees of all versions
-    are scanned in one pass: each distinct file content is parsed once, on
-    every usable core, and a file that shares its size with another and
-    changes during the run stops it with IoFailure (see _scan_trees).
+    are scanned in one pass, as scan_api_definitions scans one: each file is
+    read once and each distinct file content parsed once, on every usable
+    core (see _scan_trees).
     """
     root = Path(versions_root)
     if not root.is_dir():

@@ -261,11 +261,8 @@ def write_version_tree(root: Path, package: Path) -> Path:
     mark, one that does not parse, one in Latin-1, one whose only definition
     sits under "if False:", one whose def a module-level return follows,
     which only the bytecode compiler rejects, and a twin.py of one size in
-    both versions but other bytes; 2.0 adds a module to the package, drops
-    its errors.py and adds lone.py, whose size no other file of the tree
-    has.  So lifecycle reads files on both of its paths: size twins, which
-    it digests before it parses them, and files of a unique size, which
-    only their worker reads."""
+    both versions but other bytes, so that a worker parses two contents of
+    one size; 2.0 adds a module to the package and drops its errors.py."""
     for version in ("1.0", "2.0"):
         base = root / version
         shutil.copytree(package, base / package.name, ignore=shutil.ignore_patterns("__pycache__"))
@@ -278,11 +275,6 @@ def write_version_tree(root: Path, package: Path) -> Path:
         (base / "twin.py").write_bytes(f"def twin{version[0]}(): ...\n".encode())
     (root / "2.0" / package.name / "added.py").write_bytes(b"def added(): ...\n")
     (root / "2.0" / package.name / "errors.py").unlink()
-    sizes = {path.stat().st_size for path in root.rglob("*.py")}
-    lone = b"def lone(): ...\n#"
-    while len(lone) + 1 in sizes:
-        lone += b"#"
-    (root / "2.0" / "lone.py").write_bytes(lone + b"\n")
     return root
 
 

@@ -318,11 +318,12 @@ class TestFanOut:
     def test_lifecycle_over_many_files_does_not_depend_on_the_core_count(
         self, cores, tmp_path, capfd, cli_log
     ):
-        # 307 distinct contents over two versions, more than fan_out's 256
-        # runs, so that runs hold several files; padded so that sizes do not
-        # follow path order, and largest first is another order than the paths'
+        # 307 distinct contents over two versions, each of a size of its own,
+        # so that lifecycle's items (one per size) are more than fan_out's 256
+        # runs and runs hold several; padded so that sizes do not follow path
+        # order, and largest first is another order than the paths'
         many = {
-            path: data + b"#" * (index * 89 % 300) + b"\n"
+            path: data + b"#" * (index * 89 % 307 * 5) + b"\n"
             for index, (path, data) in enumerate(mixed_tree(300).items())
         }
         changed = {path: data for path, data in many.items() if not path.endswith("7.py")}

@@ -100,7 +100,7 @@ class TestExtractApiDefinitions:
         assert scan_api_definitions(tmp_path) == (frozenset({"good.g"}), 1, 1)
 
     def test_unreadable_file_skipped_and_counted(self, tmp_path, monkeypatch):
-        # the digest pass cannot read a.py; the scan goes on past it
+        # a.py cannot be read; the scan goes on past it
         unreadable = tmp_path / "a.py"
         unreadable.write_text("def lost(): ...\n")
         (tmp_path / "b.py").write_text("def g(): ...\n")
@@ -478,8 +478,8 @@ class TestParseOncePerContent:
 
 
 class TestOnePass:
-    """collect_surfaces scans every version in one fan_out over the distinct
-    file contents, and takes names only from the bytes it digested."""
+    """collect_surfaces scans every version in one fan_out, one item per
+    file size, and each file is read once, by its worker."""
 
     VERSIONS = {
         version: {"pkg/a.py": b"def f(): ...\n", "pkg/b.py": f"def g{i}(): ...\n".encode()}
@@ -492,7 +492,7 @@ class TestOnePass:
         original = vceval._fanout.fan_out
 
         def recording(fn, items):
-            calls.append(len(items))
+            calls.append(items)
             return original(fn, items)
 
         monkeypatch.setattr(vceval._fanout, "fan_out", recording)
@@ -501,7 +501,13 @@ class TestOnePass:
         assert [s.apis for s in surfaces] == [
             frozenset({"pkg.a.f", f"pkg.b.g{i}"}) for i in range(3)
         ]
-        assert calls == [4]  # one call, over the 4 distinct contents
+        # one call, with an item per size: b.py's files are a byte longer than a.py's
+        assert calls == [
+            [
+                [str(tmp_path / version / "pkg" / name) for version in self.VERSIONS]
+                for name in ("b.py", "a.py")
+            ]
+        ]
 
     def test_files_are_compiled_largest_first_ties_in_first_seen_order(self, tmp_path, monkeypatch):
         files = {
@@ -521,90 +527,126 @@ class TestOnePass:
         collect_surfaces(tmp_path)
         assert compiled == [b"x = 1234\n", b"z = 123\n", b"x = 12\n", b"y = 12\n", b"x = 1\n"]
 
-    @pytest.mark.parametrize("cores", [1, 3])
-    @pytest.mark.parametrize("change", ["rewrite", "delete"])
-    def test_a_file_that_changes_before_its_worker_reads_it_stops_the_run(
-        self, tmp_path, monkeypatch, capsys, cores, change
-    ):
-        write_versions(tmp_path, self.VERSIONS)
-        target = tmp_path / "2.0" / "pkg" / "b.py"
-        original = vceval._fanout.fan_out
-
-        def changing(fn, items):
-            # after the caller has read and digested every file
-            if change == "rewrite":
-                target.write_bytes(b"def h(): ...\n")
-            else:
-                target.unlink()
-            return original(fn, items)
-
-        monkeypatch.setattr(vceval._fanout, "fan_out", changing)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-        with pytest.raises(IoFailure, match=re.escape(str(target))):
-            collect_surfaces(tmp_path)
-        write_versions(tmp_path, self.VERSIONS)
-        out = tmp_path / "out.json"
-        assert main(["lifecycle", "--versions-root", str(tmp_path), "--out", str(out)]) == 2
-        assert str(target) in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_the_caller_reads_only_the_size_twins_before_the_fork(self, tmp_path, monkeypatch):
-        # a.py and b.py share a size in every version; c.py's size is its own
-        write_versions(tmp_path, self.VERSIONS)
-        unique = tmp_path / "3.0" / "pkg" / "c.py"
-        unique.write_bytes(b"def only_here(): ...\n")
-        reads, before_fork = [], []
+    @staticmethod
+    def logged_reads(monkeypatch, log, cores, fail=None):
+        """Path.read_bytes appends each path it reads to log (reads may
+        happen in forked workers) and raises PermissionError on fail;
+        cores usable cores."""
         read_bytes = Path.read_bytes
 
-        def recording_read(path):
-            reads.append(path)
+        def logging_read(path):
+            with open(log, "a", encoding="utf-8") as out:
+                out.write(f"{path}\n")
+            if path == fail:
+                raise PermissionError(13, "Permission denied", str(path))
             return read_bytes(path)
 
+        monkeypatch.setattr(Path, "read_bytes", logging_read)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+    @staticmethod
+    def after_the_walk(monkeypatch, action):
+        """Run action when the scan calls fan_out, once every tree is walked."""
         original = vceval._fanout.fan_out
 
-        def recording_fan_out(fn, items):
-            before_fork.extend(reads)
+        def acting(fn, items):
+            action()
             return original(fn, items)
 
-        monkeypatch.setattr(Path, "read_bytes", recording_read)
-        monkeypatch.setattr(vceval._fanout, "fan_out", recording_fan_out)
-        # one core: the queue is worked in this process, where reads are seen
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        surfaces = collect_surfaces(tmp_path)
-        twins = [
-            tmp_path / version / "pkg" / name
-            for version in ("1.0", "2.0", "3.0")
-            for name in ("a.py", "b.py")
-        ]
-        assert before_fork == twins
-        # then one read per distinct twin content, and the unique file's only read
-        assert sorted(reads[len(twins):]) == sorted([*twins[:2], twins[3], twins[5], unique])
+        monkeypatch.setattr(vceval._fanout, "fan_out", acting)
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_the_caller_reads_no_file_and_every_file_is_read_once(
+        self, tmp_path, monkeypatch, cores
+    ):
+        versions = tmp_path / "versions"
+        write_versions(versions, self.VERSIONS)
+        unique = versions / "3.0" / "pkg" / "c.py"
+        unique.write_bytes(b"def only_here(): ...\n")
+        log = tmp_path / "reads.log"
+        log.touch()
+        self.logged_reads(monkeypatch, log, cores)
+        before_fork = []
+        self.after_the_walk(monkeypatch, lambda: before_fork.append(log.read_text("utf-8")))
+        surfaces = collect_surfaces(versions)
+        assert before_fork == [""]
+        assert sorted(log.read_text("utf-8").splitlines()) == sorted(
+            str(path) for path in versions.rglob("*.py")
+        )
         assert surfaces[2].apis == frozenset({"pkg.a.f", "pkg.b.g2", "pkg.c.only_here"})
         assert [(s.parsed_files, s.skipped_files) for s in surfaces] == [(2, 0), (2, 0), (3, 0)]
 
     @pytest.mark.parametrize("cores", [1, 3])
-    def test_a_unique_size_file_whose_only_read_fails_is_skipped_and_counted(
-        self, tmp_path, monkeypatch, cores
+    @pytest.mark.parametrize(
+        "rewrite, name",
+        [
+            (b"def rewritten(): ...\n", "pkg.b.rewritten"),
+            # the bytes of 1.0's b.py, of the size the walk saw
+            (b"def g0(): ...\n", "pkg.b.g0"),
+        ],
+        ids=["new-bytes", "bytes-of-1.0"],
+    )
+    def test_a_file_rewritten_after_the_walk_is_named_by_the_bytes_its_worker_read(
+        self, tmp_path, monkeypatch, cores, rewrite, name
     ):
         write_versions(tmp_path, self.VERSIONS)
-        unique = tmp_path / "2.0" / "pkg" / "c.py"
-        unique.write_bytes(b"def only_here(): ...\n")
-        # reads may happen in forked workers, so each one appends to a file
-        log = tmp_path / "reads.log"
-        read_bytes = Path.read_bytes
-
-        def failing(path):
-            if path == unique:
-                with open(log, "a", encoding="utf-8") as out:
-                    out.write(f"{path}\n")
-                raise PermissionError(13, "Permission denied", str(path))
-            return read_bytes(path)
-
-        monkeypatch.setattr(Path, "read_bytes", failing)
+        target = tmp_path / "2.0" / "pkg" / "b.py"
+        self.after_the_walk(monkeypatch, lambda: target.write_bytes(rewrite))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         surfaces = collect_surfaces(tmp_path)
-        assert log.read_text(encoding="utf-8") == f"{unique}\n"  # read once, by its worker
         assert [s.apis for s in surfaces] == [
-            frozenset({"pkg.a.f", f"pkg.b.g{i}"}) for i in range(3)
+            frozenset({"pkg.a.f", "pkg.b.g0"}),
+            frozenset({"pkg.a.f", name}),
+            frozenset({"pkg.a.f", "pkg.b.g2"}),
+        ]
+        assert [(s.parsed_files, s.skipped_files) for s in surfaces] == [(2, 0)] * 3
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_a_file_deleted_after_the_walk_is_skipped_and_counted(
+        self, tmp_path, monkeypatch, capsys, cores
+    ):
+        versions = tmp_path / "versions"
+        write_versions(versions, self.VERSIONS)
+        target = versions / "2.0" / "pkg" / "b.py"
+        self.after_the_walk(monkeypatch, target.unlink)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        surfaces = collect_surfaces(versions)
+        assert [s.apis for s in surfaces] == [
+            frozenset({"pkg.a.f", "pkg.b.g0"}),
+            frozenset({"pkg.a.f"}),
+            frozenset({"pkg.a.f", "pkg.b.g2"}),
+        ]
+        assert [(s.parsed_files, s.skipped_files) for s in surfaces] == [(2, 0), (1, 1), (2, 0)]
+        write_versions(versions, self.VERSIONS)
+        out = tmp_path / "out.json"
+        assert main(["lifecycle", "--versions-root", str(versions), "--out", str(out)]) == 0
+        records = json.loads(out.read_text("utf-8"))["records"]
+        assert [(r["api"], r["start_index"], r["end_index"]) for r in records] == [
+            ("pkg.a.f", 0, None), ("pkg.b.g0", 0, 1), ("pkg.b.g2", 2, None)
+        ]
+        assert capsys.readouterr().err == f"tagged 3 lifecycle record(s) -> {out}\n"
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    @pytest.mark.parametrize(
+        "relative, lost",
+        [("2.0/pkg/c.py", "pkg.c.only_here"), ("2.0/pkg/b.py", "pkg.b.g1")],
+        ids=["unique-size", "shared-size"],
+    )
+    def test_a_file_whose_only_read_fails_is_skipped_and_counted(
+        self, tmp_path, monkeypatch, cores, relative, lost
+    ):
+        versions = tmp_path / "versions"
+        write_versions(versions, self.VERSIONS)
+        (versions / "2.0" / "pkg" / "c.py").write_bytes(b"def only_here(): ...\n")
+        unreadable = versions / relative
+        log = tmp_path / "reads.log"
+        self.logged_reads(monkeypatch, log, cores, fail=unreadable)
+        surfaces = collect_surfaces(versions)
+        # read once, by its worker
+        assert log.read_text("utf-8").splitlines().count(str(unreadable)) == 1
+        assert [s.apis for s in surfaces] == [
+            frozenset({"pkg.a.f", "pkg.b.g0"}),
+            frozenset({"pkg.a.f", "pkg.b.g1", "pkg.c.only_here"}) - {lost},
+            frozenset({"pkg.a.f", "pkg.b.g2"}),
         ]
         assert [(s.parsed_files, s.skipped_files) for s in surfaces] == [(2, 0), (2, 1), (2, 0)]
