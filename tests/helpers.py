@@ -9,11 +9,10 @@ import json
 import random
 import shutil
 import sys
+import textwrap
 import warnings
 from itertools import combinations
 from pathlib import Path
-
-import pytest
 
 
 @contextlib.contextmanager
@@ -21,6 +20,10 @@ def raises_exactly(error: type[BaseException], message: str):
     """pytest.raises for an error of exactly this class, not a subclass (the
     CLI maps EvalError's subclasses onto other exit codes), and exactly this
     message."""
+    # imported here, so that a bare install, which has no pytest, can write
+    # its inputs with this module
+    import pytest
+
     with pytest.raises(error) as caught:
         yield caught
     assert type(caught.value) is error
@@ -253,6 +256,62 @@ def write_score_inputs(directory: Path, count: int = 40, bad_references=()) -> t
         write_jsonl(directory / "instances.jsonl", instances),
         write_jsonl(directory / "samples.jsonl", samples),
     )
+
+
+def write_exec_reports(path: Path, instances: Path, samples: Path) -> Path:
+    """An execution report for every sample of the score inputs: a sample
+    passes when it is its reference, so the pass series varies and score
+    writes the Pearson rows."""
+    rows = map(json.loads, instances.read_text(encoding="utf-8").splitlines())
+    references = {row["id"]: row["reference"] for row in rows}
+    return write_jsonl(path, (
+        {"instance_id": row["instance_id"], "sample_index": index,
+         "passed": text == references[row["instance_id"]]}
+        for row in map(json.loads, samples.read_text(encoding="utf-8").splitlines())
+        for index, text in enumerate(row["samples"])
+    ))
+
+
+# (id prefix, description, lines, granularity -> (first, last, core token)
+# of each span) of two programs whose spans are no program alone: one
+# function that holds a loop header, a break, a yield and a return, and a
+# decorated one that holds a with header and a core-token call inside an
+# f-string; cdc judges each span in its function
+SPAN_PROGRAMS = (
+    ("", "pick rows",
+     ["def pick(rows, limit):", "    for row in rows:", "        if not row:",
+      "            break", "        yield row.strip(limit)", "    return len(rows)"],
+     {"line": [(1, 1, "rows"), (4, 4, "strip"), (5, 5, "len")],
+      "block": [(0, 1, "pick"), (1, 2, "rows"), (3, 4, "strip"), (4, 5, "len")]}),
+    ("load-", "load a file",
+     ["import functools", "@functools.lru_cache(maxsize=8)", "def load(path, sep):",
+      "    with open(path) as f:", "        text = f.read()",
+      "    return text.split(sep), f\"{text.split(sep, 1)}\""],
+     {"line": [(3, 3, "open"), (5, 5, "split")], "block": [(1, 5, "lru_cache")]}),
+)
+
+
+def write_span_inputs(directory: Path) -> None:
+    """span-lines.jsonl and span-blocks.jsonl, the mask specs of
+    SPAN_PROGRAMS's spans, and span-samples.jsonl: for each span its
+    reference, the reference dedented, and the reference with a wrong
+    callee."""
+    specs, samples = {"line": [], "block": []}, []
+    for prefix, description, lines, spans in SPAN_PROGRAMS:
+        meta = {"library": "demo", "version": "1.0", "description": description,
+                "code": "\n".join(lines) + "\n", "data_source": "library_source"}
+        for granularity, targets in spans.items():
+            for first, last, token in targets:
+                iid = f"{prefix}{granularity}-{first}-{last}"
+                target = ({"line_index": first} if granularity == "line"
+                          else {"line_start": first, "line_end": last})
+                specs[granularity].append({"instance_id": iid, "core_token": token, **meta, **target})
+                reference = "\n".join(lines[first : last + 1])
+                texts = [reference, textwrap.dedent(reference), reference.replace(token, "other", 1)]
+                samples.append({"instance_id": iid, "samples": texts})
+    for granularity, rows in specs.items():
+        write_jsonl(directory / f"span-{granularity}s.jsonl", rows)
+    write_jsonl(directory / "span-samples.jsonl", samples)
 
 
 def write_version_tree(root: Path, package: Path) -> Path:

@@ -862,17 +862,25 @@ class TestMaskThenScore:
         assert rows[("em", 3)] == 1.0
 
     def test_spans_that_are_no_program_alone_score_one(self, tmp_path):
-        # a block of lines 1-2 and the line 2 of this function hold a
-        # return; cdc judges each inside the function
-        code = "def f(df):\n    out = df.explode('A')\n    return out\n"
-        meta = {"library": "pandas", "version": "1.3.5", "description": "demo", "code": code,
+        # the block of lines 4-5 and the lines 4 and 5 are this function's
+        # body, and two of them hold its return; cdc judges each inside the
+        # function.  So is the whole function after the import, and so are
+        # spans of code whose lines end in CRLF, the masked line in blanks
+        code = "import pandas as pd\n\n\ndef f(df):\n    out = df.explode('A')\n    return out\n"
+        crlf = "import pandas as pd\r\n\r\nout = df.explode('A')  \r\nprint(out)\r\n"
+        meta = {"library": "pandas", "version": "1.3.5", "description": "demo",
                 "data_source": "library_source"}
-        jobs = [("block", "b", "explode", {"line_start": 1, "line_end": 2}),
-                ("line", "l", "out", {"line_index": 2})]
+        jobs = [("block", "b", "explode", code, {"line_start": 4, "line_end": 5}),
+                ("line", "l", "out", code, {"line_index": 5}),
+                ("line", "body", "explode", code, {"line_index": 4}),
+                ("block", "def", "explode", code, {"line_start": 3, "line_end": 5}),
+                ("line", "crlf-line", "explode", crlf, {"line_index": 2}),
+                ("block", "crlf-block", "explode", crlf, {"line_start": 2, "line_end": 3})]
         rows = []
-        for granularity, iid, token, target in jobs:
+        for granularity, iid, token, text, target in jobs:
             spec = write_jsonl(tmp_path / f"{iid}.spec.jsonl",
-                               [{"instance_id": iid, "core_token": token, **meta, **target}])
+                               [{"instance_id": iid, "core_token": token, "code": text,
+                                 **meta, **target}])
             out = tmp_path / f"{iid}.jsonl"
             assert main(["mask", "--granularity", granularity, "--spec", str(spec),
                          "--out", str(out)]) == 0
@@ -890,7 +898,7 @@ class TestMaskThenScore:
         metrics = ["em", "ism", "pm", "cdc"]
         assert {r["metric"]: r["value"] for r in report} == dict.fromkeys(metrics, 1.0)
         rows = [json.loads(line) for line in per_instance.read_text().splitlines()]
-        assert [row["per_sample"] for row in rows] == [[1.0] * 6] * 8
+        assert [row["per_sample"] for row in rows] == [[1.0] * 6] * (4 * len(jobs))
 
     def test_a_sentinel_after_its_lines_indentation_takes_either_sample(self, tmp_path):
         instances = write_jsonl(

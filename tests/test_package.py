@@ -2,8 +2,8 @@
 means editing this list, so the change shows in review; and the README's
 library quick start, which uses those names, runs as written.  Also pinned:
 which module spells how Python source is read, which modules a cold start
-of the CLI does not load, and that syntax depends on no other module of
-the package but errors."""
+of the CLI does not load, that syntax depends on no other module of the
+package but errors, and that the test helpers import without pytest."""
 
 import ast
 import json
@@ -107,3 +107,12 @@ def test_syntax_imports_no_module_of_the_package_but_errors():
     assert (run.returncode, run.stderr, run.stdout) == (
         0, "", "['vceval.errors', 'vceval.syntax']\n"
     )
+
+
+def test_the_test_helpers_import_without_pytest():
+    # A bare install of the package has no pytest, and writes its inputs
+    # with helpers
+    paths = [str(ROOT / "tests"), str(ROOT / "src")]
+    code = f"import sys; sys.path[:0] = {paths!r}; import helpers; print('pytest' in sys.modules)"
+    run = subprocess.run([sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True)
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "False\n")
